@@ -23,9 +23,8 @@ from .errors import (CheckpointError, CorruptCheckpoint, DegenerateInterval,
                      NoValidAction, PoleSingularity, ShapeMismatch, TooShort,
                      UnreachablePose, VersionMismatch, ZeroVector)
 from .keyframes import KeyframeSet
-from .metrics import (ErrorReport, angle_distance, error_report,
-                      normalized_relative_error, q_baseline, q_error,
-                      root_rmse, section_error, step_reward)
+from .metrics import (angle_distance, q_baseline, q_error, root_rmse,
+                      section_error_table, section_errors, step_reward)
 from .motion import (CMU_EXCLUDED_JOINTS, MotionSequence, PreprocessConfig,
                      filter_joints, forward_kinematics, preprocess,
                      select_joints)
@@ -43,21 +42,20 @@ __version__ = "0.1.0"
 __all__ = [
     "AdamState", "CMU_EXCLUDED_JOINTS", "CheckpointError", "CorruptCheckpoint",
     "CubicChannel", "DegenerateInterval", "DegenerateSequence", "EmptyDataset",
-    "ErrorReport", "InvalidKeyframeSet", "InvalidW", "Joint", "KeyframeSet",
-    "MalformedAmc", "MalformedAsf", "MalformedDataset", "MeridianSingularity",
+    "InvalidKeyframeSet", "InvalidW", "Joint", "KeyframeSet", "MalformedAmc",
+    "MalformedAsf", "MalformedDataset", "MeridianSingularity",
     "MocapKeyError", "MotionSequence", "NoValidAction", "NonFiniteGradient",
     "PoleSingularity", "PreprocessConfig", "QNetwork", "RawMotion",
     "ReconstructedSequence", "ReplayMemory", "ShapeMismatch", "Skeleton",
     "SphericalSequence", "TooShort", "TrainConfig", "TrainResult",
     "Transition", "UnreachablePose", "VersionMismatch", "WindowRecord",
     "ZeroVector", "act", "angle_distance", "backward_and_step", "cart_to_sph",
-    "checkpoint_load", "checkpoint_save", "encode_state", "error_report",
-    "export_amc", "filter_joints", "fit_cubic", "forward",
-    "forward_kinematics", "huber", "infer_keyframes", "init", "load_agent",
-    "load_dataset", "load_manifest", "manifest_digest",
-    "normalized_relative_error", "parse_amc", "parse_asf", "preprocess",
-    "q_baseline", "q_error", "reconstruct_full", "reconstruct_root",
-    "reconstruct_section", "root_rmse", "save_agent", "section_error",
+    "checkpoint_load", "checkpoint_save", "encode_state", "export_amc",
+    "filter_joints", "fit_cubic", "forward", "forward_kinematics", "huber",
+    "infer_keyframes", "init", "load_agent", "load_dataset", "load_manifest",
+    "manifest_digest", "parse_amc", "parse_asf", "preprocess", "q_baseline",
+    "q_error", "reconstruct_full", "reconstruct_root", "reconstruct_section",
+    "root_rmse", "save_agent", "section_error_table", "section_errors",
     "select_greedy", "select_joints", "select_random", "select_uniform",
     "sequence_to_spherical", "sph_to_cart", "spherical_to_sequence",
     "step_reward", "td_target", "train", "valid_actions", "velocity_to_sph",

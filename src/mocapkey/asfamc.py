@@ -260,7 +260,7 @@ def parse_asf(source) -> Skeleton:
             continue
         key = parts[0].lower()
         if key == "length":
-            length_scale = float(parts[1])
+            length_scale = _numbers(parts, 1, no)[0]
         elif key == "angle":
             degrees = parts[1].lower().startswith("deg")
 
@@ -283,11 +283,11 @@ def parse_asf(source) -> Skeleton:
                     raise MalformedAsf(f"line {no}: unknown root channel '{t}'")
             root_order = tokens
         elif key == "axis":
-            root_axis_order = parts[1].upper()
+            root_axis_order = _word(parts, no).upper()
         elif key == "orientation":
-            root_orientation = to_rad([float(v) for v in parts[1:4]])
+            root_orientation = to_rad(_numbers(parts, 3, no))
         elif key == "position":
-            root_position = np.array([float(v) for v in parts[1:4]]) * 1.0
+            root_position = np.array(_numbers(parts, 3, no))
 
     if sorted(root_axis_order.lower()) != ["x", "y", "z"]:
         raise MalformedAsf(f"root axis order '{root_axis_order}' is not a permutation of XYZ")
@@ -321,13 +321,13 @@ def parse_asf(source) -> Skeleton:
         if key == "id":
             continue
         elif key == "name":
-            bone.name = parts[1]
+            bone.name = _word(parts, no)
         elif key == "direction":
-            bone.direction = np.array([float(v) for v in parts[1:4]])
+            bone.direction = np.array(_numbers(parts, 3, no))
         elif key == "length":
-            bone.length = float(parts[1])
+            bone.length = _numbers(parts, 1, no)[0]
         elif key == "axis":
-            bone.axis = to_rad([float(v) for v in parts[1:4]])
+            bone.axis = to_rad(_numbers(parts, 3, no))
             if len(parts) > 4:
                 bone.axis_order = parts[4].upper()
                 if sorted(bone.axis_order.lower()) != ["x", "y", "z"]:
@@ -433,14 +433,35 @@ def parse_asf(source) -> Skeleton:
     )
 
 
+def _word(parts: list[str], line_no: int) -> str:
+    """The value token after a keyword token."""
+    if len(parts) < 2:
+        raise MalformedAsf(f"line {line_no}: '{parts[0]}' without a value")
+    return parts[1]
+
+
+def _numbers(parts: list[str], count: int, line_no: int) -> list[float]:
+    """The ``count`` numbers after a keyword token."""
+    try:
+        values = [float(v) for v in parts[1:count + 1]]
+    except ValueError:
+        values = []
+    if len(values) < count:
+        raise MalformedAsf(f"line {line_no}: '{parts[0]}' needs {count} "
+                           f"number(s), got '{' '.join(parts[1:])}'")
+    return values
+
+
 def _parse_limit_pair(text: str, line_no: int) -> tuple[float, float]:
     body = text.strip()
     if not (body.startswith("(") and body.endswith(")")):
         raise MalformedAsf(f"line {line_no}: malformed limits '{text}'")
     parts = body[1:-1].split()
-    if len(parts) != 2:
-        raise MalformedAsf(f"line {line_no}: malformed limits '{text}'")
-    return float(parts[0]), float(parts[1])
+    try:
+        lo, hi = (float(v) for v in parts)
+    except ValueError:
+        raise MalformedAsf(f"line {line_no}: malformed limits '{text}'") from None
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------

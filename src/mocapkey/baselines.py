@@ -6,7 +6,7 @@ import numpy as np
 
 from .errors import InvalidW
 from .keyframes import KeyframeSet
-from .metrics import q_baseline, q_error
+from .metrics import q_baseline, section_error_table
 from .spherical import SphericalSequence
 
 
@@ -46,16 +46,24 @@ def select_uniform(n: int, w: int) -> KeyframeSet:
 
 def select_greedy(sph: SphericalSequence, w: int) -> KeyframeSet:
     """Grow from the endpoints, always adding the frame that minimizes the
-    reconstruction error; ties break toward the smallest frame index."""
+    reconstruction error; ties break toward the smallest frame index.
+
+    Candidates are scored from a table of every section's error: adding
+    frame f to section [a, b] replaces E[a, b] by E[a, f] + E[f, b].
+    """
     n = sph.frame_count
     _check_w(n, w)
     q_baseline(sph)   # degenerate windows have no meaningful argmin
-    keys = KeyframeSet.endpoints(n)
+    table = section_error_table(sph)
+    mask = KeyframeSet.endpoints(n).mask
+    total = table[0, n - 1]
     for _ in range(w - 2):
-        best_frame, best_q = None, np.inf
-        for frame in keys.complement():
-            q = q_error(sph, keys.add(int(frame)))
-            if q < best_q:
-                best_frame, best_q = int(frame), q
-        keys = keys.add(best_frame)
-    return keys
+        keys = np.flatnonzero(mask)
+        cand = np.flatnonzero(~mask)
+        right = np.searchsorted(keys, cand)
+        lo, hi = keys[right - 1], keys[right]
+        scores = total - table[lo, hi] + table[lo, cand] + table[cand, hi]
+        best = int(np.argmin(scores))
+        total = scores[best]
+        mask[cand[best]] = True
+    return KeyframeSet.from_mask(mask)

@@ -3,90 +3,85 @@
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSequence, InvalidKeyframeSet
+from .errors import DegenerateInterval, DegenerateSequence, InvalidKeyframeSet
 from .keyframes import KeyframeSet
-from .reconstruct import Section, reconstruct_full, reconstruct_section
+from .reconstruct import _hermite_u_coeffs
 from .spherical import SphericalSequence
 
 TWO_PI = 2.0 * math.pi
 
-# schema of one evaluation row (see ErrorReport and the eval command)
+# schema of one evaluation row (see the eval command)
 REPORT_COLUMNS = ("sequence", "keyframes", "method", "q_error",
                   "root_rmse", "decision_time_s")
 
 
 def angle_distance(a, b):
     """Wrapped absolute angular distance, elementwise in [0, pi]."""
-    d = np.mod(np.abs(np.asarray(a, dtype=np.float64) - b), TWO_PI)
+    d = np.abs(np.asarray(a, dtype=np.float64) - b)
+    wide = d >= TWO_PI    # the mod is the costly step and a no-op below 2 pi
+    if np.any(wide):
+        d = np.where(wide, np.mod(d, TWO_PI), d)
     return np.minimum(d, TWO_PI - d)
 
 
-def section_error(sph: SphericalSequence, section: Section,
-                  k0: int, k1: int) -> tuple[float, float]:
-    """Summed wrapped angle errors of one reconstructed section.
+def section_errors(sph: SphericalSequence, a, b) -> np.ndarray:
+    """Summed wrapped theta + phi error of the cubic reconstruction of
+    each section ``[a[i], b[i]]``, one entry per pair.
 
-    Sums over the section's frames (endpoints included; they contribute
-    zero) and all joints, separately for the inclination and azimuth
-    channels.
+    Only interior frames are summed: the endpoints are verbatim keyframe
+    copies with zero error. The cubics are the angle cubics of
+    ``reconstruct_section``; the root path and the rates are not built.
     """
-    if section.start != k0 or section.stop != k1:
-        raise InvalidKeyframeSet(
-            f"section covers [{section.start}, {section.stop}], not [{k0}, {k1}]")
-    sl = slice(k0, k1 + 1)
-    e_theta = float(angle_distance(section.theta, sph.theta[sl]).sum())
-    e_phi = float(angle_distance(section.phi, sph.phi[sl]).sum())
-    return e_theta, e_phi
+    a = np.asarray(a, dtype=np.intp)
+    b = np.asarray(b, dtype=np.intp)
+    if a.shape != b.shape or np.any(a < 0) or np.any(b <= a) \
+            or np.any(b >= sph.frame_count):
+        raise DegenerateInterval(f"bad sections for N={sph.frame_count}")
+    span = b - a
+    inner = span - 1
+    owner = np.repeat(np.arange(a.size), inner)        # section of each frame
+    step = np.arange(owner.size) - np.repeat(np.cumsum(inner) - inner, inner) + 1
+    u = (step / span[owner])[:, None]
+    angle = np.hstack((sph.theta, sph.phi))
+    rate = np.hstack((sph.theta_dot, sph.phi_dot))
+    c = _hermite_u_coeffs(angle[a], rate[a], angle[b], rate[b],
+                          (span * sph.dt)[:, None])[:, owner]
+    recon = ((c[3] * u + c[2]) * u + c[1]) * u + c[0]
+    err = angle_distance(recon, angle[a[owner] + step]).sum(axis=1)
+    return np.bincount(owner, err, minlength=a.size)
+
+
+def section_error_table(sph: SphericalSequence) -> np.ndarray:
+    """N x N table E with E[a, b] = ``section_errors`` of section [a, b],
+    zero where b <= a + 1.
+
+    Built one span length at a time: one all-pairs gather would hold
+    every interior frame of every section in memory at once.
+    """
+    n = sph.frame_count
+    table = np.zeros((n, n))
+    for span in range(2, n):          # spans of one frame have no interior
+        a = np.arange(n - span)
+        table[a, a + span] = section_errors(sph, a, a + span)
+    return table
 
 
 def q_error(sph: SphericalSequence, keys: KeyframeSet) -> float:
     """Mean wrapped angle error of the keyframe reconstruction.
 
     Sum of per-section theta and phi errors over all sections, divided by
-    frame count times joint count. Interior keyframes belong to two
-    sections but are verbatim copies with zero error, so summing the
-    distance fields once over all frames gives the same value.
+    frame count times joint count.
     """
-    recon = reconstruct_full(sph, keys)
-    total = angle_distance(recon.theta, sph.theta).sum()
-    total += angle_distance(recon.phi, sph.phi).sum()
+    if keys.frame_count != sph.frame_count:
+        raise DegenerateInterval(
+            f"keyframe set is over {keys.frame_count} frames, "
+            f"sequence has {sph.frame_count}")
+    idx = keys.indices
+    total = section_errors(sph, idx[:-1], idx[1:]).sum()
     return float(total) / (sph.frame_count * sph.joint_count)
-
-
-@dataclass(frozen=True)
-class ErrorReport:
-    """Per-section error breakdown for one reconstruction."""
-    section_spans: tuple[tuple[int, int], ...]
-    e_theta: tuple[float, ...]
-    e_phi: tuple[float, ...]
-    mean_error: float
-    wall_clock_s: float
-
-    @property
-    def e_section(self) -> tuple[float, ...]:
-        return tuple(a + b for a, b in zip(self.e_theta, self.e_phi))
-
-
-def error_report(sph: SphericalSequence, keys: KeyframeSet) -> ErrorReport:
-    start = time.perf_counter()
-    spans = tuple(keys.sections())
-    e_theta, e_phi = [], []
-    for k0, k1 in spans:
-        et, ep = section_error(sph, reconstruct_section(sph, k0, k1), k0, k1)
-        e_theta.append(et)
-        e_phi.append(ep)
-    mean = (sum(e_theta) + sum(e_phi)) / (sph.frame_count * sph.joint_count)
-    return ErrorReport(
-        section_spans=spans,
-        e_theta=tuple(e_theta),
-        e_phi=tuple(e_phi),
-        mean_error=mean,
-        wall_clock_s=time.perf_counter() - start,
-    )
 
 
 def q_baseline(sph: SphericalSequence) -> float:
@@ -100,12 +95,6 @@ def q_baseline(sph: SphericalSequence) -> float:
         raise DegenerateSequence(
             f"endpoint reconstruction is already exact for {sph.source or 'window'}")
     return q0
-
-
-def normalized_relative_error(sph: SphericalSequence, keys: KeyframeSet) -> float:
-    """1 - Q/Q0: zero for the endpoint set, approaching one as the
-    reconstruction improves."""
-    return 1.0 - q_error(sph, keys) / q_baseline(sph)
 
 
 def step_reward(sph: SphericalSequence, before: KeyframeSet,
@@ -123,35 +112,3 @@ def root_rmse(sph: SphericalSequence, recon: SphericalSequence) -> float:
     """Root-mean-square of the root position deviation over the window."""
     d = recon.root_positions - sph.root_positions
     return float(np.sqrt(np.mean(np.sum(d * d, axis=-1))))
-
-
-@dataclass(frozen=True)
-class MeanAngleError:
-    """Dataset-level mean of per-sequence reconstruction errors."""
-    mean: float
-    per_sequence: tuple[float, ...]
-    skipped_degenerate: int
-
-
-def test_mean_angle_error(dataset, selector) -> MeanAngleError:
-    """Mean q_error over a dataset for a selector sph -> KeyframeSet.
-
-    Sequences whose endpoint reconstruction is already exact carry no
-    information for the metric and are skipped (counted).
-    """
-    values = []
-    skipped = 0
-    for sph in dataset:
-        try:
-            q_baseline(sph)
-        except DegenerateSequence:
-            skipped += 1
-            continue
-        values.append(q_error(sph, selector(sph)))
-    if not values:
-        raise DegenerateSequence("every sequence in the dataset is degenerate")
-    return MeanAngleError(
-        mean=float(np.mean(values)),
-        per_sequence=tuple(values),
-        skipped_degenerate=skipped,
-    )

@@ -96,6 +96,30 @@ def test_parse_asf_rejects_duplicate_parent():
         asfamc.parse_asf(io.StringIO(text))
 
 
+@pytest.mark.parametrize("line, broken", [
+    ("    name lfemur\n", "    name\n"),
+    ("    length 7.0000\n", "    length\n"),
+    ("    length 7.0000\n", "    length long\n"),
+    ("    direction 0.3401360817 -0.9403762258 0.0000000000\n",
+     "    direction 0.3401360817 -0.9403762258\n"),
+    ("    axis 0 0 20 XYZ\n", "    axis 0 0\n"),
+    ("    axis 0 0 20 XYZ\n", "    axis 0 x 20 XYZ\n"),
+    ("    limits (-180.0 180.0)\n", "    limits (-180.0 abc)\n"),
+    ("  length 0.45\n", "  length x\n"),
+    ("  axis XYZ\n", "  axis\n"),
+    ("  orientation 0 0 0\n", "  orientation 0 0\n"),
+    ("  position 0 0 0\n", "  position\n"),
+], ids=["name", "length-missing", "length-text", "direction-short",
+        "axis-short", "axis-text", "limits-text", "units-length-text",
+        "root-axis-missing", "root-orientation-short", "root-position-missing"])
+def test_parse_asf_rejects_keyword_lines_without_values(line, broken):
+    text = synthcorpus.skeleton_text()
+    assert line in text
+    text = text.replace(line, broken, 1)
+    with pytest.raises(MalformedAsf, match=r"^line \d+: "):
+        asfamc.parse_asf(io.StringIO(text))
+
+
 def test_skeleton_dict_round_trip(skeleton):
     clone = asfamc.Skeleton.from_dict(skeleton.to_dict())
     assert clone.bone_names == skeleton.bone_names

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -65,13 +67,24 @@ def test_budget_cannot_exceed_frames():
         baselines.select_random(10, 11, seed=0)
 
 
+def _spike_window():
+    # a flat track with one raised frame: adding any other frame leaves the
+    # error at exactly 1, so every pick is a tie
+    theta = np.ones((9, 1))
+    theta[5] = 2.0
+    zeros = np.zeros((9, 1))
+    return dataclasses.replace(random_spherical(0, n=9, m=1), theta=theta,
+                               phi=zeros, theta_dot=zeros, phi_dot=zeros)
+
+
 def test_greedy_matches_exhaustive_reference():
-    for seed in (0, 1, 2):
-        sph = random_spherical(seed, n=9, m=2)
-        got = baselines.select_greedy(sph, 5)
+    cases = [(random_spherical(seed, n=n, m=2), w)
+             for seed, n, w in ((0, 9, 5), (1, 9, 5), (2, 9, 5), (3, 16, 6))]
+    for sph, w in cases + [(_spike_window(), 4)]:
+        got = baselines.select_greedy(sph, w)
         ref = oracle.greedy_reference(
             sph.theta.tolist(), sph.phi.tolist(),
-            sph.theta_dot.tolist(), sph.phi_dot.tolist(), sph.dt, 5)
+            sph.theta_dot.tolist(), sph.phi_dot.tolist(), sph.dt, w)
         assert list(got.indices) == ref
 
 

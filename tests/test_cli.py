@@ -199,3 +199,23 @@ def test_prep_skips_unmatched_amc(tmp_path, corpus_dir, capsys):
                      "--out", str(tmp_path / "ds")])
     assert code == cli.EXIT_DATA
     assert "no skeleton" in capsys.readouterr().err
+
+
+def test_prep_skips_source_with_malformed_skeleton(tmp_path, capsys):
+    tree = tmp_path / "tree"
+    tree.mkdir()
+    (tree / "good.asf").write_text(synthcorpus.skeleton_text())
+    (tree / "bad.asf").write_text(
+        synthcorpus.skeleton_text().replace("name lfemur", "name", 1))
+    skel = synthcorpus.skeleton()
+    for stem in ("good", "bad"):
+        raw = synthcorpus.make_raw_motion(skel, 1, 500)
+        (tree / f"{stem}.amc").write_text(synthcorpus.amc_text(skel, raw))
+    code = cli.main(["prep", "--asf", str(tree), "--amc", str(tree),
+                     "--out", str(tmp_path / "ds")])
+    assert code == cli.EXIT_OK
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "prep: warning: bad.amc: line" in err
+    assert [w["source"] for w in load_manifest(tmp_path / "ds")["windows"]] \
+        == ["good.amc", "good.amc"]

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle_reference as oracle
 from conftest import random_spherical
 from mocapkey import metrics, reconstruct
-from mocapkey.errors import DegenerateSequence, InvalidKeyframeSet
+from mocapkey.errors import (DegenerateInterval, DegenerateSequence,
+                             InvalidKeyframeSet)
 from mocapkey.keyframes import KeyframeSet
 
 
@@ -69,15 +72,6 @@ def test_q_baseline_raises_on_degenerate_input():
         metrics.q_baseline(frozen)
 
 
-def test_normalized_relative_error_is_one_minus_ratio(small_sph):
-    sph = small_sph[0]
-    keys = KeyframeSet.from_indices([0, 15, 30, 44, 59], sph.frame_count)
-    r = metrics.normalized_relative_error(sph, keys)
-    expect = 1.0 - metrics.q_error(sph, keys) / metrics.q_baseline(sph)
-    assert r == pytest.approx(expect, abs=1e-12)
-    assert 0.0 <= r <= 1.0
-
-
 def test_step_reward_telescopes_to_total_improvement(small_sph):
     sph = small_sph[2]
     n = sph.frame_count
@@ -100,16 +94,40 @@ def test_step_reward_requires_single_frame_extension(small_sph):
         metrics.step_reward(sph, keys, keys.add(10).add(20))
 
 
-def test_error_report_sections_sum_to_mean(small_sph):
+def test_section_errors_sum_to_q_error(small_sph):
     sph = small_sph[0]
     keys = KeyframeSet.from_indices([0, 13, 29, 47, 59], sph.frame_count)
-    report = metrics.error_report(sph, keys)
-    assert list(report.section_spans) == keys.sections()
+    a, b = zip(*keys.sections())
+    per_section = metrics.section_errors(sph, a, b)
+    assert per_section.shape == (4,) and np.all(per_section > 0.0)
     n, m = sph.theta.shape
-    recombined = (np.sum(report.e_theta) + np.sum(report.e_phi)) / (n * m)
-    assert recombined == pytest.approx(report.mean_error, abs=1e-12)
-    assert report.mean_error == pytest.approx(metrics.q_error(sph, keys), abs=1e-12)
-    assert report.wall_clock_s >= 0.0
+    assert per_section.sum() == pytest.approx(metrics.q_error(sph, keys) * n * m,
+                                              abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**16), n=st.integers(3, 24), m=st.integers(1, 4),
+       smooth=st.booleans(), data=st.data())
+def test_section_kernel_matches_full_reconstruction(seed, n, m, smooth, data):
+    sph = random_spherical(seed, n=n, m=m, smooth=smooth)
+    interior = data.draw(st.sets(st.integers(1, n - 2), max_size=n - 2))
+    keys = KeyframeSet.from_indices([0, n - 1, *interior], n)
+    recon = reconstruct.reconstruct_full(sph, keys)
+    slow = (metrics.angle_distance(recon.theta, sph.theta).sum()
+            + metrics.angle_distance(recon.phi, sph.phi).sum()) / (n * m)
+    assert abs(metrics.q_error(sph, keys) - slow) <= 1e-12
+    table = metrics.section_error_table(sph)
+    a, b = np.triu_indices(n, k=1)
+    one_by_one = [metrics.section_errors(sph, [i], [j])[0] for i, j in zip(a, b)]
+    np.testing.assert_allclose(table[a, b], one_by_one, rtol=0.0, atol=1e-12)
+    assert not np.any(np.tril(table))
+
+
+def test_section_errors_rejects_bad_sections(small_sph):
+    sph = small_sph[0]
+    for a, b in (([3], [3]), ([5], [2]), ([-1], [4]), ([0], [60]), ([0, 1], [5])):
+        with pytest.raises(DegenerateInterval):
+            metrics.section_errors(sph, a, b)
 
 
 def test_root_rmse_zero_on_identity(small_sph):
@@ -120,16 +138,6 @@ def test_root_rmse_zero_on_identity(small_sph):
     moved = reconstruct.reconstruct_full(
         sph, KeyframeSet.endpoints(sph.frame_count))
     assert metrics.root_rmse(sph, moved) > 0.0
-
-
-def test_summary_helper_averages_over_windows(small_sph):
-    from mocapkey.baselines import select_uniform
-    result = metrics.test_mean_angle_error(
-        small_sph, lambda sph: select_uniform(sph.frame_count, 5))
-    per = [metrics.q_error(s, select_uniform(s.frame_count, 5)) for s in small_sph]
-    assert result.mean == pytest.approx(np.mean(per))
-    assert result.per_sequence == pytest.approx(per)
-    assert result.skipped_degenerate == 0
 
 
 def test_report_columns_stable():
