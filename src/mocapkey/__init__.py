@@ -31,8 +31,7 @@ from .motion import (CMU_EXCLUDED_JOINTS, MotionSequence, PreprocessConfig,
 from .neural import (AdamState, QNetwork, backward_and_step, checkpoint_load,
                      checkpoint_save, forward, huber, init)
 from .reconstruct import (CubicChannel, ReconstructedSequence, fit_cubic,
-                          reconstruct_full, reconstruct_root,
-                          reconstruct_section)
+                          reconstruct_full, reconstruct_section)
 from .spherical import (SphericalSequence, cart_to_sph, sequence_to_spherical,
                         sph_to_cart, spherical_to_sequence, velocity_to_sph,
                         velocity_to_sph_constrained, wrap_angle)
@@ -54,7 +53,7 @@ __all__ = [
     "filter_joints", "fit_cubic", "forward", "forward_kinematics", "huber",
     "infer_keyframes", "init", "load_agent", "load_dataset", "load_manifest",
     "manifest_digest", "parse_amc", "parse_asf", "preprocess", "q_baseline",
-    "q_error", "reconstruct_full", "reconstruct_root", "reconstruct_section",
+    "q_error", "reconstruct_full", "reconstruct_section",
     "root_rmse", "save_agent", "section_error_table", "section_errors",
     "select_greedy", "select_joints", "select_random", "select_uniform",
     "sequence_to_spherical", "sph_to_cart", "spherical_to_sequence",

@@ -28,6 +28,7 @@ from .errors import MalformedAsf, MalformedAmc, UnreachablePose
 _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 _ROTATION_DOF = ("rx", "ry", "rz")
 _KNOWN_DOF = {"rx", "ry", "rz", "tx", "ty", "tz", "l"}
+_EYE = np.eye(3)
 
 
 # ---------------------------------------------------------------------------
@@ -36,9 +37,12 @@ _KNOWN_DOF = {"rx", "ry", "rz", "tx", "ty", "tz", "l"}
 
 def single_axis_matrix(axis: int, angle):
     """Rotation matrix about a coordinate axis; broadcasts over angle arrays."""
-    angle = np.asarray(angle, dtype=np.float64)
-    c, s = np.cos(angle), np.sin(angle)
-    out = np.zeros(angle.shape + (3, 3), dtype=np.float64)
+    if isinstance(angle, float):      # np.float64 too: skips numpy's per-call cost
+        c, s, shape = math.cos(angle), math.sin(angle), ()
+    else:
+        angle = np.asarray(angle, dtype=np.float64)
+        c, s, shape = np.cos(angle), np.sin(angle), angle.shape
+    out = np.zeros(shape + (3, 3))
     i = axis
     j, k = (i + 1) % 3, (i + 2) % 3
     out[..., i, i] = 1.0
@@ -479,64 +483,77 @@ def parse_amc(source, skeleton: Skeleton) -> RawMotion:
     lines = _read_lines(source)
     degrees = True
     by_name = {j.name: j for j in skeleton.joints}
-
-    frames: list[dict[str, list[float]]] = []
-    current: dict[str, list[float]] | None = None
+    rows = {j.name: ([], []) for j in skeleton.joints}   # frames, value tokens
+    n = 0
     for no, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        parts = raw.split()
+        if not parts:
             continue
-        if line.startswith(":"):
-            header = line[1:].strip().upper()
+        head = parts[0]
+        if head.startswith(":"):
+            header = raw.strip()[1:].strip().upper()
             if header == "DEGREES":
                 degrees = True
             elif header == "RADIANS":
                 degrees = False
             continue
-        parts = line.split()
-        if len(parts) == 1 and _is_int(parts[0]):
-            number = int(parts[0])
-            if number != len(frames) + 1:
-                raise MalformedAmc(
-                    f"line {no}: frame {number} follows frame {len(frames)} "
-                    "(frames must be contiguous from 1)")
-            current = {}
-            frames.append(current)
+        if len(parts) == 1 and _is_int(head):
+            if int(head) != n + 1:
+                raise _amc_error(lines, no - 1, f"line {no}: frame {int(head)} follows "
+                                 f"frame {n} (frames must be contiguous from 1)")
+            n += 1
             continue
-        if current is None:
-            raise MalformedAmc(f"line {no}: channel data before the first frame number")
-        joint_name = parts[0]
-        joint = by_name.get(joint_name)
+        if n == 0:
+            raise _amc_error(lines, no - 1,
+                             f"line {no}: channel data before the first frame number")
+        joint = by_name.get(head)
         if joint is None:
-            raise MalformedAmc(f"line {no}: unknown joint '{joint_name}'")
-        try:
-            values = [float(v) for v in parts[1:]]
-        except ValueError:
-            raise MalformedAmc(f"line {no}: non-numeric channel value") from None
-        if len(values) != len(joint.dof):
-            raise MalformedAmc(
-                f"line {no}: joint '{joint_name}' has {len(values)} values, "
-                f"expected {len(joint.dof)}")
-        current[joint_name] = values
+            raise _amc_error(lines, no - 1, f"line {no}: unknown joint '{head}'")
+        tokens = parts[1:]
+        if len(tokens) != len(joint.dof):
+            raise _amc_error(lines, no, f"line {no}: joint '{head}' has "
+                             f"{len(tokens)} values, expected {len(joint.dof)}")
+        rows[head][0].append(n)
+        rows[head][1].append(tokens)
 
-    if not frames:
+    if not n:
         raise MalformedAmc("no frames found")
 
-    n = len(frames)
     channels: dict[str, np.ndarray] = {}
     for joint in skeleton.joints:
         if not joint.dof:
             continue
+        frames, values = rows[joint.name]
         data = np.zeros((n, len(joint.dof)))
-        for fi, frame in enumerate(frames):
-            if joint.name in frame:
-                data[fi] = frame[joint.name]
+        if values:
+            try:
+                block = np.array(values, dtype=np.float64)
+            except ValueError:
+                raise _amc_error(lines, len(lines), "") from None
+            at = np.array(frames) - 1
+            last = np.append(at[1:] != at[:-1], True)   # repeats: last row wins
+            data[at[last]] = block[last]
         if degrees:
             for ci, ch in enumerate(joint.dof):
                 if ch in _ROTATION_DOF:
                     data[:, ci] = np.deg2rad(data[:, ci])
         channels[joint.name] = data
     return RawMotion(frame_count=n, channels=channels)
+
+
+def _amc_error(lines: list[str], scanned: int, error: str) -> MalformedAmc:
+    """``error``, unless one of the first ``scanned`` lines holds a
+    non-numeric channel value: the first bad line of the file wins."""
+    for no, raw in enumerate(lines[:scanned], start=1):
+        parts = raw.split("#", 1)[0].split()
+        try:
+            if parts and not parts[0].startswith(":"):
+                [float(v) for v in parts[1:]]
+        except ValueError:
+            return MalformedAmc(f"line {no}: non-numeric channel value")
+    return MalformedAmc(error)
 
 
 def _is_int(token: str) -> bool:
@@ -640,20 +657,21 @@ def export_amc(skeleton: Skeleton, positions_by_name: dict[str, np.ndarray],
         channel_rows[root.name] = root_values
 
     nodes = _build_solve_nodes(skeleton, world_pos)
+    tops = [idx for idx, node in enumerate(nodes) if node.parent_index is None]
     angles_of = {node.name: np.zeros((n, 3)) for node in nodes}
     for fi in range(n):
-        for idx, node in enumerate(nodes):
-            if node.parent_index is None:
-                _, commits = _solve_subtree(nodes, idx, root_rot[fi], fi)
-                for ci, abc3, residual in commits:
-                    committed = nodes[ci]
-                    if tolerance is not None and residual > tolerance:
-                        raise UnreachablePose(
-                            f"joint '{committed.name}' frame {fi}: direction off "
-                            f"the dof subspace by {residual:.3e} rad")
-                    angles_of[committed.name][fi] = abc3
-                    if committed.twist_free:
-                        committed.prev_m = _recompose(committed, abc3)
+        for idx in tops:
+            _, commits = _solve_subtree(nodes, idx, root_rot[fi], fi)
+            for ci, m, residual in commits:
+                committed = nodes[ci]
+                if tolerance is not None and residual > tolerance:
+                    raise UnreachablePose(
+                        f"joint '{committed.name}' frame {fi}: direction off "
+                        f"the dof subspace by {residual:.3e} rad")
+                abc3 = _scatter_angles(m, committed)
+                angles_of[committed.name][fi] = abc3
+                if committed.twist_free:
+                    committed.prev_m = _recompose(committed, abc3)
 
     for node in nodes:
         if node.joint.dof:
@@ -769,11 +787,11 @@ def _solve_subtree(nodes: list["_SolveNode"], idx: int,
     candidate lands the subtree (e.g. only generic 2-dof children constrain
     the twist) a 1-d scan runs as a fallback. Scans never nest: inner
     evaluations set ``allow_scan=False``.
-    Returns (total residual, [(node index, xyz angles, residual), ...]).
+    Returns (total residual, [(node index, dof rotation, residual), ...]).
     """
     node = nodes[idx]
     delta = node.pos[fi] - node.parent_pos[fi]
-    norm = np.linalg.norm(delta)
+    norm = _norm(delta)
     if norm <= 0.0:
         raise UnreachablePose(
             f"joint '{node.name}' frame {fi}: zero-length bone vector")
@@ -818,9 +836,10 @@ def _pick_candidate(nodes, idx, parent_rot, fi, t, candidates,
     best_commits = None
     for m in candidates:
         residual = _angle_between(m @ node.u, t)
-        rot = parent_rot @ node.c @ m @ node.c.T
         total = residual
-        commits = [(idx, _scatter_angles(m, node), residual)]
+        commits = [(idx, m, residual)]
+        if node.children:
+            rot = parent_rot @ node.c @ m @ node.c.T
         for ci in node.children:
             if total >= best_total:
                 break
@@ -876,7 +895,7 @@ def _axis_angle_of(m: np.ndarray, axis: int) -> float:
 
 
 def _recompose(node: "_SolveNode", abc3: np.ndarray) -> np.ndarray:
-    m = np.eye(3)
+    m = _EYE
     for ch in node.ordered:
         axis = _AXIS_INDEX[ch]
         m = single_axis_matrix(axis, abc3[axis]) @ m
@@ -894,7 +913,7 @@ def _twist_candidates(nodes, idx, child_idx, t, m0, parent_rot, fi, axis):
     node = nodes[idx]
     child = nodes[child_idx]
     delta = child.pos[fi] - child.parent_pos[fi]
-    norm = np.linalg.norm(delta)
+    norm = _norm(delta)
     if norm <= 0.0:
         return []
     e_axis = np.zeros(3)
@@ -904,7 +923,7 @@ def _twist_candidates(nodes, idx, child_idx, t, m0, parent_rot, fi, axis):
     tg = float(t @ g)
     wt = float(w @ t)
     a = float(w @ g) - tg * wt
-    b = -float(w @ np.cross(t, g))
+    b = -float(w @ _cross(t, g))
     d = tg * wt
     rhs = float(child.u[axis]) - d
     r = math.hypot(a, b)
@@ -922,13 +941,13 @@ def _twist_from_fixed_child(nodes, idx, child_idx, t, m0, parent_rot, fi):
     node = nodes[idx]
     child = nodes[child_idx]
     delta = child.pos[fi] - child.parent_pos[fi]
-    norm = np.linalg.norm(delta)
+    norm = _norm(delta)
     if norm <= 0.0:
         return []
     g = node.c.T @ (parent_rot.T @ (delta / norm))
     w = m0 @ (node.c.T @ (child.c @ child.u))
     cos_part = float(w @ g) - float(w @ t) * float(g @ t)
-    sin_part = float(t @ np.cross(w, g))
+    sin_part = float(t @ _cross(w, g))
     if math.hypot(cos_part, sin_part) < 1e-12:
         return []
     return [math.atan2(sin_part, cos_part)]
@@ -937,11 +956,11 @@ def _twist_from_fixed_child(nodes, idx, child_idx, t, m0, parent_rot, fi):
 def _twist_angle_of(rel: np.ndarray, t: np.ndarray) -> float:
     """Rotation angle of rel about axis t (projection when rel is only
     approximately a t-rotation, e.g. a previous-frame warm start)."""
-    cos = 0.5 * (np.trace(rel) - 1.0)
+    cos = 0.5 * (rel[0, 0] + rel[1, 1] + rel[2, 2] - 1.0)
     skew = 0.5 * np.array([rel[2, 1] - rel[1, 2],
                            rel[0, 2] - rel[2, 0],
                            rel[1, 0] - rel[0, 1]])
-    return math.atan2(float(skew @ t), float(cos))
+    return math.atan2(float(skew @ t), cos)
 
 
 def _scan_twist(nodes, idx, parent_rot, fi, t, m0, hint=None):
@@ -986,14 +1005,14 @@ def _solve_root_rotation(skeleton: Skeleton, world_pos: dict[str, np.ndarray],
                          n: int) -> np.ndarray:
     root = skeleton.root
     if not any(d in _ROTATION_DOF for d in root.dof):
-        return np.broadcast_to(np.eye(3), (n, 3, 3)).copy()
+        return np.broadcast_to(_EYE, (n, 3, 3)).copy()
     rigid, mobile = [], []
     for joint in skeleton.joints[1:]:
         if joint.parent == 0 and joint.name in world_pos:
             (rigid if not joint.rotation_dof else mobile).append(joint)
     observed = rigid if rigid else mobile
     if not observed:
-        return np.broadcast_to(np.eye(3), (n, 3, 3)).copy()
+        return np.broadcast_to(_EYE, (n, 3, 3)).copy()
     rest = np.stack([j.direction for j in observed])
     out = np.empty((n, 3, 3))
     root_pos = world_pos[root.name]
@@ -1004,8 +1023,20 @@ def _solve_root_rotation(skeleton: Skeleton, world_pos: dict[str, np.ndarray],
     return out
 
 
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm`` of a 1-d vector by its own formula, minus the dispatch."""
+    return math.sqrt(v.dot(v))
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.cross`` of two 3-vectors, term for term."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def _unit(v: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(v)
+    norm = _norm(v)
     return v / norm if norm > 0 else v
 
 
@@ -1024,7 +1055,7 @@ def _dof_candidates(u: np.ndarray, t: np.ndarray,
     two-dof joints may have two branches; three-dof joints get the minimal
     rotation (their twist freedom is resolved by the caller)."""
     if not ordered:
-        return [np.eye(3)]
+        return [_EYE.copy()]
     if len(ordered) == 3:
         return [_minimal_rotation(u, t)]
     if len(ordered) == 1:
@@ -1035,34 +1066,31 @@ def _dof_candidates(u: np.ndarray, t: np.ndarray,
 
 def _angle_between(a: np.ndarray, b: np.ndarray) -> float:
     # chord form: full precision near zero where acos(dot) floors at ~1e-8
-    half = 0.5 * np.linalg.norm(_unit(a) - _unit(b))
+    half = 0.5 * _norm(_unit(a) - _unit(b))
     return 2.0 * math.asin(min(1.0, half))
 
 
 def _minimal_rotation(u: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Smallest rotation taking unit u to unit t (Rodrigues)."""
-    axis = np.cross(u, t)
-    s = np.linalg.norm(axis)
-    c = float(np.clip(np.dot(u, t), -1.0, 1.0))
+    axis = _cross(u, t)
+    s = _norm(axis)
+    c = min(1.0, max(-1.0, float(u.dot(t))))
     if s < 1e-12:
         if c > 0:
-            return np.eye(3)
+            return _EYE.copy()
         # antiparallel: rotate pi about any axis orthogonal to u
         helper = np.array([1.0, 0.0, 0.0])
         if abs(u[0]) > 0.9:
             helper = np.array([0.0, 1.0, 0.0])
-        axis = _unit(np.cross(u, helper))
+        axis = _unit(_cross(u, helper))
         return _rodrigues(axis, math.pi)
     return _rodrigues(axis / s, math.atan2(s, c))
 
 
 def _rodrigues(axis: np.ndarray, angle: float) -> np.ndarray:
-    k = np.array([
-        [0.0, -axis[2], axis[1]],
-        [axis[2], 0.0, -axis[0]],
-        [-axis[1], axis[0], 0.0],
-    ])
-    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
+    x, y, z = axis.tolist()
+    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    return _EYE + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
 
 
 def _solve_one_axis(u: np.ndarray, t: np.ndarray, axis: int) -> np.ndarray:
@@ -1070,8 +1098,8 @@ def _solve_one_axis(u: np.ndarray, t: np.ndarray, axis: int) -> np.ndarray:
     i, j = (axis + 1) % 3, (axis + 2) % 3
     up = np.array([u[i], u[j]])
     tp = np.array([t[i], t[j]])
-    if np.linalg.norm(up) < 1e-12 or np.linalg.norm(tp) < 1e-12:
-        return np.eye(3)
+    if _norm(up) < 1e-12 or _norm(tp) < 1e-12:
+        return _EYE.copy()
     angle = math.atan2(tp[1], tp[0]) - math.atan2(up[1], up[0])
     return single_axis_matrix(axis, angle)
 
@@ -1088,8 +1116,7 @@ def _solve_two_axes(u: np.ndarray, t: np.ndarray, first: int,
     e_first = np.zeros(3)
     e_first[first] = 1.0
     a = u[second]
-    cross = np.cross(e_first, u)
-    b = cross[second]
+    b = _cross(e_first, u)[second]
     d = t[second]
     r = math.hypot(a, b)
     base = math.atan2(b, a)
@@ -1120,18 +1147,16 @@ def _format_amc(skeleton: Skeleton, channel_rows: dict[str, np.ndarray],
             out.write(f"# {line}\n")
     out.write(":FULLY-SPECIFIED\n")
     out.write(":DEGREES\n" if skeleton.angle_in_degrees else ":RADIANS\n")
-    names = [j.name for j in skeleton.joints if j.dof]
+    lines = []             # (name, rows as lists, degree flag per channel)
+    for joint in (j for j in skeleton.joints if j.dof):
+        values = channel_rows.get(joint.name, np.zeros((n, len(joint.dof))))
+        lines.append((joint.name, values.tolist(),
+                      [skeleton.angle_in_degrees and ch in _ROTATION_DOF
+                       for ch in joint.dof]))
     for fi in range(n):
         out.write(f"{fi + 1}\n")
-        for name in names:
-            joint = skeleton.joints[skeleton.index(name)]
-            values = channel_rows.get(name)
-            row = values[fi] if values is not None else np.zeros(len(joint.dof))
-            printed = []
-            for ci, ch in enumerate(joint.dof):
-                v = row[ci]
-                if skeleton.angle_in_degrees and ch in _ROTATION_DOF:
-                    v = math.degrees(v)
-                printed.append(f"{v:.10g}")
-            out.write(f"{name} {' '.join(printed)}\n")
+        for name, rows, turn in lines:
+            printed = " ".join(f"{math.degrees(v) if deg else v:.10g}"
+                               for v, deg in zip(rows[fi], turn))
+            out.write(f"{name} {printed}\n")
     return out.getvalue()

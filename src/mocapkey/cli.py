@@ -335,13 +335,12 @@ def _eval_window(payload):
     for w in ks:
         for method in methods:
             keys, seconds = _run_selector(method, sph, w, net, seed)
-            recon = reconstruct_full(sph, keys)
             rows.append({
                 "sequence": window_id,
                 "keyframes": w,
                 "method": method,
                 "q_error": q_error(sph, keys),
-                "root_rmse": root_rmse(sph, recon),
+                "root_rmse": root_rmse(sph, keys),
                 "decision_time_s": seconds,
             })
     return window_id, rows
@@ -459,13 +458,12 @@ def _summarize(rows, methods, ks) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_reconstruct(args) -> int:
-    records = dataset.load_dataset(args.data)
-    by_id = {rec.window_id: rec for rec in records}
-    rec = by_id.get(args.seq)
-    if rec is None:
-        print(f"reconstruct: window '{args.seq}' not in dataset "
-              f"({len(by_id)} windows)", file=sys.stderr)
+    records = dataset.load_dataset(args.data, window_id=args.seq)
+    if not records:
+        print(f"reconstruct: window '{args.seq}' not in dataset",
+              file=sys.stderr)
         return EXIT_DATA
+    rec = records[0]
     sph = sequence_to_spherical(rec.seq)
     if args.keyframes:
         try:

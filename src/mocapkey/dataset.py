@@ -168,13 +168,17 @@ def manifest_digest(manifest: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def load_dataset(dataset_dir, split: str | None = None) -> list[WindowRecord]:
-    """Read window records listed in the manifest, optionally one split."""
+def load_dataset(dataset_dir, split: str | None = None,
+                 window_id: str | None = None) -> list[WindowRecord]:
+    """Read window records listed in the manifest, optionally one split or
+    only the window ``window_id`` (the other records are not opened)."""
     dataset_dir = Path(dataset_dir)
     manifest = load_manifest(dataset_dir)
     records = []
     for row in manifest["windows"]:
         if split is not None and row["split"] != split:
+            continue
+        if window_id is not None and Path(row["file"]).stem != window_id:
             continue
         skeleton, seq, start = read_window(dataset_dir / row["file"])
         records.append(WindowRecord(

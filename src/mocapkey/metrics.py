@@ -40,18 +40,24 @@ def section_errors(sph: SphericalSequence, a, b) -> np.ndarray:
     if a.shape != b.shape or np.any(a < 0) or np.any(b <= a) \
             or np.any(b >= sph.frame_count):
         raise DegenerateInterval(f"bad sections for N={sph.frame_count}")
+    angle = np.hstack((sph.theta, sph.phi))
+    rate = np.hstack((sph.theta_dot, sph.phi_dot))
+    owner, frames, recon = _interior_cubics(a, b, sph.dt, angle, rate)
+    err = angle_distance(recon, angle[frames]).sum(axis=1)
+    return np.bincount(owner, err, minlength=a.size)
+
+
+def _interior_cubics(a, b, dt, values, rates):
+    """The section, frame index and value of every interior frame of the
+    sections ``[a[i], b[i]]`` under the cubics of ``reconstruct_section``."""
     span = b - a
     inner = span - 1
     owner = np.repeat(np.arange(a.size), inner)        # section of each frame
     step = np.arange(owner.size) - np.repeat(np.cumsum(inner) - inner, inner) + 1
     u = (step / span[owner])[:, None]
-    angle = np.hstack((sph.theta, sph.phi))
-    rate = np.hstack((sph.theta_dot, sph.phi_dot))
-    c = _hermite_u_coeffs(angle[a], rate[a], angle[b], rate[b],
-                          (span * sph.dt)[:, None])[:, owner]
-    recon = ((c[3] * u + c[2]) * u + c[1]) * u + c[0]
-    err = angle_distance(recon, angle[a[owner] + step]).sum(axis=1)
-    return np.bincount(owner, err, minlength=a.size)
+    c = _hermite_u_coeffs(values[a], rates[a], values[b], rates[b],
+                          (span * dt)[:, None])[:, owner]
+    return owner, a[owner] + step, ((c[3] * u + c[2]) * u + c[1]) * u + c[0]
 
 
 def section_error_table(sph: SphericalSequence) -> np.ndarray:
@@ -75,13 +81,18 @@ def q_error(sph: SphericalSequence, keys: KeyframeSet) -> float:
     Sum of per-section theta and phi errors over all sections, divided by
     frame count times joint count.
     """
+    total = section_errors(sph, *_sections(sph, keys)).sum()
+    return float(total) / (sph.frame_count * sph.joint_count)
+
+
+def _sections(sph: SphericalSequence, keys: KeyframeSet):
+    """First and last frames of the keyframe sections."""
     if keys.frame_count != sph.frame_count:
         raise DegenerateInterval(
             f"keyframe set is over {keys.frame_count} frames, "
             f"sequence has {sph.frame_count}")
-    idx = keys.indices
-    total = section_errors(sph, idx[:-1], idx[1:]).sum()
-    return float(total) / (sph.frame_count * sph.joint_count)
+    idx = np.asarray(keys.indices, dtype=np.intp)
+    return idx[:-1], idx[1:]
 
 
 def q_baseline(sph: SphericalSequence) -> float:
@@ -108,7 +119,13 @@ def step_reward(sph: SphericalSequence, before: KeyframeSet,
     return (q_error(sph, before) - q_error(sph, after)) / q0
 
 
-def root_rmse(sph: SphericalSequence, recon: SphericalSequence) -> float:
-    """Root-mean-square of the root position deviation over the window."""
-    d = recon.root_positions - sph.root_positions
+def root_rmse(sph: SphericalSequence, keys: KeyframeSet) -> float:
+    """Root-mean-square deviation of the keyframe reconstruction's root
+    path over the window, from the root cubics of the sections alone;
+    keyframes are verbatim copies and deviate by zero."""
+    a, b = _sections(sph, keys)
+    _, frames, recon = _interior_cubics(a, b, sph.dt, sph.root_positions,
+                                        sph.root_velocities)
+    d = np.zeros_like(sph.root_positions)
+    d[frames] = recon - sph.root_positions[frames]
     return float(np.sqrt(np.mean(np.sum(d * d, axis=-1))))

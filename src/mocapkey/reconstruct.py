@@ -137,11 +137,6 @@ def reconstruct_section(sph: SphericalSequence, k0: int, k1: int) -> Section:
                    root_positions=root, root_velocities=root_vel)
 
 
-def reconstruct_root(sph: SphericalSequence, k0: int, k1: int) -> np.ndarray:
-    """Root positions for frames k0..k1 by componentwise cubic fit."""
-    return reconstruct_section(sph, k0, k1).root_positions
-
-
 @dataclass(frozen=True)
 class ReconstructedSequence(SphericalSequence):
     """A SphericalSequence rebuilt from keyframes, tagged with the set used."""

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import synthcorpus
 from mocapkey import asfamc
@@ -20,6 +22,20 @@ def test_single_axis_matrices():
     assert np.allclose(ry @ np.array([0.0, 0.0, 1.0]), [1.0, 0.0, 0.0], atol=1e-12)
     rz = asfamc.single_axis_matrix(2, np.array(math.pi / 2))
     assert np.allclose(rz @ np.array([1.0, 0.0, 0.0]), [0.0, 1.0, 0.0], atol=1e-12)
+
+
+vectors = st.lists(st.floats(-1e100, 1e100), min_size=3, max_size=3).map(np.array)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=vectors, b=vectors, angle=st.floats(-100.0, 100.0), axis=st.integers(0, 2))
+@example(a=np.zeros(3), b=np.zeros(3), angle=0.0, axis=0)
+def test_export_scalar_helpers_equal_numpy(a, b, angle, axis):
+    # exact equality: AMC export must not change by a single bit
+    assert asfamc._norm(a) == np.linalg.norm(a)
+    assert np.array_equal(asfamc._cross(a, b), np.cross(a, b))
+    assert np.array_equal(asfamc.single_axis_matrix(axis, angle),
+                          asfamc.single_axis_matrix(axis, np.array([angle]))[0])
 
 
 def test_euler_matrix_applies_first_axis_first():
@@ -152,6 +168,13 @@ def test_parse_amc_missing_joint_rows_become_zeros(skeleton):
     kept = [ln for ln in lines if not ln.startswith("head")]
     parsed = asfamc.parse_amc(io.StringIO("\n".join(kept)), skeleton)
     assert np.all(parsed.channels["head"] == 0.0)
+    # a joint listed twice in one frame keeps its last row
+    second = lines.index("2")
+    twice = lines[:second] + ["ltibia 45", "ltibia 30"] + lines[second:]
+    parsed = asfamc.parse_amc(io.StringIO("\n".join(twice)), skeleton)
+    plain = asfamc.parse_amc(io.StringIO("\n".join(lines)), skeleton)
+    assert parsed.channels["ltibia"][0, 0] == math.radians(30.0)
+    assert np.array_equal(parsed.channels["ltibia"][1:], plain.channels["ltibia"][1:])
 
 
 def test_parse_amc_rejects_bad_frame_numbers(skeleton):
@@ -159,6 +182,12 @@ def test_parse_amc_rejects_bad_frame_numbers(skeleton):
     text = synthcorpus.amc_text(skeleton, raw).replace("\n2\n", "\n7\n")
     with pytest.raises(MalformedAmc):
         asfamc.parse_amc(io.StringIO(text), skeleton)
+    # a non-numeric value on an earlier line is the first bad line
+    lines = text.splitlines()
+    bad = next(i for i, ln in enumerate(lines) if ln.startswith("rtibia "))
+    lines[bad] = "rtibia abc"
+    with pytest.raises(MalformedAmc, match=rf"^line {bad + 1}: non-numeric"):
+        asfamc.parse_amc(io.StringIO("\n".join(lines)), skeleton)
 
 
 def test_parse_amc_rejects_unknown_joint(skeleton):

@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 
 import pytest
 
@@ -183,6 +184,19 @@ def test_data_errors_exit_two(tmp_path):
 
 def test_reconstruct_unknown_window_exits_two(tmp_path, prepped):
     assert cli.main(["reconstruct", "--data", str(prepped), "--seq", "w99999",
+                     "--out", str(tmp_path / "o.amc")]) == cli.EXIT_DATA
+
+
+def test_reconstruct_reads_only_the_requested_window(tmp_path, prepped):
+    data = tmp_path / "ds"
+    shutil.copytree(prepped, data)
+    record = data / "w00001.mkw"
+    record.write_bytes(record.read_bytes()[:-8])
+    assert cli.main(["reconstruct", "--data", str(data), "--seq", "w00000",
+                     "--keyframes", "0,29,59",
+                     "--out", str(tmp_path / "o.amc")]) == cli.EXIT_OK
+    assert cli.main(["reconstruct", "--data", str(data), "--seq", "w00001",
+                     "--keyframes", "0,29,59",
                      "--out", str(tmp_path / "o.amc")]) == cli.EXIT_DATA
 
 

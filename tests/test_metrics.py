@@ -116,6 +116,8 @@ def test_section_kernel_matches_full_reconstruction(seed, n, m, smooth, data):
     slow = (metrics.angle_distance(recon.theta, sph.theta).sum()
             + metrics.angle_distance(recon.phi, sph.phi).sum()) / (n * m)
     assert abs(metrics.q_error(sph, keys) - slow) <= 1e-12
+    d = recon.root_positions - sph.root_positions
+    assert metrics.root_rmse(sph, keys) == float(np.sqrt(np.mean(np.sum(d * d, axis=-1))))
     table = metrics.section_error_table(sph)
     a, b = np.triu_indices(n, k=1)
     one_by_one = [metrics.section_errors(sph, [i], [j])[0] for i, j in zip(a, b)]
@@ -132,12 +134,11 @@ def test_section_errors_rejects_bad_sections(small_sph):
 
 def test_root_rmse_zero_on_identity(small_sph):
     sph = small_sph[0]
-    keys = KeyframeSet.from_indices(range(sph.frame_count), sph.frame_count)
-    recon = reconstruct.reconstruct_full(sph, keys)
-    assert metrics.root_rmse(sph, recon) == 0.0
-    moved = reconstruct.reconstruct_full(
-        sph, KeyframeSet.endpoints(sph.frame_count))
-    assert metrics.root_rmse(sph, moved) > 0.0
+    n = sph.frame_count
+    assert metrics.root_rmse(sph, KeyframeSet.from_indices(range(n), n)) == 0.0
+    assert metrics.root_rmse(sph, KeyframeSet.endpoints(n)) > 0.0
+    with pytest.raises(DegenerateInterval):
+        metrics.root_rmse(sph, KeyframeSet.endpoints(n + 1))
 
 
 def test_report_columns_stable():
