@@ -10,7 +10,7 @@ to a trained deep-Q agent.
 
 from .agent import (ReplayMemory, TrainConfig, TrainResult, Transition, act,
                     encode_state, infer_keyframes, load_agent, save_agent,
-                    td_target, train, valid_actions)
+                    td_target, train)
 from .asfamc import (Joint, RawMotion, Skeleton, export_amc, parse_amc,
                      parse_asf)
 from .baselines import select_greedy, select_random, select_uniform
@@ -24,14 +24,13 @@ from .errors import (CheckpointError, CorruptCheckpoint, DegenerateInterval,
                      UnreachablePose, VersionMismatch, ZeroVector)
 from .keyframes import KeyframeSet
 from .metrics import (angle_distance, q_baseline, q_error, root_rmse,
-                      section_error_table, section_errors, step_reward)
+                      section_error_table, section_errors)
 from .motion import (CMU_EXCLUDED_JOINTS, MotionSequence, PreprocessConfig,
                      filter_joints, forward_kinematics, preprocess,
                      select_joints)
 from .neural import (AdamState, QNetwork, backward_and_step, checkpoint_load,
                      checkpoint_save, forward, huber, init)
-from .reconstruct import (CubicChannel, ReconstructedSequence, fit_cubic,
-                          reconstruct_full, reconstruct_section)
+from .reconstruct import reconstruct_full
 from .spherical import (SphericalSequence, cart_to_sph, sequence_to_spherical,
                         sph_to_cart, spherical_to_sequence, velocity_to_sph,
                         velocity_to_sph_constrained, wrap_angle)
@@ -40,23 +39,22 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdamState", "CMU_EXCLUDED_JOINTS", "CheckpointError", "CorruptCheckpoint",
-    "CubicChannel", "DegenerateInterval", "DegenerateSequence", "EmptyDataset",
+    "DegenerateInterval", "DegenerateSequence", "EmptyDataset",
     "InvalidKeyframeSet", "InvalidW", "Joint", "KeyframeSet", "MalformedAmc",
-    "MalformedAsf", "MalformedDataset", "MeridianSingularity",
-    "MocapKeyError", "MotionSequence", "NoValidAction", "NonFiniteGradient",
-    "PoleSingularity", "PreprocessConfig", "QNetwork", "RawMotion",
-    "ReconstructedSequence", "ReplayMemory", "ShapeMismatch", "Skeleton",
-    "SphericalSequence", "TooShort", "TrainConfig", "TrainResult",
-    "Transition", "UnreachablePose", "VersionMismatch", "WindowRecord",
-    "ZeroVector", "act", "angle_distance", "backward_and_step", "cart_to_sph",
-    "checkpoint_load", "checkpoint_save", "encode_state", "export_amc",
-    "filter_joints", "fit_cubic", "forward", "forward_kinematics", "huber",
-    "infer_keyframes", "init", "load_agent", "load_dataset", "load_manifest",
-    "manifest_digest", "parse_amc", "parse_asf", "preprocess", "q_baseline",
-    "q_error", "reconstruct_full", "reconstruct_section",
+    "MalformedAsf", "MalformedDataset", "MeridianSingularity", "MocapKeyError",
+    "MotionSequence", "NoValidAction", "NonFiniteGradient", "PoleSingularity",
+    "PreprocessConfig", "QNetwork", "RawMotion", "ReplayMemory",
+    "ShapeMismatch", "Skeleton", "SphericalSequence", "TooShort",
+    "TrainConfig", "TrainResult", "Transition", "UnreachablePose",
+    "VersionMismatch", "WindowRecord", "ZeroVector", "act", "angle_distance",
+    "backward_and_step", "cart_to_sph", "checkpoint_load", "checkpoint_save",
+    "encode_state", "export_amc", "filter_joints", "forward",
+    "forward_kinematics", "huber", "infer_keyframes", "init", "load_agent",
+    "load_dataset", "load_manifest", "manifest_digest", "parse_amc",
+    "parse_asf", "preprocess", "q_baseline", "q_error", "reconstruct_full",
     "root_rmse", "save_agent", "section_error_table", "section_errors",
     "select_greedy", "select_joints", "select_random", "select_uniform",
     "sequence_to_spherical", "sph_to_cart", "spherical_to_sequence",
-    "step_reward", "td_target", "train", "valid_actions", "velocity_to_sph",
-    "velocity_to_sph_constrained", "wrap_angle", "write_dataset",
+    "td_target", "train", "velocity_to_sph", "velocity_to_sph_constrained",
+    "wrap_angle", "write_dataset",
 ]

@@ -137,11 +137,6 @@ def mask_slots(state_dim: int, frame_count: int) -> np.ndarray:
     return np.arange(frame_count) * block + (block - 1)
 
 
-def valid_actions(keys: KeyframeSet) -> np.ndarray:
-    """Frames that may still become keyframes (ascending)."""
-    return keys.complement()
-
-
 # ---------------------------------------------------------------------------
 # Policy and targets
 # ---------------------------------------------------------------------------

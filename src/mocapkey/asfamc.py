@@ -288,13 +288,13 @@ def parse_asf(source) -> Skeleton:
             root_order = tokens
         elif key == "axis":
             root_axis_order = _word(parts, no).upper()
+            if sorted(root_axis_order.lower()) != ["x", "y", "z"]:
+                raise MalformedAsf(f"line {no}: root axis order "
+                                   f"'{root_axis_order}' is not a permutation of XYZ")
         elif key == "orientation":
             root_orientation = to_rad(_numbers(parts, 3, no))
         elif key == "position":
             root_position = np.array(_numbers(parts, 3, no))
-
-    if sorted(root_axis_order.lower()) != ["x", "y", "z"]:
-        raise MalformedAsf(f"root axis order '{root_axis_order}' is not a permutation of XYZ")
 
     # --- :bonedata ---
     drafts: dict[str, _BoneDraft] = {}
@@ -445,13 +445,13 @@ def _word(parts: list[str], line_no: int) -> str:
 
 
 def _numbers(parts: list[str], count: int, line_no: int) -> list[float]:
-    """The ``count`` numbers after a keyword token."""
+    """The ``count`` finite numbers after a keyword token."""
     try:
         values = [float(v) for v in parts[1:count + 1]]
     except ValueError:
         values = []
-    if len(values) < count:
-        raise MalformedAsf(f"line {line_no}: '{parts[0]}' needs {count} "
+    if len(values) < count or not all(map(math.isfinite, values)):
+        raise MalformedAsf(f"line {line_no}: '{parts[0]}' needs {count} finite "
                            f"number(s), got '{' '.join(parts[1:])}'")
     return values
 
@@ -531,7 +531,9 @@ def parse_amc(source, skeleton: Skeleton) -> RawMotion:
             try:
                 block = np.array(values, dtype=np.float64)
             except ValueError:
-                raise _amc_error(lines, len(lines), "") from None
+                block = None
+            if block is None or not np.isfinite(block).all():
+                raise _amc_error(lines, len(lines), "")
             at = np.array(frames) - 1
             last = np.append(at[1:] != at[:-1], True)   # repeats: last row wins
             data[at[last]] = block[last]
@@ -545,14 +547,18 @@ def parse_amc(source, skeleton: Skeleton) -> RawMotion:
 
 def _amc_error(lines: list[str], scanned: int, error: str) -> MalformedAmc:
     """``error``, unless one of the first ``scanned`` lines holds a
-    non-numeric channel value: the first bad line of the file wins."""
+    non-numeric or non-finite channel value: the first bad line of the
+    file wins."""
     for no, raw in enumerate(lines[:scanned], start=1):
         parts = raw.split("#", 1)[0].split()
+        if not parts or parts[0].startswith(":"):
+            continue
         try:
-            if parts and not parts[0].startswith(":"):
-                [float(v) for v in parts[1:]]
+            values = [float(v) for v in parts[1:]]
         except ValueError:
             return MalformedAmc(f"line {no}: non-numeric channel value")
+        if not all(map(math.isfinite, values)):
+            return MalformedAmc(f"line {no}: non-finite channel value")
     return MalformedAmc(error)
 
 

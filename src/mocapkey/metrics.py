@@ -1,4 +1,4 @@
-"""Reconstruction-error metrics and the derived reward quantities."""
+"""Reconstruction-error metrics."""
 
 from __future__ import annotations
 
@@ -6,9 +6,9 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateInterval, DegenerateSequence, InvalidKeyframeSet
+from .errors import DegenerateInterval, DegenerateSequence
 from .keyframes import KeyframeSet
-from .reconstruct import _hermite_u_coeffs
+from .reconstruct import _interior_cubics, _sections
 from .spherical import SphericalSequence
 
 TWO_PI = 2.0 * math.pi
@@ -33,7 +33,7 @@ def section_errors(sph: SphericalSequence, a, b) -> np.ndarray:
 
     Only interior frames are summed: the endpoints are verbatim keyframe
     copies with zero error. The cubics are the angle cubics of
-    ``reconstruct_section``; the root path and the rates are not built.
+    ``reconstruct_full``; the root path and the rates are not built.
     """
     a = np.asarray(a, dtype=np.intp)
     b = np.asarray(b, dtype=np.intp)
@@ -45,19 +45,6 @@ def section_errors(sph: SphericalSequence, a, b) -> np.ndarray:
     owner, frames, recon = _interior_cubics(a, b, sph.dt, angle, rate)
     err = angle_distance(recon, angle[frames]).sum(axis=1)
     return np.bincount(owner, err, minlength=a.size)
-
-
-def _interior_cubics(a, b, dt, values, rates):
-    """The section, frame index and value of every interior frame of the
-    sections ``[a[i], b[i]]`` under the cubics of ``reconstruct_section``."""
-    span = b - a
-    inner = span - 1
-    owner = np.repeat(np.arange(a.size), inner)        # section of each frame
-    step = np.arange(owner.size) - np.repeat(np.cumsum(inner) - inner, inner) + 1
-    u = (step / span[owner])[:, None]
-    c = _hermite_u_coeffs(values[a], rates[a], values[b], rates[b],
-                          (span * dt)[:, None])[:, owner]
-    return owner, a[owner] + step, ((c[3] * u + c[2]) * u + c[1]) * u + c[0]
 
 
 def section_error_table(sph: SphericalSequence) -> np.ndarray:
@@ -85,16 +72,6 @@ def q_error(sph: SphericalSequence, keys: KeyframeSet) -> float:
     return float(total) / (sph.frame_count * sph.joint_count)
 
 
-def _sections(sph: SphericalSequence, keys: KeyframeSet):
-    """First and last frames of the keyframe sections."""
-    if keys.frame_count != sph.frame_count:
-        raise DegenerateInterval(
-            f"keyframe set is over {keys.frame_count} frames, "
-            f"sequence has {sph.frame_count}")
-    idx = np.asarray(keys.indices, dtype=np.intp)
-    return idx[:-1], idx[1:]
-
-
 def q_baseline(sph: SphericalSequence) -> float:
     """Error of the two-endpoint reconstruction, the normalizer Q0.
 
@@ -106,17 +83,6 @@ def q_baseline(sph: SphericalSequence) -> float:
         raise DegenerateSequence(
             f"endpoint reconstruction is already exact for {sph.source or 'window'}")
     return q0
-
-
-def step_reward(sph: SphericalSequence, before: KeyframeSet,
-                after: KeyframeSet) -> float:
-    """Reward of one keyframe addition: (Q_before - Q_after) / Q0."""
-    added = set(after.indices) - set(before.indices)
-    if len(added) != 1 or not set(before.indices) <= set(after.indices):
-        raise InvalidKeyframeSet(
-            "after-set must extend before-set by exactly one frame")
-    q0 = q_baseline(sph)
-    return (q_error(sph, before) - q_error(sph, after)) / q0
 
 
 def root_rmse(sph: SphericalSequence, keys: KeyframeSet) -> float:

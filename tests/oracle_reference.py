@@ -47,6 +47,22 @@ def eval_cubic(coeffs, t):
     return coeffs[0] + coeffs[1] * t + coeffs[2] * t * t + coeffs[3] * t ** 3
 
 
+def reconstruct_reference(values, rates, dt, keys):
+    """Keyframe reconstruction of the tracks ``values`` (N rows of C
+    channels): keyframe rows are copied, every other frame is its section's
+    cubic fitted channel by channel through the two keyframes' values and
+    ``rates``, evaluated at the frame's time."""
+    out = [row[:] for row in values]
+    for k0, k1 in zip(keys[:-1], keys[1:]):
+        for c in range(len(values[0])):
+            coeffs = fit_cubic_reference(values[k0][c], rates[k0][c],
+                                         values[k1][c], rates[k1][c],
+                                         k0 * dt, k1 * dt)
+            for q in range(k0 + 1, k1):
+                out[q][c] = eval_cubic(coeffs, q * dt)
+    return out
+
+
 def wrapped_distance(a, b):
     d = math.fmod(abs(a - b), 2.0 * math.pi)
     return min(d, 2.0 * math.pi - d)

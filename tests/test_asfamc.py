@@ -125,9 +125,19 @@ def test_parse_asf_rejects_duplicate_parent():
     ("  axis XYZ\n", "  axis\n"),
     ("  orientation 0 0 0\n", "  orientation 0 0\n"),
     ("  position 0 0 0\n", "  position\n"),
+    ("    direction 0.3401360817 -0.9403762258 0.0000000000\n",
+     "    direction nan 0 0\n"),
+    ("    length 7.0000\n", "    length 1e999\n"),
+    ("    axis 0 0 20 XYZ\n", "    axis 0 inf 20 XYZ\n"),
+    ("  length 0.45\n", "  length inf\n"),
+    ("  axis XYZ\n", "  axis XXZ\n"),
+    ("  orientation 0 0 0\n", "  orientation 0 -inf 0\n"),
+    ("  position 0 0 0\n", "  position 0 NaN 0\n"),
 ], ids=["name", "length-missing", "length-text", "direction-short",
         "axis-short", "axis-text", "limits-text", "units-length-text",
-        "root-axis-missing", "root-orientation-short", "root-position-missing"])
+        "root-axis-missing", "root-orientation-short", "root-position-missing",
+        "direction-nan", "length-overflow", "axis-inf", "units-length-inf",
+        "root-axis-order", "root-orientation-inf", "root-position-nan"])
 def test_parse_asf_rejects_keyword_lines_without_values(line, broken):
     text = synthcorpus.skeleton_text()
     assert line in text
@@ -188,6 +198,14 @@ def test_parse_amc_rejects_bad_frame_numbers(skeleton):
     lines[bad] = "rtibia abc"
     with pytest.raises(MalformedAmc, match=rf"^line {bad + 1}: non-numeric"):
         asfamc.parse_amc(io.StringIO("\n".join(lines)), skeleton)
+    # so is a non-finite value, with or without a later structural error
+    lines[bad] = "rtibia nan"
+    with pytest.raises(MalformedAmc, match=rf"^line {bad + 1}: non-finite"):
+        asfamc.parse_amc(io.StringIO("\n".join(lines)), skeleton)
+    clean = synthcorpus.amc_text(skeleton, raw).splitlines()
+    clean[bad] = "rtibia 1e999"
+    with pytest.raises(MalformedAmc, match=rf"^line {bad + 1}: non-finite"):
+        asfamc.parse_amc(io.StringIO("\n".join(clean)), skeleton)
 
 
 def test_parse_amc_rejects_unknown_joint(skeleton):
