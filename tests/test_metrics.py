@@ -71,6 +71,21 @@ def test_q_baseline_raises_on_degenerate_input():
         metrics.q_baseline(frozen)
 
 
+def test_step_reward_telescopes_to_total_improvement(small_sph):
+    # the step reward of agent.train: the error drop of one added keyframe
+    # over the two-keyframe baseline
+    sph = small_sph[2]
+    n = sph.frame_count
+    q0 = metrics.q_baseline(sph)
+    keys = KeyframeSet.endpoints(n)
+    total = 0.0
+    for frame in (40, 9, 25, 51):
+        total += (metrics.q_error(sph, keys) - metrics.q_error(sph, keys.add(frame))) / q0
+        keys = keys.add(frame)
+    expect = 1.0 - metrics.q_error(sph, keys) / q0
+    assert total == pytest.approx(expect, abs=1e-10)
+
+
 def test_section_errors_sum_to_q_error(small_sph):
     sph = small_sph[0]
     keys = KeyframeSet.from_indices([0, 13, 29, 47, 59], sph.frame_count)

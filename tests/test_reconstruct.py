@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 import oracle_reference as oracle
 from conftest import random_spherical
 from mocapkey import metrics, reconstruct
-from mocapkey.errors import DegenerateInterval
+from mocapkey.errors import DegenerateInterval, InvalidKeyframeSet
 from mocapkey.keyframes import KeyframeSet
 from mocapkey.motion import finite_difference
 from mocapkey.spherical import SphericalSequence
+
+finite = st.floats(-10.0, 10.0)
 
 
 def assert_matches_reference(sph, keys):
@@ -48,16 +50,93 @@ def test_reconstruct_full_matches_reference(seed, n, m, smooth, data):
     assert_matches_reference(sph, KeyframeSet.from_indices([0, n - 1, *interior], n))
 
 
-def test_reconstruct_full_interior_matches_cubics(small_sph):
-    sph = small_sph[0]
-    assert_matches_reference(
-        sph, KeyframeSet.from_indices((0, 21, 40, 59), sph.frame_count))
+def section_cubic(p0, v0, p1, v1, duration):
+    """Value and time derivative of the section cubic at normalized time u."""
+    c = reconstruct._hermite_u_coeffs(p0, v0, p1, v1, duration)
+    return (lambda u: ((c[3] * u + c[2]) * u + c[1]) * u + c[0],
+            lambda u: ((3.0 * c[3] * u + 2.0 * c[2]) * u + c[1]) / duration)
+
+
+def test_fit_cubic_smoothstep():
     # unit step with flat ends is the classic 3u^2 - 2u^3 profile
+    c = reconstruct._hermite_u_coeffs(0.0, 0.0, 1.0, 0.0, 1.0)
+    assert np.allclose(c, [0.0, 0.0, 3.0, -2.0], atol=1e-12)
     step = smoothstep_window(11)
     recon = assert_matches_reference(step, KeyframeSet.endpoints(11))
     u = np.linspace(0.0, 1.0, 11)
     np.testing.assert_allclose(recon.theta[:, 0], 3 * u**2 - 2 * u**3,
                                rtol=0.0, atol=1e-12)
+
+
+def test_fit_cubic_hits_boundary_conditions():
+    rng = np.random.default_rng(1)
+    for _ in range(50):
+        p0, v0, p1, v1 = rng.normal(size=4) * 3
+        value, rate = section_cubic(p0, v0, p1, v1, rng.uniform(0.05, 3.0))
+        assert value(0.0) == pytest.approx(p0, abs=1e-10)
+        assert value(1.0) == pytest.approx(p1, abs=1e-9)
+        assert rate(0.0) == pytest.approx(v0, abs=1e-9)
+        assert rate(1.0) == pytest.approx(v1, abs=1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(finite, finite, finite, finite,
+       st.floats(-5.0, 5.0), st.floats(0.1, 4.0), st.floats(0.0, 1.0))
+def test_fit_cubic_matches_reference_solver(p0, v0, p1, v1, t0, dur, frac):
+    # duration bounded away from zero: the reference solves in raw t and
+    # its conditioning degrades as (t/duration)^3
+    value, _ = section_cubic(p0, v0, p1, v1, dur)
+    ref = oracle.fit_cubic_reference(p0, v0, p1, v1, t0, t0 + dur)
+    assert value(frac) == pytest.approx(oracle.eval_cubic(ref, t0 + frac * dur),
+                                        rel=1e-6, abs=1e-6)
+
+
+def test_fit_cubic_rejects_empty_interval(small_sph):
+    # a repeated or reversed keyframe would make an empty section; neither
+    # a keyframe set nor the section kernel accepts one
+    with pytest.raises(InvalidKeyframeSet):
+        KeyframeSet((0, 20, 20, 59), 60)
+    with pytest.raises(InvalidKeyframeSet):
+        KeyframeSet((0, 30, 20, 59), 60)
+    sph = small_sph[0]
+    with pytest.raises(DegenerateInterval):
+        metrics.section_errors(sph, [20], [20])
+    with pytest.raises(DegenerateInterval):
+        metrics.section_errors(sph, [20], [19])
+
+
+def test_reconstruct_section_copies_endpoint_frames(small_sph):
+    sph = small_sph[0]
+    keys = KeyframeSet.from_indices((0, 10, 25, 59), sph.frame_count)
+    recon = reconstruct.reconstruct_full(sph, keys)
+    for name in ("theta", "phi", "root_positions"):
+        got = getattr(recon, name)
+        src = getattr(sph, name)
+        # section endpoints are bitwise copies of the source frames
+        assert np.array_equal(got[10], src[10])
+        assert np.array_equal(got[25], src[25])
+        # and the frames between them are rebuilt, not copied
+        assert not np.array_equal(got[11:25], src[11:25])
+
+
+def test_reconstruct_section_validates_span(small_sph):
+    sph = small_sph[0]
+    n = sph.frame_count
+    with pytest.raises(DegenerateInterval):
+        metrics.section_errors(sph, [12], [12])
+    with pytest.raises(DegenerateInterval):
+        metrics.section_errors(sph, [20], [10])
+    with pytest.raises(DegenerateInterval):
+        metrics.section_errors(sph, [0], [n])
+    # a keyframe set reaching past the last frame
+    with pytest.raises(DegenerateInterval):
+        reconstruct.reconstruct_full(sph, KeyframeSet.endpoints(n + 1))
+
+
+def test_reconstruct_full_interior_matches_cubics(small_sph):
+    sph = small_sph[0]
+    assert_matches_reference(
+        sph, KeyframeSet.from_indices((0, 21, 40, 59), sph.frame_count))
 
 
 def test_reconstruct_full_keeps_keyframe_rows_bitwise(small_sph):
