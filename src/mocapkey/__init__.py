@@ -8,9 +8,8 @@ selectors range from random and uniform baselines over a greedy optimizer
 to a trained deep-Q agent.
 """
 
-from .agent import (ReplayMemory, TrainConfig, TrainResult, Transition, act,
-                    encode_state, infer_keyframes, load_agent, save_agent,
-                    td_target, train)
+from .agent import (ReplayMemory, TrainConfig, TrainResult, act,
+                    infer_keyframes, load_agent, save_agent, train)
 from .asfamc import (Joint, RawMotion, Skeleton, export_amc, parse_amc,
                      parse_asf)
 from .baselines import select_greedy, select_random, select_uniform
@@ -45,16 +44,15 @@ __all__ = [
     "MotionSequence", "NoValidAction", "NonFiniteGradient", "PoleSingularity",
     "PreprocessConfig", "QNetwork", "RawMotion", "ReplayMemory",
     "ShapeMismatch", "Skeleton", "SphericalSequence", "TooShort",
-    "TrainConfig", "TrainResult", "Transition", "UnreachablePose",
-    "VersionMismatch", "WindowRecord", "ZeroVector", "act", "angle_distance",
-    "backward_and_step", "cart_to_sph", "checkpoint_load", "checkpoint_save",
-    "encode_state", "export_amc", "filter_joints", "forward",
-    "forward_kinematics", "huber", "infer_keyframes", "init", "load_agent",
-    "load_dataset", "load_manifest", "manifest_digest", "parse_amc",
-    "parse_asf", "preprocess", "q_baseline", "q_error", "reconstruct_full",
-    "root_rmse", "save_agent", "section_error_table", "section_errors",
-    "select_greedy", "select_joints", "select_random", "select_uniform",
-    "sequence_to_spherical", "sph_to_cart", "spherical_to_sequence",
-    "td_target", "train", "velocity_to_sph", "velocity_to_sph_constrained",
-    "wrap_angle", "write_dataset",
+    "TrainConfig", "TrainResult", "UnreachablePose", "VersionMismatch",
+    "WindowRecord", "ZeroVector", "act", "angle_distance", "backward_and_step",
+    "cart_to_sph", "checkpoint_load", "checkpoint_save", "export_amc",
+    "filter_joints", "forward", "forward_kinematics", "huber",
+    "infer_keyframes", "init", "load_agent", "load_dataset", "load_manifest",
+    "manifest_digest", "parse_amc", "parse_asf", "preprocess", "q_baseline",
+    "q_error", "reconstruct_full", "root_rmse", "save_agent",
+    "section_error_table", "section_errors", "select_greedy", "select_joints",
+    "select_random", "select_uniform", "sequence_to_spherical", "sph_to_cart",
+    "spherical_to_sequence", "train", "velocity_to_sph",
+    "velocity_to_sph_constrained", "wrap_angle", "write_dataset",
 ]

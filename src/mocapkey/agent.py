@@ -87,7 +87,7 @@ class TrainConfig:
             return cls.from_dict(json.load(fh))
 
     def to_file(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with neural.atomic_open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
@@ -111,21 +111,13 @@ def state_features(sph: SphericalSequence) -> np.ndarray:
 
 
 def assemble_state(features: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Interleave features with one keyframe bit per frame and flatten."""
-    n, width = features.shape
-    out = np.empty((n, width + 1))
-    out[:, :width] = features
-    out[:, width] = np.asarray(mask, dtype=np.float64)
-    return out.ravel()
-
-
-def encode_state(sph: SphericalSequence, keys: KeyframeSet) -> np.ndarray:
-    """Network input for one window and keyframe set, length N(4M + 1)."""
-    if keys.frame_count != sph.frame_count:
-        raise ShapeMismatch(
-            f"keyframes over {keys.frame_count} frames, sequence has "
-            f"{sph.frame_count}")
-    return assemble_state(state_features(sph), keys.mask)
+    """Interleave (N, F) features with one keyframe bit per frame and flatten
+    to N(F + 1); leading axes of both inputs are batch axes."""
+    *batch, n, width = features.shape
+    out = np.empty((*batch, n, width + 1))
+    out[..., :width] = features
+    out[..., width] = mask
+    return out.reshape(*batch, n * (width + 1))
 
 
 def mask_slots(state_dim: int, frame_count: int) -> np.ndarray:
@@ -162,72 +154,54 @@ def act(net: neural.QNetwork, state: np.ndarray, epsilon: float,
     return int(np.argmax(masked))
 
 
-@dataclass(frozen=True)
-class Transition:
-    state: np.ndarray
-    action: int
-    reward: float
-    next_state: np.ndarray
-    terminal: bool
-
-
-def td_target(transition: Transition, target_net: neural.QNetwork,
-              discount: float) -> float:
-    """Bootstrapped value target: r at terminal steps, otherwise r plus the
-    discounted best valid action value of the target network."""
-    if transition.terminal:
-        return float(transition.reward)
-    slots = mask_slots(len(transition.next_state), target_net.output_dim)
-    valid = np.flatnonzero(transition.next_state[slots] == 0.0)
-    if valid.size == 0:
-        return float(transition.reward)
-    q = neural.forward(target_net, transition.next_state)
-    return float(transition.reward + discount * q[valid].max())
-
-
 class ReplayMemory:
     """Bounded ring buffer of transitions, oldest evicted first.
 
-    Rows hold the action, reward and the two keyframe masks plus a
-    reference to the window's shared feature block; the flat state vectors
-    are materialized on sampling.
+    Stored as columns: each row names its window by position in the
+    stacked (P, N, F) pool features and keeps the keyframe masks before and
+    after its action. States are assembled on sampling, straight into the
+    batch arrays.
     """
 
-    def __init__(self, capacity: int):
+    def __init__(self, features: np.ndarray, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be positive")
+        self.features = features
         self.capacity = capacity
         self.inserted = 0
-        self._rows: list[tuple] = []
+        frames = features.shape[1]
+        self.window = np.zeros(capacity, dtype=np.intp)
+        self.mask = np.zeros((capacity, frames), dtype=bool)
+        self.next_mask = np.zeros((capacity, frames), dtype=bool)
+        self.action = np.zeros(capacity, dtype=np.intp)
+        self.reward = np.zeros(capacity)
+        self.terminal = np.zeros(capacity, dtype=bool)
 
-    def add(self, features: np.ndarray, mask: np.ndarray, action: int,
-            reward: float, next_mask: np.ndarray, terminal: bool) -> None:
-        row = (features, mask.copy(), int(action), float(reward),
-               next_mask.copy(), bool(terminal))
-        if len(self._rows) < self.capacity:
-            self._rows.append(row)
-        else:
-            self._rows[self.inserted % self.capacity] = row
+    def add(self, window: int, mask: np.ndarray, action: int, reward: float,
+            next_mask: np.ndarray, terminal: bool) -> None:
+        row = self.inserted % self.capacity
+        self.window[row] = window
+        self.mask[row] = mask
+        self.action[row] = action
+        self.reward[row] = reward
+        self.next_mask[row] = next_mask
+        self.terminal[row] = terminal
         self.inserted += 1
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return min(self.inserted, self.capacity)
 
-    def _materialize(self, row) -> Transition:
-        features, mask, action, reward, next_mask, terminal = row
-        return Transition(
-            state=assemble_state(features, mask),
-            action=action,
-            reward=reward,
-            next_state=assemble_state(features, next_mask),
-            terminal=terminal,
-        )
-
-    def sample(self, rng: np.random.Generator, batch_size: int) -> list[Transition]:
-        if not self._rows:
+    def sample(self, rng: np.random.Generator, batch_size: int):
+        """``batch_size`` rows drawn with replacement, as the arrays
+        (states, actions, rewards, next_states, terminal)."""
+        if not len(self):
             raise EmptyDataset("replay memory is empty")
-        picks = rng.integers(0, len(self._rows), size=batch_size)
-        return [self._materialize(self._rows[i]) for i in picks]
+        picks = rng.integers(0, len(self), size=batch_size)
+        features = self.features[self.window[picks]]
+        states = assemble_state(features, self.mask[picks])
+        next_states = assemble_state(features, self.next_mask[picks])
+        return (states, self.action[picks], self.reward[picks], next_states,
+                self.terminal[picks])
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +272,12 @@ def train(dataset: list[SphericalSequence], cfg: TrainConfig,
             q0 = q_baseline(sph)
         except DegenerateSequence:
             continue
-        pool.append((sph, state_features(sph), q0, di))
+        pool.append((sph, q0, di))
     if not pool:
         raise EmptyDataset("every training window is degenerate")
     n = pool[0][0].frame_count
     m = pool[0][0].joint_count
-    for sph, _, _, _ in pool:
+    for sph, _, _ in pool:
         if sph.frame_count != n or sph.joint_count != m:
             raise ShapeMismatch(
                 f"window {sph.source or '?'} has shape "
@@ -332,7 +306,8 @@ def train(dataset: list[SphericalSequence], cfg: TrainConfig,
         updates = initial.updates
     target = net.copy()
     rng = np.random.default_rng(cfg.seed + episode_base)
-    memory = ReplayMemory(cfg.memory_capacity)
+    features = np.stack([state_features(sph) for sph, _, _ in pool])
+    memory = ReplayMemory(features, cfg.memory_capacity)
     log: list[LogRow] = []
     total_steps = global_step + cfg.episodes * (w - 2)
 
@@ -346,32 +321,33 @@ def train(dataset: list[SphericalSequence], cfg: TrainConfig,
 
     for ep in range(cfg.episodes):
         episode = episode_base + ep
-        sph, features, q0, _ = pool[rng.integers(len(pool))]
+        window = rng.integers(len(pool))
+        sph, q0, _ = pool[window]
         keys = KeyframeSet.endpoints(n)
         q_prev = q0
         episode_reward = 0.0
         epsilon = _epsilon_at(cfg, global_step, total_steps)
         for _ in range(w - 2):
             epsilon = _epsilon_at(cfg, global_step, total_steps)
-            state = assemble_state(features, keys.mask)
+            state = assemble_state(features[window], keys.mask)
             action = act(net, state, epsilon, rng)
             next_keys = keys.add(action)
             q_new = q_error(sph, next_keys)
             reward = (q_prev - q_new) / q0
             terminal = len(next_keys) == w
-            memory.add(features, keys.mask, action, reward,
-                       next_keys.mask, terminal)
+            memory.add(window, keys.mask, action, reward, next_keys.mask,
+                       terminal)
             episode_reward += reward
             keys = next_keys
             q_prev = q_new
             global_step += 1
             if global_step % cfg.train_interval == 0 and len(memory) >= cfg.batch_size:
-                batch = memory.sample(rng, cfg.batch_size)
-                xs = np.stack([t.state for t in batch])
-                actions = np.array([t.action for t in batch])
-                targets = _batch_targets(batch, target, cfg.discount)
+                states, actions, rewards, next_states, terminals = memory.sample(
+                    rng, cfg.batch_size)
+                targets = _batch_targets(rewards, next_states, terminals,
+                                         target, cfg.discount)
                 _, loss = neural.backward_and_step(
-                    net, adam, xs, actions, targets, cfg.huber_delta)
+                    net, adam, states, actions, targets, cfg.huber_delta)
                 updates += 1
                 log.append(LogRow(global_step, episode, epsilon, loss=loss))
                 if updates % cfg.target_interval == 0:
@@ -395,7 +371,7 @@ def train(dataset: list[SphericalSequence], cfg: TrainConfig,
         episodes_done=episode_base + cfg.episodes, updates=updates,
         best_eval_q=None if best_net is None else best_q,
         best_episode=best_episode,
-        eval_indices=tuple(pool[i][3] for i in eval_pool) if eval_pool else None)
+        eval_indices=tuple(pool[i][2] for i in eval_pool) if eval_pool else None)
 
 
 def _eval_policy(net: neural.QNetwork, pool: list, eval_pool: list[int],
@@ -403,28 +379,29 @@ def _eval_policy(net: neural.QNetwork, pool: list, eval_pool: list[int],
     """Mean remaining error share of the greedy policy on the sample."""
     total = 0.0
     for i in eval_pool:
-        sph, _, q0, _ = pool[i]
+        sph, q0, _ = pool[i]
         keys, _ = infer_keyframes(net, sph, w)
         total += q_error(sph, keys) / q0
     return total / len(eval_pool)
 
 
-def _batch_targets(batch: list[Transition], target_net: neural.QNetwork,
+def _batch_targets(rewards: np.ndarray, next_states: np.ndarray,
+                   terminal: np.ndarray, target_net: neural.QNetwork,
                    discount: float) -> np.ndarray:
-    """Vectorized td_target over a batch (same arithmetic, one forward)."""
-    out = np.array([t.reward for t in batch])
-    open_idx = [i for i, t in enumerate(batch) if not t.terminal]
-    if not open_idx:
-        return out
-    next_xs = np.stack([batch[i].next_state for i in open_idx])
-    slots = mask_slots(next_xs.shape[1], target_net.output_dim)
-    q = neural.forward(target_net, next_xs)
-    q[next_xs[:, slots] != 0.0] = -np.inf
-    best = q.max(axis=1)
-    for row, i in enumerate(open_idx):
-        if np.isfinite(best[row]):
-            out[i] += discount * best[row]
-    return out
+    """Bootstrapped value targets: r at terminal rows and where the next
+    state has no valid action, otherwise r plus the discounted best valid
+    action value of the target network (one forward over the open rows)."""
+    targets = rewards.copy()
+    open_rows = np.flatnonzero(~terminal)
+    if open_rows.size:
+        next_open = next_states[open_rows]
+        slots = mask_slots(next_open.shape[1], target_net.output_dim)
+        q = neural.forward(target_net, next_open)
+        q[next_open[:, slots] != 0.0] = -np.inf
+        best = q.max(axis=1)
+        live = np.isfinite(best)
+        targets[open_rows[live]] += discount * best[live]
+    return targets
 
 
 # ---------------------------------------------------------------------------

@@ -254,7 +254,7 @@ def parse_asf(source) -> Skeleton:
 
     for required in ("units", "root", "bonedata", "hierarchy"):
         if required not in sections:
-            raise MalformedAsf(f"missing :{required} section")
+            raise MalformedAsf(f"line {len(lines)}: missing :{required} section")
 
     length_scale = 1.0
     degrees = True
@@ -384,7 +384,8 @@ def parse_asf(source) -> Skeleton:
 
     for n in order_of_decl:
         if n not in parent_of:
-            raise MalformedAsf(f"bone '{n}' is declared but never attached in :hierarchy")
+            raise MalformedAsf(f"line {drafts[n].line_no}: bone '{n}' is declared "
+                               "but never attached in :hierarchy")
 
     # breadth-first order from the root gives the topological joint list
     root_joint = Joint(

@@ -272,7 +272,7 @@ def cmd_train(args) -> int:
     result = agent.train(windows, cfg, initial=initial, progress=progress)
     agent.save_agent(args.out, result, cfg)
     log_path = str(args.out) + ".log.csv"
-    with open(log_path, "w", newline="", encoding="utf-8") as fh:
+    with neural.atomic_open(log_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(("global_step", "episode", "loss", "episode_reward",
                          "eval_q", "epsilon"))

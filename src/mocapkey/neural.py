@@ -7,7 +7,9 @@ beats pulling in an autodiff framework.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -198,6 +200,20 @@ def backward_and_step(net: QNetwork, adam: AdamState, xs, actions, targets,
     return net, mean_loss
 
 
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Open a temp file beside ``path`` that replaces it on a clean exit;
+    on an error the temp file is removed and ``path`` is left as it was."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
 # ---------------------------------------------------------------------------
 # Checkpoints: one JSON header line, then raw little-endian float64 blocks
 # (network weights and biases in layer order, then Adam m and v moments).
@@ -217,7 +233,7 @@ def checkpoint_save(net: QNetwork, adam: AdamState, path, extra: dict | None = N
         },
         "extra": extra or {},
     }
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
         for block in net.parameters() + adam.m + adam.v:

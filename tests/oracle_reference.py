@@ -109,3 +109,34 @@ def greedy_reference(theta, phi, theta_dot, phi_dot, dt, budget):
                 best_key = cand
         keys = sorted(keys + [best_key])
     return keys
+
+
+def mlp_forward_reference(weights, biases, x):
+    """Rectifier hidden layers and a linear output layer; ``weights`` are
+    (fan_in, fan_out) nested lists, so unit j of a layer sums h[i] w[i][j]."""
+    h = list(x)
+    for layer, (w, b) in enumerate(zip(weights, biases)):
+        h = [b[j] + sum(h[i] * w[i][j] for i in range(len(h)))
+             for j in range(len(b))]
+        if layer < len(weights) - 1:
+            h = [max(v, 0.0) for v in h]
+    return h
+
+
+def td_target_reference(reward, next_state, terminal, weights, biases,
+                        discount):
+    """DQN value target of one transition. The state is N blocks of equal
+    width, one per frame, whose last entry is the frame's keyframe bit; a
+    valid action is a frame whose bit is 0. The target is the reward at a
+    terminal step or when no action is valid, otherwise the reward plus the
+    discounted largest network output over the valid frames."""
+    if terminal:
+        return reward
+    frames = len(biases[-1])
+    block = len(next_state) // frames
+    valid = [f for f in range(frames)
+             if next_state[f * block + block - 1] == 0.0]
+    if not valid:
+        return reward
+    q = mlp_forward_reference(weights, biases, next_state)
+    return reward + discount * max(q[f] for f in valid)

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conftest
+import oracle_reference as ref
 from mocapkey import agent, neural
 from mocapkey.errors import EmptyDataset, InvalidW, NoValidAction, ShapeMismatch
 from mocapkey.keyframes import KeyframeSet
@@ -11,6 +14,11 @@ from mocapkey.spherical import wrap_angle
 
 def tiny_windows(count=3, n=8, m=2):
     return [conftest.random_spherical(40 + i, n, m) for i in range(count)]
+
+
+def encoded(sph, keys):
+    """The network input for one window and keyframe set, as train builds it."""
+    return agent.assemble_state(agent.state_features(sph), keys.mask)
 
 
 def tiny_config(**overrides):
@@ -62,18 +70,16 @@ def test_state_features_layout_and_scaling():
     assert np.all(np.abs(feats[:, 4:]) <= 1.0)
 
 
-def test_encode_state_places_mask_bits():
+def test_assemble_state_places_mask_bits():
     sph = conftest.random_spherical(4, 5, 2)
     keys = KeyframeSet.from_indices([0, 2, 4], 5)
-    state = agent.encode_state(sph, keys)
+    state = encoded(sph, keys)
     assert state.shape == (5 * 9,)
     slots = agent.mask_slots(state.size, 5)
     assert np.array_equal(slots, np.arange(5) * 9 + 8)
     assert np.array_equal(state[slots], [1, 0, 1, 0, 1])
     off_slots = np.setdiff1d(np.arange(state.size), slots)
     assert np.allclose(state[off_slots], agent.state_features(sph).ravel())
-    with pytest.raises(ShapeMismatch):
-        agent.encode_state(sph, KeyframeSet.endpoints(6))
 
 
 def test_mask_slots_rejects_non_multiple():
@@ -91,7 +97,7 @@ def test_mask_slots_rejects_non_multiple():
 def test_act_greedy_masks_taken_frames():
     sph = conftest.random_spherical(6, 8, 2)
     keys = KeyframeSet.from_indices([0, 3, 7], 8)
-    state = agent.encode_state(sph, keys)
+    state = encoded(sph, keys)
     net = neural.init([state.size, 12, 8, 8], seed=5)
     rng = np.random.default_rng(0)
     action = agent.act(net, state, epsilon=0.0, rng=rng)
@@ -102,7 +108,7 @@ def test_act_greedy_masks_taken_frames():
 
 def test_act_ties_resolve_to_lowest_frame():
     sph = conftest.random_spherical(7, 8, 2)
-    state = agent.encode_state(sph, KeyframeSet.endpoints(8))
+    state = encoded(sph, KeyframeSet.endpoints(8))
     net = neural.init([state.size, 12, 8, 8], seed=5)
     net.weights[2][:] = 0.0
     net.biases[2][:] = 0.0
@@ -112,7 +118,7 @@ def test_act_ties_resolve_to_lowest_frame():
 def test_act_exploration_stays_valid():
     sph = conftest.random_spherical(8, 8, 2)
     keys = KeyframeSet.from_indices([0, 1, 2, 3, 4, 7], 8)
-    state = agent.encode_state(sph, keys)
+    state = encoded(sph, keys)
     net = neural.init([state.size, 12, 8, 8], seed=5)
     rng = np.random.default_rng(2)
     picks = {agent.act(net, state, 1.0, rng) for _ in range(50)}
@@ -121,7 +127,7 @@ def test_act_exploration_stays_valid():
 
 def test_act_raises_when_no_frame_left():
     sph = conftest.random_spherical(9, 4, 2)
-    state = agent.encode_state(sph, KeyframeSet.from_indices([0, 1, 2, 3], 4))
+    state = encoded(sph, KeyframeSet.from_indices([0, 1, 2, 3], 4))
     net = neural.init([state.size, 8, 8, 4], seed=0)
     with pytest.raises(NoValidAction):
         agent.act(net, state, 0.0, np.random.default_rng(0))
@@ -132,73 +138,120 @@ def test_act_raises_when_no_frame_left():
 # ---------------------------------------------------------------------------
 
 
-def _make_transition(sph, keys, action, reward, terminal):
-    feats = agent.state_features(sph)
-    next_keys = keys.add(action)
-    return agent.Transition(
-        state=agent.assemble_state(feats, keys.mask),
-        action=action, reward=reward,
-        next_state=agent.assemble_state(feats, next_keys.mask),
-        terminal=terminal)
+def _target_batch(sph, rows):
+    """(rewards, next_states, terminal) arrays for (keys, action, reward,
+    terminal) rows on one window."""
+    rewards = np.array([r[2] for r in rows])
+    next_states = np.array([encoded(sph, keys.add(action))
+                            for keys, action, _, _ in rows])
+    terminal = np.array([r[3] for r in rows])
+    return rewards, next_states, terminal
+
+
+def _reference_targets(net, rewards, next_states, terminal, discount):
+    weights = [w.tolist() for w in net.weights]
+    biases = [b.tolist() for b in net.biases]
+    return [ref.td_target_reference(float(r), x.tolist(), bool(t), weights,
+                                    biases, discount)
+            for r, x, t in zip(rewards, next_states, terminal)]
 
 
 def test_td_target_terminal_and_bootstrap():
     sph = conftest.random_spherical(10, 6, 2)
     net = neural.init([6 * 9, 10, 8, 6], seed=3)
-    keys = KeyframeSet.endpoints(6)
-    term = _make_transition(sph, keys, 2, 0.7, terminal=True)
-    assert agent.td_target(term, net, 0.5) == pytest.approx(0.7)
-    open_t = _make_transition(sph, keys, 2, 0.7, terminal=False)
-    q = neural.forward(net, open_t.next_state)
-    valid = np.setdiff1d(np.arange(6), [0, 2, 5])
-    expected = 0.7 + 0.5 * q[valid].max()
-    assert agent.td_target(open_t, net, 0.5) == pytest.approx(expected)
+    ends = KeyframeSet.endpoints(6)
+    all_but_3 = KeyframeSet.from_indices([0, 1, 2, 4, 5], 6)
+    batch = _target_batch(sph, [(ends, 2, 0.7, True), (ends, 2, 0.7, False),
+                                (all_but_3, 3, -0.2, False)])
+    rewards = batch[0].copy()
+    got = agent._batch_targets(*batch, net, 0.5)
+    assert np.array_equal(batch[0], rewards)  # inputs are left alone
+    assert got[0] == 0.7     # terminal: the reward alone
+    assert got[2] == -0.2    # next state has no valid action: the reward alone
+    assert got[1] != 0.7     # open: bootstraps from the target network
+    want = _reference_targets(net, *batch, 0.5)
+    assert got.tolist() == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_batch_targets_match_td_target_loop():
     sph = conftest.random_spherical(11, 8, 2)
     net = neural.init([8 * 9, 12, 8, 8], seed=4)
     rng = np.random.default_rng(6)
-    batch = []
+    rows = []
     for i in range(12):
         keys = KeyframeSet.endpoints(8)
         for _ in range(int(rng.integers(0, 4))):
             keys = keys.add(int(rng.choice(keys.complement())))
         action = int(rng.choice(keys.complement()))
-        batch.append(_make_transition(sph, keys, action,
-                                      float(rng.normal()), bool(i % 3 == 0)))
-    got = agent._batch_targets(batch, net, 0.5)
-    want = np.array([agent.td_target(t, net, 0.5) for t in batch])
-    assert np.allclose(got, want, atol=1e-12)
+        rows.append((keys, action, float(rng.normal()), bool(i % 3 == 0)))
+    full = KeyframeSet.from_indices([0, 1, 2, 3, 4, 5, 7], 8)
+    rows.append((full, 6, float(rng.normal()), False))
+    batch = _target_batch(sph, rows)
+    got = agent._batch_targets(*batch, net, 0.5)
+    want = _reference_targets(net, *batch, 0.5)
+    assert got.tolist() == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert got[-1] == rows[-1][2]
+    assert agent._batch_targets(batch[0], batch[1], np.ones(13, bool),
+                                net, 0.5).tolist() == batch[0].tolist()
 
 
 def test_replay_memory_ring_eviction():
-    mem = agent.ReplayMemory(capacity=4)
-    feats = np.zeros((3, 8))
+    mem = agent.ReplayMemory(np.zeros((1, 3, 8)), capacity=4)
     mask = np.zeros(3)
     for i in range(6):
-        mem.add(feats, mask, action=i, reward=float(i),
-                next_mask=mask, terminal=False)
+        mem.add(0, mask, action=i, reward=float(i), next_mask=mask,
+                terminal=False)
     assert len(mem) == 4 and mem.inserted == 6
-    actions = {row[2] for row in mem._rows}
-    assert actions == {2, 3, 4, 5}  # 0 and 1 were evicted first
-    sample = mem.sample(np.random.default_rng(0), 10)
-    assert all(t.action in actions for t in sample)
-    assert all(t.state.shape == (3 * 9,) for t in sample)
+    # 0 and 1 were evicted first, into the ring slots they had held
+    assert mem.action.tolist() == [4, 5, 2, 3]
+    assert mem.reward.tolist() == [4.0, 5.0, 2.0, 3.0]
+    states, actions, rewards, next_states, terminal = mem.sample(
+        np.random.default_rng(0), 10)
+    assert set(actions.tolist()) <= {2, 3, 4, 5}
+    assert np.array_equal(rewards, actions.astype(float))
+    assert states.shape == next_states.shape == (10, 3 * 9)
+    assert not terminal.any()
     with pytest.raises(ValueError):
-        agent.ReplayMemory(0)
+        agent.ReplayMemory(np.zeros((1, 3, 8)), 0)
     with pytest.raises(EmptyDataset):
-        agent.ReplayMemory(2).sample(np.random.default_rng(0), 1)
+        agent.ReplayMemory(np.zeros((1, 3, 8)), 2).sample(
+            np.random.default_rng(0), 1)
 
 
 def test_replay_memory_snapshots_masks():
-    mem = agent.ReplayMemory(capacity=4)
-    feats = np.zeros((3, 8))
+    mem = agent.ReplayMemory(np.zeros((1, 3, 8)), capacity=4)
     mask = np.zeros(3)
-    mem.add(feats, mask, 1, 0.0, mask, False)
+    mem.add(0, mask, 1, 0.0, mask, False)
     mask[0] = 1.0  # caller mutates after insertion
-    t = mem.sample(np.random.default_rng(0), 1)[0]
-    assert t.state[agent.mask_slots(t.state.size, 3)].sum() == 0.0
+    states = mem.sample(np.random.default_rng(0), 1)[0]
+    assert states[0, agent.mask_slots(states.shape[1], 3)].sum() == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**16), capacity=st.integers(1, 6),
+       adds=st.integers(1, 20), batch=st.integers(1, 9))
+def test_replay_sample_equals_per_row_states(seed, capacity, adds, batch):
+    rng = np.random.default_rng(seed)
+    features = rng.normal(size=(3, 5, 4))
+    features[0, 0, 0] = -0.0
+    mem = agent.ReplayMemory(features, capacity)
+    ring = [None] * capacity
+    for i in range(adds):
+        row = (int(rng.integers(3)), rng.random(5) < 0.4, int(rng.integers(5)),
+               float(rng.normal()), rng.random(5) < 0.6, bool(rng.random() < 0.3))
+        mem.add(*row)
+        ring[i % capacity] = row
+    assert len(mem) == min(adds, capacity)
+    states, actions, rewards, next_states, terminal = mem.sample(
+        np.random.default_rng(seed), batch)
+    picks = np.random.default_rng(seed).integers(0, len(mem), size=batch)
+    for b, pick in enumerate(picks):
+        window, mask, action, reward, next_mask, term = ring[pick]
+        want = agent.assemble_state(features[window], mask)
+        want_next = agent.assemble_state(features[window], next_mask)
+        assert states[b].tobytes() == want.tobytes()
+        assert next_states[b].tobytes() == want_next.tobytes()
+        assert (actions[b], rewards[b], terminal[b]) == (action, reward, term)
 
 
 # ---------------------------------------------------------------------------

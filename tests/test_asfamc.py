@@ -94,15 +94,19 @@ def test_parse_asf_hierarchy_parent_links(skeleton):
 
 
 def test_parse_asf_requires_sections():
-    with pytest.raises(MalformedAsf):
+    with pytest.raises(MalformedAsf, match=r"line \d+"):
+        asfamc.parse_asf(io.StringIO(":version 1.1\n:name x\n"))
+    with pytest.raises(MalformedAsf, match=r"^line 2: missing :units section$"):
         asfamc.parse_asf(io.StringIO(":version 1.1\n:name x\n"))
 
 
 def test_parse_asf_rejects_unattached_bone():
     text = synthcorpus.skeleton_text().replace("    root lhipjoint rhipjoint lowerback\n", "")
     # keep the hierarchy section structurally valid but drop root's children
-    with pytest.raises(MalformedAsf):
+    with pytest.raises(MalformedAsf, match=r"line \d+") as info:
         asfamc.parse_asf(io.StringIO(text))
+    begin = text.splitlines().index("  begin") + 1   # lhipjoint, the first bone
+    assert str(info.value).startswith(f"line {begin}: bone 'lhipjoint'")
 
 
 def test_parse_asf_rejects_duplicate_parent():

@@ -240,3 +240,32 @@ def test_checkpoint_rejects_version_and_corruption(tmp_path):
     bad.write_bytes(data + b"\x00")
     with pytest.raises(CorruptCheckpoint, match="trailing"):
         neural.checkpoint_load(bad)
+
+
+def test_failed_save_keeps_the_earlier_file(tmp_path):
+    net = neural.init([3, 4, 4, 2], seed=0)
+    adam = neural.AdamState.for_network(net, learning_rate=0.01)
+    path = tmp_path / "model.ckpt"
+    neural.checkpoint_save(net, adam, path)
+    before = path.read_bytes()
+    # the last Adam block cannot become float64: the save fails after the
+    # header and every other block went to disk
+    adam.v[-1] = np.array(["not a number"], dtype=object)
+    net.weights[0] += 1.0
+    with pytest.raises(ValueError):
+        neural.checkpoint_save(net, adam, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+    log = tmp_path / "run.log.csv"
+    log.write_text("old\n", encoding="utf-8")
+    with pytest.raises(RuntimeError):
+        with neural.atomic_open(log, "w", encoding="utf-8") as fh:
+            fh.write("new, half written")
+            fh.flush()
+            raise RuntimeError("interrupted")
+    assert log.read_text(encoding="utf-8") == "old\n"
+    with neural.atomic_open(log, "w", encoding="utf-8") as fh:
+        fh.write("new\n")
+    assert log.read_text(encoding="utf-8") == "new\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt", "run.log.csv"]
