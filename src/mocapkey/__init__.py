@@ -25,8 +25,7 @@ from .keyframes import KeyframeSet
 from .metrics import (angle_distance, q_baseline, q_error, root_rmse,
                       section_error_table, section_errors)
 from .motion import (CMU_EXCLUDED_JOINTS, MotionSequence, PreprocessConfig,
-                     filter_joints, forward_kinematics, preprocess,
-                     select_joints)
+                     filter_joints, forward_kinematics, preprocess)
 from .neural import (AdamState, QNetwork, backward_and_step, checkpoint_load,
                      checkpoint_save, forward, huber, init)
 from .reconstruct import reconstruct_full
@@ -51,8 +50,8 @@ __all__ = [
     "infer_keyframes", "init", "load_agent", "load_dataset", "load_manifest",
     "manifest_digest", "parse_amc", "parse_asf", "preprocess", "q_baseline",
     "q_error", "reconstruct_full", "root_rmse", "save_agent",
-    "section_error_table", "section_errors", "select_greedy", "select_joints",
-    "select_random", "select_uniform", "sequence_to_spherical", "sph_to_cart",
+    "section_error_table", "section_errors", "select_greedy", "select_random",
+    "select_uniform", "sequence_to_spherical", "sph_to_cart",
     "spherical_to_sequence", "train", "velocity_to_sph",
     "velocity_to_sph_constrained", "wrap_angle", "write_dataset",
 ]

@@ -133,22 +133,21 @@ def mask_slots(state_dim: int, frame_count: int) -> np.ndarray:
 # Policy and targets
 # ---------------------------------------------------------------------------
 
-def act(net: neural.QNetwork, state: np.ndarray, epsilon: float,
-        rng: np.random.Generator) -> int:
-    """Epsilon-greedy action for one encoded state.
+def act(net: neural.QNetwork, features: np.ndarray, mask: np.ndarray,
+        epsilon: float, rng: np.random.Generator) -> int:
+    """Epsilon-greedy action for one window's (N, F) features and boolean
+    keyframe mask.
 
-    Valid actions are read from the state's keyframe bits. The greedy
-    branch masks invalid outputs to -inf; argmax ties resolve to the
-    lowest frame index.
+    Valid actions are the frames not in the mask. Only the greedy branch
+    assembles the state; it masks invalid outputs to -inf, and argmax ties
+    resolve to the lowest frame index.
     """
-    state = np.asarray(state, dtype=np.float64)
-    slots = mask_slots(state.shape[-1], net.output_dim)
-    valid = np.flatnonzero(state[slots] == 0.0)
+    valid = np.flatnonzero(~mask)
     if valid.size == 0:
         raise NoValidAction("every frame is already a keyframe")
     if rng.random() < epsilon:
         return int(rng.choice(valid))
-    q = neural.forward(net, state)
+    q = neural.forward(net, assemble_state(features, mask))
     masked = np.full_like(q, -np.inf)
     masked[valid] = q[valid]
     return int(np.argmax(masked))
@@ -329,8 +328,7 @@ def train(dataset: list[SphericalSequence], cfg: TrainConfig,
         epsilon = _epsilon_at(cfg, global_step, total_steps)
         for _ in range(w - 2):
             epsilon = _epsilon_at(cfg, global_step, total_steps)
-            state = assemble_state(features[window], keys.mask)
-            action = act(net, state, epsilon, rng)
+            action = act(net, features[window], keys.mask, epsilon, rng)
             next_keys = keys.add(action)
             q_new = q_error(sph, next_keys)
             reward = (q_prev - q_new) / q0

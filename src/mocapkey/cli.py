@@ -175,7 +175,7 @@ def cmd_prep(args) -> int:
     asf_by_stem = {p.stem: p for p in asf_files}
     excluded = tuple(t for t in args.exclude.split(",") if t)
     cfg = PreprocessConfig(source_fps=args.source_fps, target_fps=args.fps,
-                           window_len=args.window, excluded_joints=excluded)
+                           window_len=args.window)
 
     per_source: dict[str, list] = {}
     failures = 0
@@ -192,11 +192,11 @@ def cmd_prep(args) -> int:
                 skeleton = parse_asf(fh)
             with open(amc_path, "r", encoding="utf-8", errors="replace") as fh:
                 raw = parse_amc(fh, skeleton)
-            seq = forward_kinematics(skeleton, raw, dt=1.0 / args.source_fps,
-                                     source=source)
-            windows = preprocess(seq, cfg)
             present = tuple(n for n in excluded if n in {j.name for j in skeleton.joints})
             sub_skeleton = filter_joints(skeleton, present)
+            seq = forward_kinematics(sub_skeleton, raw, dt=1.0 / args.source_fps,
+                                     source=source)
+            windows = preprocess(seq, cfg)
         except (MocapKeyError, OSError, ValueError) as exc:
             print(f"prep: warning: {source}: {exc}", file=sys.stderr)
             failures += 1
@@ -307,21 +307,18 @@ def cmd_train(args) -> int:
 
 def _run_selector(method: str, sph, w: int, net, seed: int):
     """Returns (keyframes, selection seconds) for one window and method."""
-    if method == "rc":
-        t0 = time.perf_counter()
-        keys = baselines.select_random(sph.frame_count, w, seed)
-        return keys, time.perf_counter() - t0
-    if method == "uc":
-        t0 = time.perf_counter()
-        keys = baselines.select_uniform(sph.frame_count, w)
-        return keys, time.perf_counter() - t0
-    if method == "greedy":
-        t0 = time.perf_counter()
-        keys = baselines.select_greedy(sph, w)
-        return keys, time.perf_counter() - t0
     if method == "sidql":
         return agent.infer_keyframes(net, sph, w)
-    raise ValueError(f"unknown method '{method}'")
+    t0 = time.perf_counter()
+    if method == "rc":
+        keys = baselines.select_random(sph.frame_count, w, seed)
+    elif method == "uc":
+        keys = baselines.select_uniform(sph.frame_count, w)
+    elif method == "greedy":
+        keys = baselines.select_greedy(sph, w)
+    else:
+        raise ValueError(f"unknown method '{method}'")
+    return keys, time.perf_counter() - t0
 
 
 def _eval_window(payload):
@@ -400,7 +397,7 @@ def cmd_eval(args) -> int:
         raise DegenerateSequence("every evaluated window is degenerate")
     rows.sort(key=lambda r: (r["sequence"], r["keyframes"], r["method"]))
 
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
+    with neural.atomic_open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=REPORT_COLUMNS)
         writer.writeheader()
         for row in rows:
@@ -422,7 +419,7 @@ def cmd_eval(args) -> int:
         "table": summary,
     }
     summary_path = str(args.out) + ".summary.json"
-    with open(summary_path, "w", encoding="utf-8") as fh:
+    with neural.atomic_open(summary_path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -500,7 +497,7 @@ def cmd_reconstruct(args) -> int:
         tolerance=None,
         comment=(f"window {rec.window_id} ({rec.source}) rebuilt from "
                  f"keyframes {','.join(str(i) for i in keys.indices)}"))
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with neural.atomic_open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)
     print(f"reconstruct: {rec.window_id} -> {args.out} "
           f"(keyframes {list(keys.indices)}, "

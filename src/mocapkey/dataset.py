@@ -2,10 +2,13 @@
 
 A dataset directory holds one record per preprocessed window plus a
 manifest. A record is a single header line (magic, then JSON with shapes,
-timing, names and the embedded skeleton) followed by raw little-endian
-float64 blocks in C order: positions (N, M, 3), velocities, root positions
-(N, 3), root velocities. The manifest carries the preprocessing parameters
-and the train/test split, assigned per source file.
+timing, names and the embedded tracked-joint skeleton) followed by raw
+little-endian float64 blocks in C order: positions (N, M, 3), then root
+positions (N, 3). Records of the first format (``MKWIN1``) also carry
+joint and root velocity blocks; they are still read, and the velocities
+skipped. The manifest carries the preprocessing parameters and the
+train/test split, assigned per source file. Records and manifest are
+written atomically.
 """
 
 from __future__ import annotations
@@ -20,8 +23,10 @@ import numpy as np
 from .asfamc import Skeleton
 from .errors import MalformedDataset
 from .motion import MotionSequence
+from .neural import atomic_open
 
-MAGIC = b"MKWIN1 "
+MAGIC = b"MKWIN2 "
+MAGIC_V1 = b"MKWIN1 "
 MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = 1
 
@@ -48,22 +53,22 @@ def write_window(path, skeleton: Skeleton, seq: MotionSequence,
         "start_frame": int(start_frame),
         "skeleton": skeleton.to_dict(),
     }
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
-        for block in (seq.positions, seq.velocities,
-                      seq.root_positions, seq.root_velocities):
+        for block in (seq.positions, seq.root_positions):
             fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
 
 
 def read_window(path) -> tuple[Skeleton, MotionSequence, int]:
     with open(path, "rb") as fh:
         line = fh.readline()
-        if not line.startswith(MAGIC):
+        magic = line[:len(MAGIC)]
+        if magic not in (MAGIC, MAGIC_V1):
             raise MalformedDataset(f"{path}: not a window record")
         try:
-            header = json.loads(line[len(MAGIC):].decode("utf-8"))
+            header = json.loads(line[len(magic):].decode("utf-8"))
             n = int(header["frame_count"])
             m = int(header["joint_count"])
             dt = float(header["dt"])
@@ -73,16 +78,23 @@ def read_window(path) -> tuple[Skeleton, MotionSequence, int]:
             start = int(header.get("start_frame", 0))
         except (KeyError, ValueError, TypeError) as exc:
             raise MalformedDataset(f"{path}: bad window header: {exc}") from None
+        # (shape, kept): MKWIN1 interleaves velocity blocks, which are skipped
+        layout = [((n, m, 3), True), ((n, 3), True)]
+        if magic == MAGIC_V1:
+            layout = [((n, m, 3), True), ((n, m, 3), False),
+                      ((n, 3), True), ((n, 3), False)]
         blocks = []
-        for shape in ((n, m, 3), (n, m, 3), (n, 3), (n, 3)):
+        for shape, kept in layout:
             count = int(np.prod(shape))
             raw = fh.read(count * 8)
             if len(raw) != count * 8:
                 raise MalformedDataset(f"{path}: truncated window record")
-            blocks.append(np.frombuffer(raw, dtype="<f8").reshape(shape).copy())
+            if kept:
+                blocks.append(np.frombuffer(raw, dtype="<f8").reshape(shape).copy())
+        if fh.read(1):
+            raise MalformedDataset(f"{path}: trailing bytes after the last block")
     seq = MotionSequence(
-        dt=dt, positions=blocks[0], velocities=blocks[1],
-        root_positions=blocks[2], root_velocities=blocks[3],
+        dt=dt, positions=blocks[0], root_positions=blocks[1],
         joint_names=names, parents=parents,
         source=header.get("source", ""),
     )
@@ -141,7 +153,7 @@ def write_dataset(out_dir, per_source: dict[str, list[tuple[Skeleton, MotionSequ
         "preprocessing": preprocessing,
         "windows": rows,
     }
-    with open(out_dir / MANIFEST_NAME, "w", encoding="utf-8") as fh:
+    with atomic_open(out_dir / MANIFEST_NAME, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return manifest

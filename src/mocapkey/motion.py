@@ -9,9 +9,10 @@ import numpy as np
 from .asfamc import Joint, RawMotion, Skeleton, local_rotations, root_track
 from .errors import TooShort
 
-# Distal extremities dropped before windowing. With these removed the
-# standard CMU skeleton keeps 22 bones whose ends, together with the root,
-# are the usual 23 tracked body points.
+# Distal extremities removed from the skeleton (filter_joints) before
+# forward kinematics. With these removed the standard CMU skeleton keeps 22
+# bones whose ends, together with the root, are the usual 23 tracked body
+# points.
 CMU_EXCLUDED_JOINTS = (
     "lhand", "lfingers", "lthumb",
     "rhand", "rfingers", "rthumb",
@@ -21,23 +22,21 @@ CMU_EXCLUDED_JOINTS = (
 
 @dataclass(frozen=True)
 class MotionSequence:
-    """World-space positions and velocities for the non-root joints plus a
-    separate root track. Positions are (N, M, 3), frame-major."""
+    """World-space positions of the non-root joints plus a separate root
+    track. Positions are (N, M, 3), frame-major."""
     dt: float
     positions: np.ndarray
-    velocities: np.ndarray
     root_positions: np.ndarray
-    root_velocities: np.ndarray
     joint_names: tuple[str, ...]
     parents: tuple[int, ...]      # index into joint_names; -1 means the root
     source: str = ""
 
     def __post_init__(self):
         n, m = self.positions.shape[:2]
-        if self.positions.shape != (n, m, 3) or self.velocities.shape != (n, m, 3):
-            raise ValueError("positions and velocities must both be (N, M, 3)")
-        if self.root_positions.shape != (n, 3) or self.root_velocities.shape != (n, 3):
-            raise ValueError("root tracks must be (N, 3)")
+        if self.positions.shape != (n, m, 3):
+            raise ValueError("positions must be (N, M, 3)")
+        if self.root_positions.shape != (n, 3):
+            raise ValueError("root_positions must be (N, 3)")
         if len(self.joint_names) != m or len(self.parents) != m:
             raise ValueError("joint_names and parents must have length M")
         if self.dt <= 0:
@@ -56,8 +55,8 @@ def forward_kinematics(skeleton: Skeleton, raw: RawMotion, dt: float,
                        source: str = "") -> MotionSequence:
     """World positions of every bone end over the clip.
 
-    Joint order matches the skeleton's (topological, root excluded).
-    Velocities are central finite differences, one-sided at the ends.
+    Joint order matches the skeleton's (topological, root excluded). Pass
+    the :func:`filter_joints` skeleton to compute only the tracked joints.
     """
     n = raw.frame_count
     joints = skeleton.joints
@@ -72,14 +71,10 @@ def forward_kinematics(skeleton: Skeleton, raw: RawMotion, dt: float,
         offset = joint.length * joint.direction
         positions[idx] = positions[joint.parent] + rotations[idx] @ offset
 
-    body = np.moveaxis(positions[1:], 0, 1)   # (N, M, 3)
-    root = positions[0]
     return MotionSequence(
         dt=dt,
-        positions=body,
-        velocities=finite_difference(body, dt),
-        root_positions=root,
-        root_velocities=finite_difference(root, dt),
+        positions=np.moveaxis(positions[1:], 0, 1),   # (N, M, 3)
+        root_positions=positions[0],
         joint_names=tuple(j.name for j in joints[1:]),
         parents=tuple(j.parent - 1 for j in joints[1:]),
         source=source,
@@ -122,38 +117,11 @@ def filter_joints(skeleton: Skeleton, excluded: tuple[str, ...]) -> Skeleton:
     return replace(skeleton, joints=tuple(keep))
 
 
-def select_joints(seq: MotionSequence, names: tuple[str, ...]) -> MotionSequence:
-    """Restrict a sequence to the named joints (which must be parent-closed
-    within the sequence: a kept joint's parent is the root or also kept)."""
-    index_of = {nm: i for i, nm in enumerate(seq.joint_names)}
-    missing = [nm for nm in names if nm not in index_of]
-    if missing:
-        raise ValueError(f"joints not in sequence: {missing}")
-    old_indices = [index_of[nm] for nm in names]
-    new_of_old = {o: n for n, o in enumerate(old_indices)}
-    parents = []
-    for o in old_indices:
-        p = seq.parents[o]
-        if p != -1 and p not in new_of_old:
-            raise ValueError(
-                f"joint '{seq.joint_names[o]}' kept without its parent "
-                f"'{seq.joint_names[p]}'")
-        parents.append(-1 if p == -1 else new_of_old[p])
-    return replace(
-        seq,
-        positions=seq.positions[:, old_indices],
-        velocities=seq.velocities[:, old_indices],
-        joint_names=tuple(seq.joint_names[o] for o in old_indices),
-        parents=tuple(parents),
-    )
-
-
 @dataclass(frozen=True)
 class PreprocessConfig:
     source_fps: float = 120.0
     target_fps: float = 30.0
     window_len: int = 60
-    excluded_joints: tuple[str, ...] = CMU_EXCLUDED_JOINTS
 
     def __post_init__(self):
         if self.source_fps <= 0 or self.target_fps <= 0:
@@ -172,19 +140,15 @@ class PreprocessConfig:
 
 
 def preprocess(seq: MotionSequence, config: PreprocessConfig) -> list[MotionSequence]:
-    """Downsample, drop excluded joints, cut fixed-length windows.
+    """Downsample and cut fixed-length windows.
 
     Windows are consecutive and non-overlapping; a trailing remainder
-    shorter than the window length is discarded. Velocities are recomputed
-    per window by finite differences at the new frame spacing. Raises
-    TooShort when the clip yields no complete window.
+    shorter than the window length is discarded. Raises TooShort when the
+    clip yields no complete window.
     """
     stride = config.stride
-    kept_names = tuple(nm for nm in seq.joint_names if nm not in config.excluded_joints)
-    thinned = select_joints(seq, kept_names)
-    dt = stride * seq.dt
-    pos = thinned.positions[::stride]
-    root = thinned.root_positions[::stride]
+    pos = seq.positions[::stride]
+    root = seq.root_positions[::stride]
     n_windows = len(pos) // config.window_len
     if n_windows == 0:
         raise TooShort(
@@ -193,16 +157,7 @@ def preprocess(seq: MotionSequence, config: PreprocessConfig) -> list[MotionSequ
     for w in range(n_windows):
         lo = w * config.window_len
         hi = lo + config.window_len
-        wpos = pos[lo:hi]
-        wroot = root[lo:hi]
-        windows.append(MotionSequence(
-            dt=dt,
-            positions=wpos,
-            velocities=finite_difference(wpos, dt),
-            root_positions=wroot,
-            root_velocities=finite_difference(wroot, dt),
-            joint_names=thinned.joint_names,
-            parents=thinned.parents,
-            source=f"{seq.source}[{lo * stride}:{hi * stride}]" if seq.source else "",
-        ))
+        windows.append(replace(
+            seq, dt=stride * seq.dt, positions=pos[lo:hi], root_positions=root[lo:hi],
+            source=f"{seq.source}[{lo * stride}:{hi * stride}]" if seq.source else ""))
     return windows

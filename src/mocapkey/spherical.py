@@ -170,8 +170,9 @@ def sequence_to_spherical(seq: MotionSequence) -> SphericalSequence:
     """Convert world positions to parent-relative spherical angle tracks.
 
     phi is filled by continuation over pole frames (where it is undefined)
-    and unwrapped along time. Rates are central finite differences of the
-    resulting tracks, one-sided at the window ends.
+    and unwrapped along time. Rates, the root's included, are central
+    finite differences of the resulting tracks, one-sided at the window
+    ends.
     """
     rel = relative_vectors(seq.positions, seq.root_positions, seq.parents)
     r = np.linalg.norm(rel, axis=-1)
@@ -201,7 +202,7 @@ def sequence_to_spherical(seq: MotionSequence) -> SphericalSequence:
         joint_names=seq.joint_names,
         parents=seq.parents,
         root_positions=seq.root_positions.copy(),
-        root_velocities=seq.root_velocities.copy(),
+        root_velocities=finite_difference(seq.root_positions, seq.dt),
         source=seq.source,
     )
 
@@ -210,8 +211,7 @@ def spherical_to_sequence(sph: SphericalSequence) -> MotionSequence:
     """Rebuild world positions from angle tracks and the root path.
 
     Parents precede children in the joint order, so one forward pass
-    accumulates positions down the tree. Velocities are recomputed by
-    finite differences.
+    accumulates positions down the tree.
     """
     rel = sph_to_cart(sph.bone_lengths[None, :], sph.theta, sph.phi)
     n, m = sph.theta.shape
@@ -223,9 +223,7 @@ def spherical_to_sequence(sph: SphericalSequence) -> MotionSequence:
     return MotionSequence(
         dt=sph.dt,
         positions=positions,
-        velocities=finite_difference(positions, sph.dt),
         root_positions=sph.root_positions.copy(),
-        root_velocities=finite_difference(sph.root_positions, sph.dt),
         joint_names=sph.joint_names,
         parents=sph.parents,
         source=sph.source,

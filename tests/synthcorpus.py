@@ -15,7 +15,8 @@ import numpy as np
 
 from mocapkey.asfamc import RawMotion, Skeleton, parse_amc, parse_asf
 from mocapkey.dataset import write_dataset
-from mocapkey.motion import PreprocessConfig, filter_joints, forward_kinematics, preprocess
+from mocapkey.motion import (CMU_EXCLUDED_JOINTS, PreprocessConfig, filter_joints,
+                             forward_kinematics, preprocess)
 
 # name, parent, direction, asf length, axis degrees, dof tokens
 _BONES = (
@@ -199,14 +200,12 @@ def amc_text(skel: Skeleton, raw: RawMotion) -> str:
 
 def make_windows(skel: Skeleton, raw: RawMotion, source: str,
                  config: PreprocessConfig | None = None):
-    """FK plus windowing for one synthetic take; returns the triples that
-    dataset.write_dataset expects, with the tracked-joint skeleton."""
+    """FK on the tracked-joint skeleton plus windowing for one synthetic
+    take; returns the triples that dataset.write_dataset expects."""
     cfg = config or PreprocessConfig()
-    seq = forward_kinematics(skel, raw, dt=1.0 / SOURCE_FPS, source=source)
+    sub = filter_joints(skel, CMU_EXCLUDED_JOINTS)
+    seq = forward_kinematics(sub, raw, dt=1.0 / SOURCE_FPS, source=source)
     windows = preprocess(seq, cfg)
-    present = tuple(nm for nm in cfg.excluded_joints
-                    if nm in {j.name for j in skel.joints})
-    sub = filter_joints(skel, present)
     stride = cfg.stride
     return [(sub, win, i * cfg.window_len * stride)
             for i, win in enumerate(windows)]

@@ -100,7 +100,8 @@ def test_act_greedy_masks_taken_frames():
     state = encoded(sph, keys)
     net = neural.init([state.size, 12, 8, 8], seed=5)
     rng = np.random.default_rng(0)
-    action = agent.act(net, state, epsilon=0.0, rng=rng)
+    action = agent.act(net, agent.state_features(sph), keys.mask,
+                       epsilon=0.0, rng=rng)
     q = neural.forward(net, state)
     valid = np.setdiff1d(np.arange(8), [0, 3, 7])
     assert action == valid[np.argmax(q[valid])]
@@ -108,29 +109,43 @@ def test_act_greedy_masks_taken_frames():
 
 def test_act_ties_resolve_to_lowest_frame():
     sph = conftest.random_spherical(7, 8, 2)
-    state = encoded(sph, KeyframeSet.endpoints(8))
-    net = neural.init([state.size, 12, 8, 8], seed=5)
+    keys = KeyframeSet.endpoints(8)
+    net = neural.init([encoded(sph, keys).size, 12, 8, 8], seed=5)
     net.weights[2][:] = 0.0
     net.biases[2][:] = 0.0
-    assert agent.act(net, state, 0.0, np.random.default_rng(0)) == 1
+    assert agent.act(net, agent.state_features(sph), keys.mask, 0.0,
+                     np.random.default_rng(0)) == 1
 
 
-def test_act_exploration_stays_valid():
+def test_act_exploration_stays_valid(monkeypatch):
     sph = conftest.random_spherical(8, 8, 2)
     keys = KeyframeSet.from_indices([0, 1, 2, 3, 4, 7], 8)
-    state = encoded(sph, keys)
-    net = neural.init([state.size, 12, 8, 8], seed=5)
+    feats = agent.state_features(sph)
+    net = neural.init([encoded(sph, keys).size, 12, 8, 8], seed=5)
+
+    def no_state(*_):
+        raise AssertionError("a random step must not assemble the state")
+
+    monkeypatch.setattr(agent, "assemble_state", no_state)
     rng = np.random.default_rng(2)
-    picks = {agent.act(net, state, 1.0, rng) for _ in range(50)}
-    assert picks == {5, 6}
+    picks = [agent.act(net, feats, keys.mask, 1.0, rng) for _ in range(50)]
+    assert set(picks) == {5, 6}
+    # one uniform draw for the epsilon test, then one choice per step
+    draws = np.random.default_rng(2)
+    expected = []
+    for _ in range(50):
+        draws.random()
+        expected.append(int(draws.choice([5, 6])))
+    assert picks == expected
 
 
 def test_act_raises_when_no_frame_left():
     sph = conftest.random_spherical(9, 4, 2)
-    state = encoded(sph, KeyframeSet.from_indices([0, 1, 2, 3], 4))
-    net = neural.init([state.size, 8, 8, 4], seed=0)
+    keys = KeyframeSet.from_indices([0, 1, 2, 3], 4)
+    net = neural.init([encoded(sph, keys).size, 8, 8, 4], seed=0)
     with pytest.raises(NoValidAction):
-        agent.act(net, state, 0.0, np.random.default_rng(0))
+        agent.act(net, agent.state_features(sph), keys.mask, 0.0,
+                  np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +368,7 @@ def test_infer_matches_literal_greedy_rollout():
         literal = KeyframeSet.endpoints(10)
         feats = agent.state_features(sph)
         for _ in range(3):
-            state = agent.assemble_state(feats, literal.mask)
-            literal = literal.add(agent.act(result.net, state, 0.0, rng))
+            literal = literal.add(agent.act(result.net, feats, literal.mask, 0.0, rng))
         assert keys.indices == literal.indices
         assert len(keys) == 5 and 0 in keys and 9 in keys
 

@@ -1,7 +1,28 @@
+import re
+from pathlib import Path
+
 import mocapkey
+import synthcorpus
 
 
 def test_public_names_resolve_and_are_listed_once():
     names = mocapkey.__all__
     assert len(names) == len(set(names))
     assert [n for n in names if not hasattr(mocapkey, n)] == []
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    skel = synthcorpus.skeleton()
+    raw = synthcorpus.make_raw_motion(skel, 3, 250)
+    (tmp_path / "subject.asf").write_text(synthcorpus.skeleton_text())
+    (tmp_path / "take01.amc").write_text(synthcorpus.amc_text(skel, raw))
+    monkeypatch.chdir(tmp_path)
+    scope = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    assert scope["seq"].joint_count == 22
+    assert len(scope["windows"]) == 1 and scope["windows"][0].frame_count == 60
+    assert len(scope["keys"]) == 5
+    assert isinstance(scope["rebuilt"], mocapkey.SphericalSequence)
+    assert capsys.readouterr().out.startswith("remaining error: ")

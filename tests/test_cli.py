@@ -7,8 +7,8 @@ import pytest
 import synthcorpus
 from mocapkey import cli
 from mocapkey.asfamc import parse_amc, parse_asf
-from mocapkey.dataset import load_manifest
-from mocapkey.motion import CMU_EXCLUDED_JOINTS
+from mocapkey.dataset import load_manifest, read_window
+from mocapkey.motion import CMU_EXCLUDED_JOINTS, finite_difference
 
 TINY_TRAIN_CONFIG = {
     "keyframe_count": 4,
@@ -198,6 +198,35 @@ def test_reconstruct_reads_only_the_requested_window(tmp_path, prepped):
     assert cli.main(["reconstruct", "--data", str(data), "--seq", "w00001",
                      "--keyframes", "0,29,59",
                      "--out", str(tmp_path / "o.amc")]) == cli.EXIT_DATA
+
+
+def test_older_records_give_the_same_outputs(tmp_path, prepped, trained):
+    # Rewrite every record in the first format, which also stores joint and
+    # root velocity blocks; eval and reconstruct must not notice.
+    old = tmp_path / "old"
+    shutil.copytree(prepped, old)
+    for path in old.glob("*.mkw"):
+        _, seq, _ = read_window(path)
+        header = path.read_bytes().partition(b"\n")[0]
+        assert header.startswith(b"MKWIN2 ")
+        blocks = (seq.positions, finite_difference(seq.positions, seq.dt),
+                  seq.root_positions, finite_difference(seq.root_positions, seq.dt))
+        path.write_bytes(b"MKWIN1 " + header[7:] + b"\n"
+                         + b"".join(b.astype("<f8").tobytes() for b in blocks))
+    outputs = []
+    for data in (prepped, old):
+        out = tmp_path / data.name
+        out.mkdir(exist_ok=True)
+        assert cli.main(["eval", "--data", str(data), "--model", str(trained),
+                         "--k", "4,6", "--out", str(out / "r.csv")]) == cli.EXIT_OK
+        assert cli.main(["reconstruct", "--data", str(data), "--seq", "w00001",
+                         "--method", "greedy", "--k", "5",
+                         "--out", str(out / "r.amc")]) == cli.EXIT_OK
+        with open(out / "r.csv", newline="") as fh:
+            rows = [{k: v for k, v in r.items() if k != "decision_time_s"}
+                    for r in csv.DictReader(fh)]
+        outputs.append((rows, (out / "r.amc").read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_prep_skips_unmatched_amc(tmp_path, corpus_dir, capsys):

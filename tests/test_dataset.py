@@ -14,13 +14,27 @@ def _random_sequence(seed, n=12, m=4, source="clip.amc"):
     return MotionSequence(
         dt=1.0 / 30.0,
         positions=rng.normal(size=(n, m, 3)),
-        velocities=rng.normal(size=(n, m, 3)),
         root_positions=rng.normal(size=(n, 3)),
-        root_velocities=rng.normal(size=(n, 3)),
         joint_names=tuple(f"j{i}" for i in range(m)),
         parents=tuple([-1] + list(range(m - 1))),
         source=source,
     )
+
+
+def _write_mkwin1(path, skeleton, seq, start_frame):
+    """A first-format record, written by hand: the header line, then
+    positions, joint velocities, root positions and root velocities."""
+    rng = np.random.default_rng(99)
+    header = {
+        "frame_count": seq.frame_count, "joint_count": seq.joint_count,
+        "dt": seq.dt, "joint_names": list(seq.joint_names),
+        "parents": list(seq.parents), "source": seq.source,
+        "start_frame": start_frame, "skeleton": skeleton.to_dict(),
+    }
+    blocks = (seq.positions, rng.normal(size=seq.positions.shape),
+              seq.root_positions, rng.normal(size=seq.root_positions.shape))
+    path.write_bytes(b"MKWIN1 " + json.dumps(header).encode("utf-8") + b"\n"
+                     + b"".join(b.astype("<f8").tobytes() for b in blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -30,20 +44,35 @@ def _random_sequence(seed, n=12, m=4, source="clip.amc"):
 
 def test_window_record_bitwise_round_trip(tmp_path, skeleton):
     seq = _random_sequence(0)
-    path = tmp_path / "w.mkw"
-    dataset.write_window(path, skeleton, seq, start_frame=240)
-    skel2, seq2, start = dataset.read_window(path)
-    assert start == 240
-    assert seq2.dt == seq.dt
-    assert seq2.joint_names == seq.joint_names
-    assert seq2.parents == seq.parents
-    assert seq2.source == "clip.amc"
-    for a, b in [(seq.positions, seq2.positions),
-                 (seq.velocities, seq2.velocities),
-                 (seq.root_positions, seq2.root_positions),
-                 (seq.root_velocities, seq2.root_velocities)]:
-        assert np.array_equal(a, b)  # exact, not approximate
-    assert skel2.to_dict() == skeleton.to_dict()
+    n, m = seq.positions.shape[:2]
+    dataset.write_window(tmp_path / "v2.mkw", skeleton, seq, start_frame=240)
+    header, _, body = (tmp_path / "v2.mkw").read_bytes().partition(b"\n")
+    assert header.startswith(b"MKWIN2 ")
+    assert len(body) == 8 * (n * m * 3 + n * 3)   # positions, root positions
+    _write_mkwin1(tmp_path / "v1.mkw", skeleton, seq, start_frame=240)
+    for name in ("v2.mkw", "v1.mkw"):
+        skel2, seq2, start = dataset.read_window(tmp_path / name)
+        assert start == 240
+        assert seq2.dt == seq.dt
+        assert seq2.joint_names == seq.joint_names
+        assert seq2.parents == seq.parents
+        assert seq2.source == "clip.amc"
+        # exact, not approximate
+        assert np.array_equal(seq.positions, seq2.positions)
+        assert np.array_equal(seq.root_positions, seq2.root_positions)
+        assert skel2.to_dict() == skeleton.to_dict()
+
+
+def test_read_window_rejects_trailing_bytes(tmp_path, skeleton):
+    seq = _random_sequence(3)
+    dataset.write_window(tmp_path / "v2.mkw", skeleton, seq, 0)
+    _write_mkwin1(tmp_path / "v1.mkw", skeleton, seq, 0)
+    for name in ("v2.mkw", "v1.mkw"):
+        path = tmp_path / name
+        dataset.read_window(path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(MalformedDataset, match="trailing bytes"):
+            dataset.read_window(path)
 
 
 def test_read_window_rejects_wrong_magic(tmp_path):
@@ -67,12 +96,13 @@ def test_read_window_rejects_bad_header(tmp_path, skeleton):
 
 def test_read_window_rejects_truncation(tmp_path, skeleton):
     seq = _random_sequence(2)
-    path = tmp_path / "w.mkw"
-    dataset.write_window(path, skeleton, seq, 0)
-    data = path.read_bytes()
-    (tmp_path / "short.mkw").write_bytes(data[:-16])
-    with pytest.raises(MalformedDataset, match="truncated"):
-        dataset.read_window(tmp_path / "short.mkw")
+    dataset.write_window(tmp_path / "v2.mkw", skeleton, seq, 0)
+    _write_mkwin1(tmp_path / "v1.mkw", skeleton, seq, 0)
+    for name in ("v2.mkw", "v1.mkw"):
+        data = (tmp_path / name).read_bytes()
+        (tmp_path / "short.mkw").write_bytes(data[:-16])
+        with pytest.raises(MalformedDataset, match="truncated"):
+            dataset.read_window(tmp_path / "short.mkw")
 
 
 # ---------------------------------------------------------------------------
@@ -162,3 +192,31 @@ def test_manifest_digest_tracks_content(small_dataset):
     assert d1 == dataset.manifest_digest(json.loads(json.dumps(manifest)))
     changed = dict(manifest, seed=manifest["seed"] + 1)
     assert dataset.manifest_digest(changed) != d1
+
+
+def test_failed_write_dataset_keeps_earlier_files(tmp_path, skeleton):
+    out = tmp_path / "ds"
+    per_source = {"a.amc": [(skeleton, _random_sequence(i), 240 * i) for i in range(2)]}
+    dataset.write_dataset(out, per_source, preprocessing={}, seed=0)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(before) == ["manifest.json", "w00000.mkw", "w00001.mkw"]
+    # the second record's root block cannot become float64: its write fails
+    # after the header and positions went to disk, before the manifest
+    broken = _random_sequence(7)
+    object.__setattr__(broken, "root_positions",
+                       np.full((12, 3), "not a number", dtype=object))
+    per_source = {"a.amc": [(skeleton, _random_sequence(5), 0),
+                            (skeleton, broken, 240)]}
+    with pytest.raises(ValueError):
+        dataset.write_dataset(out, per_source, preprocessing={}, seed=0)
+    after = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(after) == sorted(before)          # no temp file left
+    assert after["w00001.mkw"] == before["w00001.mkw"]
+    assert after["manifest.json"] == before["manifest.json"]
+    assert after["w00000.mkw"] != before["w00000.mkw"]   # that write finished
+    # a manifest that fails to serialize halfway leaves the earlier one
+    with pytest.raises(TypeError):
+        dataset.write_dataset(out, per_source={"a.amc": per_source["a.amc"][:1]},
+                              preprocessing={"fps": object()}, seed=0)
+    assert (out / "manifest.json").read_bytes() == before["manifest.json"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(before)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import synthcorpus
 from mocapkey.asfamc import RawMotion, euler_matrix
@@ -12,7 +14,6 @@ from mocapkey.motion import (
     finite_difference,
     forward_kinematics,
     preprocess,
-    select_joints,
 )
 
 # ---------------------------------------------------------------------------
@@ -45,7 +46,6 @@ def test_fk_rest_pose_is_cumulative_bone_offsets(skeleton):
     for j, joint in enumerate(skeleton.joints[1:], start=1):
         assert np.allclose(seq.positions[:, j - 1], expected[j], atol=1e-12), joint.name
     assert np.allclose(seq.root_positions, 0.0, atol=1e-12)
-    assert np.allclose(seq.velocities, 0.0, atol=1e-12)
 
 
 def test_fk_root_translation_scaled_by_units(skeleton):
@@ -150,25 +150,33 @@ def test_filter_joints_rejects_unknown_names(skeleton):
         filter_joints(skeleton, ("pelvis",))
 
 
-def test_select_joints_subsets_positions(skeleton):
-    seq = forward_kinematics(skeleton, _zero_raw(skeleton, 4), dt=1.0 / 120.0)
-    keep = ("lhipjoint", "lfemur", "ltibia")
-    sub = select_joints(seq, keep)
-    assert sub.joint_names == keep
-    assert sub.parents == (-1, 0, 1)
-    for new, nm in enumerate(keep):
-        old = seq.joint_names.index(nm)
-        assert np.array_equal(sub.positions[:, new], seq.positions[:, old])
-        assert np.array_equal(sub.velocities[:, new], seq.velocities[:, old])
-    assert np.array_equal(sub.root_positions, seq.root_positions)
+def _leaves(skeleton):
+    parents = {j.parent for j in skeleton.joints}
+    return [j.name for i, j in enumerate(skeleton.joints)
+            if i > 0 and i not in parents]
 
 
-def test_select_joints_requires_parent_closure(skeleton):
-    seq = forward_kinematics(skeleton, _zero_raw(skeleton, 2), dt=1.0 / 120.0)
-    with pytest.raises(ValueError, match="ltibia"):
-        select_joints(seq, ("ltibia",))
-    with pytest.raises(ValueError, match="not in sequence"):
-        select_joints(seq, ("lhipjoint", "nosuch"))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_fk_on_filtered_skeleton_equals_kept_columns(skeleton, data):
+    # Excluding leaves before kinematics must give, bitwise, the kept joints'
+    # columns of the full-skeleton kinematics: a joint's pose depends only on
+    # its ancestors, and filtering keeps every ancestor of a kept joint.
+    excluded = tuple(data.draw(st.lists(st.sampled_from(_leaves(skeleton)),
+                                        unique=True)))
+    seed = data.draw(st.integers(0, 2**16))
+    raw = synthcorpus.make_raw_motion(skeleton, seed, 9)
+    full = forward_kinematics(skeleton, raw, dt=1.0 / 120.0, source="t.amc")
+    sub = forward_kinematics(filter_joints(skeleton, excluded), raw,
+                             dt=1.0 / 120.0, source="t.amc")
+    kept = [i for i, nm in enumerate(full.joint_names) if nm not in excluded]
+    assert sub.joint_names == tuple(full.joint_names[i] for i in kept)
+    assert np.array_equal(sub.positions, full.positions[:, kept])
+    assert np.array_equal(sub.root_positions, full.root_positions)
+    for j, p in enumerate(sub.parents):
+        old_parent = full.parents[kept[j]]
+        assert p == (-1 if old_parent == -1 else kept.index(old_parent))
+    assert sub.dt == full.dt and sub.source == full.source
 
 
 # ---------------------------------------------------------------------------
@@ -180,15 +188,13 @@ def test_motion_sequence_shape_validation():
     good = dict(
         dt=0.1,
         positions=np.zeros((5, 2, 3)),
-        velocities=np.zeros((5, 2, 3)),
         root_positions=np.zeros((5, 3)),
-        root_velocities=np.zeros((5, 3)),
         joint_names=("a", "b"),
         parents=(-1, 0),
     )
     MotionSequence(**good)
     for field, bad in [
-        ("velocities", np.zeros((5, 3, 3))),
+        ("positions", np.zeros((5, 2, 2))),
         ("root_positions", np.zeros((4, 3))),
         ("joint_names", ("a",)),
         ("dt", 0.0),
@@ -214,23 +220,19 @@ def test_preprocess_config_validates_rates():
 
 def test_preprocess_windows_downsampled_frames(skeleton):
     raw = synthcorpus.make_raw_motion(skeleton, 7, 750)
-    seq = forward_kinematics(skeleton, raw, dt=1.0 / 120.0, source="take.amc")
-    cfg = PreprocessConfig()
-    windows = preprocess(seq, cfg)
+    sub = filter_joints(skeleton, CMU_EXCLUDED_JOINTS)
+    seq = forward_kinematics(sub, raw, dt=1.0 / 120.0, source="take.amc")
+    windows = preprocess(seq, PreprocessConfig())
     # 750 frames / stride 4 = 187 downsampled, 3 full windows, 7 discarded
     assert len(windows) == 3
-    kept = tuple(nm for nm in seq.joint_names if nm not in CMU_EXCLUDED_JOINTS)
-    thinned = select_joints(seq, kept)
     for w, win in enumerate(windows):
         assert win.frame_count == 60
         assert win.dt == pytest.approx(4.0 / 120.0)
-        assert win.joint_names == kept
+        assert win.joint_names == seq.joint_names
+        assert win.parents == seq.parents
         lo = w * 60
-        assert np.array_equal(win.positions, thinned.positions[::4][lo:lo + 60])
-        assert np.array_equal(win.root_positions, thinned.root_positions[::4][lo:lo + 60])
-        # velocities recomputed at the window rate, not inherited
-        assert np.allclose(win.velocities,
-                           finite_difference(win.positions, win.dt), atol=1e-12)
+        assert np.array_equal(win.positions, seq.positions[::4][lo:lo + 60])
+        assert np.array_equal(win.root_positions, seq.root_positions[::4][lo:lo + 60])
         assert win.source == f"take.amc[{lo * 4}:{(lo + 60) * 4}]"
 
 
