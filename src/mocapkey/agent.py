@@ -120,15 +120,6 @@ def assemble_state(features: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return out.reshape(*batch, n * (width + 1))
 
 
-def mask_slots(state_dim: int, frame_count: int) -> np.ndarray:
-    """Positions of the per-frame keyframe bits inside the flat encoding."""
-    block, rem = divmod(state_dim, frame_count)
-    if rem != 0 or block < 2:
-        raise ShapeMismatch(
-            f"state length {state_dim} is not a frame multiple of {frame_count}")
-    return np.arange(frame_count) * block + (block - 1)
-
-
 # ---------------------------------------------------------------------------
 # Policy and targets
 # ---------------------------------------------------------------------------
@@ -192,7 +183,7 @@ class ReplayMemory:
 
     def sample(self, rng: np.random.Generator, batch_size: int):
         """``batch_size`` rows drawn with replacement, as the arrays
-        (states, actions, rewards, next_states, terminal)."""
+        (states, actions, rewards, next_states, terminal, next_masks)."""
         if not len(self):
             raise EmptyDataset("replay memory is empty")
         picks = rng.integers(0, len(self), size=batch_size)
@@ -200,7 +191,7 @@ class ReplayMemory:
         states = assemble_state(features, self.mask[picks])
         next_states = assemble_state(features, self.next_mask[picks])
         return (states, self.action[picks], self.reward[picks], next_states,
-                self.terminal[picks])
+                self.terminal[picks], self.next_mask[picks])
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +331,10 @@ def train(dataset: list[SphericalSequence], cfg: TrainConfig,
             q_prev = q_new
             global_step += 1
             if global_step % cfg.train_interval == 0 and len(memory) >= cfg.batch_size:
-                states, actions, rewards, next_states, terminals = memory.sample(
-                    rng, cfg.batch_size)
-                targets = _batch_targets(rewards, next_states, terminals,
-                                         target, cfg.discount)
+                (states, actions, rewards, next_states, terminals,
+                 next_masks) = memory.sample(rng, cfg.batch_size)
+                targets = _batch_targets(rewards, next_states, next_masks,
+                                         terminals, target, cfg.discount)
                 _, loss = neural.backward_and_step(
                     net, adam, states, actions, targets, cfg.huber_delta)
                 updates += 1
@@ -384,18 +375,17 @@ def _eval_policy(net: neural.QNetwork, pool: list, eval_pool: list[int],
 
 
 def _batch_targets(rewards: np.ndarray, next_states: np.ndarray,
-                   terminal: np.ndarray, target_net: neural.QNetwork,
-                   discount: float) -> np.ndarray:
+                   next_masks: np.ndarray, terminal: np.ndarray,
+                   target_net: neural.QNetwork, discount: float) -> np.ndarray:
     """Bootstrapped value targets: r at terminal rows and where the next
     state has no valid action, otherwise r plus the discounted best valid
-    action value of the target network (one forward over the open rows)."""
+    action value of the target network (one forward over the open rows).
+    ``next_masks`` holds the next states' boolean keyframe masks."""
     targets = rewards.copy()
     open_rows = np.flatnonzero(~terminal)
     if open_rows.size:
-        next_open = next_states[open_rows]
-        slots = mask_slots(next_open.shape[1], target_net.output_dim)
-        q = neural.forward(target_net, next_open)
-        q[next_open[:, slots] != 0.0] = -np.inf
+        q = neural.forward(target_net, next_states[open_rows])
+        q[next_masks[open_rows]] = -np.inf
         best = q.max(axis=1)
         live = np.isfinite(best)
         targets[open_rows[live]] += discount * best[live]
@@ -417,12 +407,13 @@ class _FastQ:
 
     def __init__(self, net: neural.QNetwork, features: np.ndarray):
         self._net = net
-        self._slots = mask_slots(net.input_dim, net.output_dim)
+        width = features.shape[1]      # frame i's mask bit: i(width + 1) + width
+        self._mask_rows = net.weights[0][width::width + 1]
         base = assemble_state(features, np.zeros(net.output_dim))
         self._h1 = base @ net.weights[0] + net.biases[0]
 
     def add_keyframe(self, frame: int) -> None:
-        self._h1 += self._net.weights[0][self._slots[frame]]
+        self._h1 += self._mask_rows[frame]
 
     def q_values(self) -> np.ndarray:
         net = self._net

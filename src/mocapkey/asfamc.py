@@ -1,8 +1,8 @@
 """ASF/AMC motion-capture text formats.
 
 Parses Acclaim skeleton (ASF) and motion (AMC) files following the CMU
-database conventions, and writes AMC back out from world-space joint
-positions via per-bone inverse kinematics.
+database conventions, and writes AMC back out from world-space bone
+directions via per-bone inverse kinematics.
 
 Conventions used throughout:
   * all angles are radians internally; degree conversion happens only at
@@ -27,7 +27,8 @@ from .errors import MalformedAsf, MalformedAmc, UnreachablePose
 
 _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 _ROTATION_DOF = ("rx", "ry", "rz")
-_KNOWN_DOF = {"rx", "ry", "rz", "tx", "ty", "tz", "l"}
+# every known dof channel, with its column in the export's per-joint rows
+_CHANNEL_COLUMN = {"tx": 0, "ty": 1, "tz": 2, "rx": 3, "ry": 4, "rz": 5, "l": 6}
 _EYE = np.eye(3)
 
 
@@ -283,7 +284,7 @@ def parse_asf(source) -> Skeleton:
         if key == "order":
             tokens = tuple(t.lower() for t in parts[1:])
             for t in tokens:
-                if t not in _KNOWN_DOF:
+                if t not in _CHANNEL_COLUMN:
                     raise MalformedAsf(f"line {no}: unknown root channel '{t}'")
             root_order = tokens
         elif key == "axis":
@@ -339,7 +340,7 @@ def parse_asf(source) -> Skeleton:
         elif key == "dof":
             tokens = tuple(t.lower() for t in parts[1:])
             for t in tokens:
-                if t not in _KNOWN_DOF:
+                if t not in _CHANNEL_COLUMN:
                     raise MalformedAsf(f"line {no}: unknown dof token '{t}'")
             bone.dof = tokens
         elif key == "limits":
@@ -572,7 +573,7 @@ def _is_int(token: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Rotation assembly shared by FK and export
+# Rotations and root path for forward kinematics
 # ---------------------------------------------------------------------------
 
 def local_rotations(skeleton: Skeleton, joint: Joint, raw: RawMotion) -> np.ndarray:
@@ -609,92 +610,78 @@ def root_track(skeleton: Skeleton, raw: RawMotion) -> np.ndarray:
 # AMC export (per-bone inverse kinematics)
 # ---------------------------------------------------------------------------
 
-def export_amc(skeleton: Skeleton, positions_by_name: dict[str, np.ndarray],
-               root_positions: np.ndarray, tolerance: float | None = 1e-6,
-               comment: str = "") -> str:
-    """Write AMC text reproducing the given world-space joint positions.
+def export_amc(skeleton: Skeleton, directions: np.ndarray,
+               root_positions: np.ndarray,
+               comment: str = "") -> tuple[str, dict[str, float]]:
+    """Write AMC text whose pose points every bone along the given
+    world-space directions.
 
-    ``positions_by_name`` maps bone names (a subset of the skeleton's
-    bones, closed under parents) to (N, 3) world positions of the bone
-    ends. Channel angles are recovered top-down: the root rotation from
-    its rigid (dof-less) children when available, otherwise by a best
-    rigid fit over all children; every other joint by solving its dof
-    rotation against the observed parent-relative direction.
+    ``directions`` is (N, M, 3): for each frame, the world direction of
+    each bone (parent end to bone end) in ``skeleton.bone_names`` order;
+    any non-zero length. ``root_positions`` is the (N, 3) root path.
+    Channel angles are recovered top-down: the root rotation from its
+    rigid (dof-less) children when available, otherwise by a best rigid
+    fit over all children; every other joint by solving its dof rotation
+    against its parent-relative direction.
 
-    When ``tolerance`` is a float, a direction that the joint's dof cannot
-    reach within that angle (radians) raises UnreachablePose naming the
-    joint and frame; ``tolerance=None`` always keeps the best fit.
+    Returns the text and ``bend``: for each bone name, the largest angle
+    (radians), over the frames, between its target direction and the
+    direction its solved rotation gives it.
     """
-    n = len(root_positions)
-    for name, arr in positions_by_name.items():
-        if len(arr) != n:
-            raise ValueError(f"joint '{name}' has {len(arr)} frames, root has {n}")
+    directions = np.asarray(directions, dtype=np.float64)
+    root_positions = np.asarray(root_positions, dtype=np.float64)
+    n, m = len(root_positions), len(skeleton.joints) - 1
+    if root_positions.shape != (n, 3) or directions.shape != (n, m, 3):
+        raise ValueError(f"need ({n}, {m}, 3) directions and (N, 3) root "
+                         f"positions, got {directions.shape} and "
+                         f"{root_positions.shape}")
+    if not (np.isfinite(directions).all() and np.isfinite(root_positions).all()):
+        raise ValueError("directions and root positions must be finite")
+    norms = np.linalg.norm(directions, axis=-1, keepdims=True)
+    if np.any(norms == 0.0):
+        fi, bi = np.argwhere(norms[..., 0] == 0.0)[0]
+        raise UnreachablePose(f"joint '{skeleton.bone_names[bi]}' frame {fi}: "
+                              "zero-length direction")
+    directions = directions / norms
 
-    index_of = {j.name: i for i, j in enumerate(skeleton.joints)}
-    for name in positions_by_name:
-        if name not in index_of:
-            raise ValueError(f"joint '{name}' not in skeleton")
-        joint = skeleton.joints[index_of[name]]
-        parent = skeleton.joints[joint.parent]
-        if parent.parent is not None and parent.name not in positions_by_name:
-            raise ValueError(f"joint '{name}' present without its parent '{parent.name}'")
-
-    world_pos = {skeleton.root.name: np.asarray(root_positions, dtype=np.float64)}
-    world_pos.update({k: np.asarray(v, dtype=np.float64) for k, v in positions_by_name.items()})
-
-    #, per frame, channel values per joint name
-    channel_rows: dict[str, np.ndarray] = {}
+    # per joint and frame: tx ty tz rx ry rz l, the columns of _CHANNEL_COLUMN
+    pose = np.zeros((m + 1, n, 7))
+    pose[0, :, :3] = (root_positions - skeleton.root_position) / skeleton.length_scale
     root = skeleton.root
-    root_rot = _solve_root_rotation(skeleton, world_pos, n)
-    if any(d in _ROTATION_DOF for d in root.dof):
+    root_rot = _solve_root_rotation(skeleton, directions)
+    if root.rotation_dof:
         c_root = skeleton.axis_matrix(root)
-        root_angles = np.zeros((n, 3))
         for fi in range(n):
-            m = c_root.T @ root_rot[fi] @ c_root
-            abc = euler_from_matrix(m, root.axis_order)
+            abc = euler_from_matrix(c_root.T @ root_rot[fi] @ c_root, root.axis_order)
             for pos, axis_ch in enumerate(root.axis_order.lower()):
-                root_angles[fi, _AXIS_INDEX[axis_ch]] = abc[pos]
-        root_values = np.zeros((n, len(root.dof)))
-        translations = (world_pos[root.name] - skeleton.root_position) / skeleton.length_scale
-        for ci, ch in enumerate(root.dof):
-            if ch in ("tx", "ty", "tz"):
-                root_values[:, ci] = translations[:, _AXIS_INDEX[ch[1]]]
-            elif ch in _ROTATION_DOF:
-                root_values[:, ci] = root_angles[:, _AXIS_INDEX[ch[1]]]
-        channel_rows[root.name] = root_values
+                pose[0, fi, 3 + _AXIS_INDEX[axis_ch]] = abc[pos]
 
-    nodes = _build_solve_nodes(skeleton, world_pos)
+    nodes = _build_solve_nodes(skeleton)
     tops = [idx for idx, node in enumerate(nodes) if node.parent_index is None]
-    angles_of = {node.name: np.zeros((n, 3)) for node in nodes}
+    worst = [0.0] * m
     for fi in range(n):
+        seen = directions[fi]
         for idx in tops:
-            _, commits = _solve_subtree(nodes, idx, root_rot[fi], fi)
-            for ci, m, residual in commits:
+            _, commits = _solve_subtree(nodes, idx, root_rot[fi], seen)
+            for ci, rot, residual in commits:
                 committed = nodes[ci]
-                if tolerance is not None and residual > tolerance:
-                    raise UnreachablePose(
-                        f"joint '{committed.name}' frame {fi}: direction off "
-                        f"the dof subspace by {residual:.3e} rad")
-                abc3 = _scatter_angles(m, committed)
-                angles_of[committed.name][fi] = abc3
+                worst[ci] = max(worst[ci], residual)
+                abc3 = _scatter_angles(rot, committed)
+                pose[ci + 1, fi, 3:6] = abc3
                 if committed.twist_free:
                     committed.prev_m = _recompose(committed, abc3)
 
-    for node in nodes:
-        if node.joint.dof:
-            values = np.zeros((n, len(node.joint.dof)))
-            for ci, ch in enumerate(node.joint.dof):
-                if ch in _ROTATION_DOF:
-                    values[:, ci] = angles_of[node.name][:, _AXIS_INDEX[ch[1]]]
-            channel_rows[node.name] = values
-
-    return _format_amc(skeleton, channel_rows, n, comment)
+    channel_rows = {
+        joint.name: values[:, [_CHANNEL_COLUMN[ch] for ch in joint.dof]]
+        for joint, values in zip(skeleton.joints, pose) if joint.dof}
+    return (_format_amc(skeleton, channel_rows, n, comment),
+            dict(zip(skeleton.bone_names, worst)))
 
 
 @dataclass
 class _SolveNode:
-    """Per-joint constants for the pose solve, children restricted to the
-    observed set.
+    """Per-bone constants for the pose solve; a node's index is its bone's
+    index in ``skeleton.bone_names``.
 
     ``twist_free`` marks joints whose own bone direction leaves a continuous
     rotation parameter open: any 3-dof joint, a 1-dof joint whose bone lies
@@ -710,12 +697,9 @@ class _SolveNode:
     rotation as a warm start.
     """
     joint: Joint
-    name: str
     c: np.ndarray                 # local axis frame
     u: np.ndarray                 # rest direction in the axis frame
     ordered: tuple[str, ...]      # rotation axis letters, first applied first
-    pos: np.ndarray               # (N, 3) observed bone-end positions
-    parent_pos: np.ndarray        # (N, 3) parent bone-end positions
     parent_index: int | None      # None when the parent is the root
     children: list[int]
     twist_free: bool = False
@@ -725,23 +709,15 @@ class _SolveNode:
     prev_m: np.ndarray | None = None
 
 
-def _build_solve_nodes(skeleton: Skeleton,
-                       world_pos: dict[str, np.ndarray]) -> list["_SolveNode"]:
+def _build_solve_nodes(skeleton: Skeleton) -> list["_SolveNode"]:
     nodes: list[_SolveNode] = []
-    node_index: dict[str, int] = {}
     for joint in skeleton.joints[1:]:
-        if joint.name not in world_pos:
-            continue
-        parent = skeleton.joints[joint.parent]
         c = skeleton.axis_matrix(joint)
         ordered = tuple(a for a in joint.axis_order.lower()
                         if f"r{a}" in joint.rotation_dof)
         node = _SolveNode(
-            joint=joint, name=joint.name, c=c, u=c.T @ joint.direction,
-            ordered=ordered, pos=world_pos[joint.name],
-            parent_pos=world_pos[parent.name],
-            parent_index=(None if parent.parent is None
-                          else node_index[parent.name]),
+            joint=joint, c=c, u=c.T @ joint.direction, ordered=ordered,
+            parent_index=None if joint.parent == 0 else joint.parent - 1,
             children=[])
         if len(ordered) == 3:
             node.twist_free = True
@@ -759,7 +735,6 @@ def _build_solve_nodes(skeleton: Skeleton,
                 node.cone_axis = _AXIS_INDEX[ordered[1]]
         else:
             node.bone_fixed = True
-        node_index[joint.name] = len(nodes)
         nodes.append(node)
         if node.parent_index is not None:
             nodes[node.parent_index].children.append(len(nodes) - 1)
@@ -779,9 +754,10 @@ def _build_solve_nodes(skeleton: Skeleton,
 
 
 def _solve_subtree(nodes: list["_SolveNode"], idx: int,
-                   parent_rot: np.ndarray, fi: int,
+                   parent_rot: np.ndarray, seen: np.ndarray,
                    allow_scan: bool = True):
-    """Recover the dof angles of one observed subtree at frame fi.
+    """Recover the dof angles of one subtree for one frame's (M, 3) unit
+    world bone directions ``seen``.
 
     Direction-only solving leaves free parameters (the twist of a
     ``twist_free`` joint, the two-branch ambiguity of a 2-dof joint);
@@ -797,12 +773,7 @@ def _solve_subtree(nodes: list["_SolveNode"], idx: int,
     Returns (total residual, [(node index, dof rotation, residual), ...]).
     """
     node = nodes[idx]
-    delta = node.pos[fi] - node.parent_pos[fi]
-    norm = _norm(delta)
-    if norm <= 0.0:
-        raise UnreachablePose(
-            f"joint '{node.name}' frame {fi}: zero-length bone vector")
-    t = node.c.T @ (parent_rot.T @ (delta / norm))
+    t = node.c.T @ (parent_rot.T @ seen[idx])
     candidates = _dof_candidates(node.u, t, node.ordered)
     hint = None
     if node.twist_free:
@@ -814,29 +785,29 @@ def _solve_subtree(nodes: list["_SolveNode"], idx: int,
             child = nodes[ci]
             if child.bone_fixed:
                 roots = _twist_from_fixed_child(nodes, idx, ci, t, base,
-                                                parent_rot, fi)
+                                                parent_rot, seen)
             elif child.cone_axis is not None:
                 roots = _twist_candidates(nodes, idx, ci, t, base,
-                                          parent_rot, fi, child.cone_axis)
+                                          parent_rot, seen, child.cone_axis)
             else:
                 continue
             candidates.extend(_rodrigues(t, psi) @ base for psi in roots)
 
-    best = _pick_candidate(nodes, idx, parent_rot, fi, t, candidates,
+    best = _pick_candidate(nodes, idx, parent_rot, seen, t, candidates,
                            allow_scan)
     if allow_scan and node.twist_scan and best[0] > 1e-9:
         # the twist spins the bone about itself, so the node's own residual
         # is out of the scan's reach; a branch it dooms is not worth a search
         own = _angle_between(candidates[0] @ node.u, t)
         if own < 1e-3:
-            refined = _scan_twist(nodes, idx, parent_rot, fi, t,
+            refined = _scan_twist(nodes, idx, parent_rot, seen, t,
                                   candidates[0], hint)
             if refined[0] < best[0]:
                 best = refined
     return best[0], best[1]
 
 
-def _pick_candidate(nodes, idx, parent_rot, fi, t, candidates,
+def _pick_candidate(nodes, idx, parent_rot, seen, t, candidates,
                     allow_scan=True):
     node = nodes[idx]
     best_total = math.inf
@@ -850,7 +821,7 @@ def _pick_candidate(nodes, idx, parent_rot, fi, t, candidates,
         for ci in node.children:
             if total >= best_total:
                 break
-            child_total, child_commits = _solve_subtree(nodes, ci, rot, fi,
+            child_total, child_commits = _solve_subtree(nodes, ci, rot, seen,
                                                         allow_scan)
             total += child_total
             commits.extend(child_commits)
@@ -909,7 +880,7 @@ def _recompose(node: "_SolveNode", abc3: np.ndarray) -> np.ndarray:
     return m
 
 
-def _twist_candidates(nodes, idx, child_idx, t, m0, parent_rot, fi, axis):
+def _twist_candidates(nodes, idx, child_idx, t, m0, parent_rot, seen, axis):
     """Twist angles psi about the solved bone direction that land a child's
     target exactly on its reachable cone about coordinate ``axis``.
 
@@ -919,13 +890,9 @@ def _twist_candidates(nodes, idx, child_idx, t, m0, parent_rot, fi, axis):
     """
     node = nodes[idx]
     child = nodes[child_idx]
-    delta = child.pos[fi] - child.parent_pos[fi]
-    norm = _norm(delta)
-    if norm <= 0.0:
-        return []
     e_axis = np.zeros(3)
     e_axis[axis] = 1.0
-    g = node.c.T @ (parent_rot.T @ (delta / norm))
+    g = node.c.T @ (parent_rot.T @ seen[child_idx])
     w = m0 @ node.c.T @ (child.c @ e_axis)
     tg = float(t @ g)
     wt = float(w @ t)
@@ -941,17 +908,13 @@ def _twist_candidates(nodes, idx, child_idx, t, m0, parent_rot, fi, axis):
     return [base + span, base - span]
 
 
-def _twist_from_fixed_child(nodes, idx, child_idx, t, m0, parent_rot, fi):
+def _twist_from_fixed_child(nodes, idx, child_idx, t, m0, parent_rot, seen):
     """Twist psi aligning a child bone that the child's own dof cannot
     move. Such a bone is rigid in this joint's frame, so matching its
     observed direction pins the twist uniquely."""
     node = nodes[idx]
     child = nodes[child_idx]
-    delta = child.pos[fi] - child.parent_pos[fi]
-    norm = _norm(delta)
-    if norm <= 0.0:
-        return []
-    g = node.c.T @ (parent_rot.T @ (delta / norm))
+    g = node.c.T @ (parent_rot.T @ seen[child_idx])
     w = m0 @ (node.c.T @ (child.c @ child.u))
     cos_part = float(w @ g) - float(w @ t) * float(g @ t)
     sin_part = float(t @ _cross(w, g))
@@ -970,7 +933,7 @@ def _twist_angle_of(rel: np.ndarray, t: np.ndarray) -> float:
     return math.atan2(float(skew @ t), cos)
 
 
-def _scan_twist(nodes, idx, parent_rot, fi, t, m0, hint=None):
+def _scan_twist(nodes, idx, parent_rot, seen, t, m0, hint=None):
     """Coarse grid then golden-section search of the twist angle minimizing
     the subtree residual; fallback for targets no closed-form candidate
     resolves (e.g. the twist is only pinned by 2-dof children).
@@ -979,7 +942,7 @@ def _scan_twist(nodes, idx, parent_rot, fi, t, m0, hint=None):
     only runs when that fails to land the subtree.
     """
     def total_at(psi: float):
-        return _pick_candidate(nodes, idx, parent_rot, fi, t,
+        return _pick_candidate(nodes, idx, parent_rot, seen, t,
                                [_rodrigues(t, float(psi)) @ m0], False)
 
     if hint is not None:
@@ -1008,26 +971,16 @@ def _golden_min(fn, lo: float, hi: float, iterations: int):
     return fn(0.5 * (lo + hi))
 
 
-def _solve_root_rotation(skeleton: Skeleton, world_pos: dict[str, np.ndarray],
-                         n: int) -> np.ndarray:
-    root = skeleton.root
-    if not any(d in _ROTATION_DOF for d in root.dof):
-        return np.broadcast_to(_EYE, (n, 3, 3)).copy()
-    rigid, mobile = [], []
-    for joint in skeleton.joints[1:]:
-        if joint.parent == 0 and joint.name in world_pos:
-            (rigid if not joint.rotation_dof else mobile).append(joint)
-    observed = rigid if rigid else mobile
-    if not observed:
-        return np.broadcast_to(_EYE, (n, 3, 3)).copy()
-    rest = np.stack([j.direction for j in observed])
-    out = np.empty((n, 3, 3))
-    root_pos = world_pos[root.name]
-    for fi in range(n):
-        seen = np.stack([
-            _unit(world_pos[j.name][fi] - root_pos[fi]) for j in observed])
-        out[fi] = _kabsch(rest, seen)
-    return out
+def _solve_root_rotation(skeleton: Skeleton, directions: np.ndarray) -> np.ndarray:
+    """Per-frame root rotation (N, 3, 3) fitted to the unit directions of
+    the root's rigid children, or of all its children when none is rigid."""
+    children = [bi for bi, j in enumerate(skeleton.joints[1:]) if j.parent == 0]
+    rigid = [bi for bi in children if not skeleton.joints[bi + 1].rotation_dof]
+    observed = rigid or children
+    if not skeleton.root.rotation_dof or not observed:
+        return np.broadcast_to(_EYE, (len(directions), 3, 3)).copy()
+    rest = np.stack([skeleton.joints[bi + 1].direction for bi in observed])
+    return np.stack([_kabsch(rest, seen) for seen in directions[:, observed]])
 
 
 def _norm(v: np.ndarray) -> float:
@@ -1156,8 +1109,7 @@ def _format_amc(skeleton: Skeleton, channel_rows: dict[str, np.ndarray],
     out.write(":DEGREES\n" if skeleton.angle_in_degrees else ":RADIANS\n")
     lines = []             # (name, rows as lists, degree flag per channel)
     for joint in (j for j in skeleton.joints if j.dof):
-        values = channel_rows.get(joint.name, np.zeros((n, len(joint.dof))))
-        lines.append((joint.name, values.tolist(),
+        lines.append((joint.name, channel_rows[joint.name].tolist(),
                       [skeleton.angle_in_degrees and ch in _ROTATION_DOF
                        for ch in joint.dof]))
     for fi in range(n):

@@ -26,27 +26,22 @@ import numpy as np
 
 from . import agent, baselines, dataset, neural
 from .asfamc import export_amc, parse_amc, parse_asf
-from .errors import (CheckpointError, DegenerateInterval, DegenerateSequence,
-                     EmptyDataset, InvalidKeyframeSet, InvalidW, MalformedAmc,
-                     MalformedAsf, MalformedDataset, MeridianSingularity,
-                     MocapKeyError, NoValidAction, NonFiniteGradient,
-                     PoleSingularity, ShapeMismatch, TooShort, UnreachablePose,
+from .errors import (DegenerateInterval, DegenerateSequence, EmptyDataset,
+                     MeridianSingularity, MocapKeyError, NoValidAction,
+                     NonFiniteGradient, PoleSingularity, UnreachablePose,
                      ZeroVector)
 from .keyframes import KeyframeSet
 from .metrics import REPORT_COLUMNS, q_baseline, q_error, root_rmse
 from .motion import (CMU_EXCLUDED_JOINTS, PreprocessConfig, filter_joints,
                      forward_kinematics, preprocess)
 from .reconstruct import reconstruct_full
-from .spherical import sequence_to_spherical, spherical_to_sequence
+from .spherical import sequence_to_spherical, sph_to_cart
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-_DATA_ERRORS = (MalformedAsf, MalformedAmc, MalformedDataset, TooShort,
-                CheckpointError, EmptyDataset, InvalidKeyframeSet, InvalidW,
-                ShapeMismatch, OSError, ValueError)
 _NUMERIC_ERRORS = (DegenerateSequence, NonFiniteGradient, PoleSingularity,
                    MeridianSingularity, ZeroVector, DegenerateInterval,
                    UnreachablePose, NoValidAction)
@@ -140,10 +135,7 @@ def main(argv=None) -> int:
     except _NUMERIC_ERRORS as exc:
         print(f"mocapkey {args.command}: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except _DATA_ERRORS as exc:
-        print(f"mocapkey {args.command}: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except MocapKeyError as exc:
+    except (MocapKeyError, OSError, ValueError) as exc:
         print(f"mocapkey {args.command}: {exc}", file=sys.stderr)
         return EXIT_DATA
 
@@ -487,21 +479,17 @@ def cmd_reconstruct(args) -> int:
         return EXIT_USAGE
 
     recon = reconstruct_full(sph, keys)
-    rec_seq = spherical_to_sequence(recon)
-    positions_by_name = {
-        name: rec_seq.positions[:, j]
-        for j, name in enumerate(rec_seq.joint_names)
-    }
-    text = export_amc(
-        rec.skeleton, positions_by_name, rec_seq.root_positions,
-        tolerance=None,
+    text, bend = export_amc(
+        rec.skeleton, sph_to_cart(1.0, recon.theta, recon.phi),
+        recon.root_positions,
         comment=(f"window {rec.window_id} ({rec.source}) rebuilt from "
                  f"keyframes {','.join(str(i) for i in keys.indices)}"))
     with neural.atomic_open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)
     print(f"reconstruct: {rec.window_id} -> {args.out} "
           f"(keyframes {list(keys.indices)}, "
-          f"mean angle error {q_error(sph, keys):.6g})")
+          f"mean angle error {q_error(sph, keys):.6g}, "
+          f"largest IK bend {max(bend.values(), default=0.0):.3g} rad)")
     return EXIT_OK
 
 

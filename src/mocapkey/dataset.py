@@ -2,7 +2,8 @@
 
 A dataset directory holds one record per preprocessed window plus a
 manifest. A record is a single header line (magic, then JSON with shapes,
-timing, names and the embedded tracked-joint skeleton) followed by raw
+timing, the joint names, which must be the embedded tracked-joint
+skeleton's bones in order, and that skeleton) followed by raw
 little-endian float64 blocks in C order: positions (N, M, 3), then root
 positions (N, 3). Records of the first format (``MKWIN1``) also carry
 joint and root velocity blocks; they are still read, and the velocities
@@ -78,6 +79,9 @@ def read_window(path) -> tuple[Skeleton, MotionSequence, int]:
             start = int(header.get("start_frame", 0))
         except (KeyError, ValueError, TypeError) as exc:
             raise MalformedDataset(f"{path}: bad window header: {exc}") from None
+        if names != skeleton.bone_names:
+            raise MalformedDataset(f"{path}: joint names {list(names)} are not "
+                                   f"the skeleton's bones {list(skeleton.bone_names)}")
         # (shape, kept): MKWIN1 interleaves velocity blocks, which are skipped
         layout = [((n, m, 3), True), ((n, 3), True)]
         if magic == MAGIC_V1:

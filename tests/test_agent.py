@@ -75,18 +75,10 @@ def test_assemble_state_places_mask_bits():
     keys = KeyframeSet.from_indices([0, 2, 4], 5)
     state = encoded(sph, keys)
     assert state.shape == (5 * 9,)
-    slots = agent.mask_slots(state.size, 5)
-    assert np.array_equal(slots, np.arange(5) * 9 + 8)
+    slots = np.arange(5) * 9 + 8
     assert np.array_equal(state[slots], [1, 0, 1, 0, 1])
     off_slots = np.setdiff1d(np.arange(state.size), slots)
     assert np.allclose(state[off_slots], agent.state_features(sph).ravel())
-
-
-def test_mask_slots_rejects_non_multiple():
-    with pytest.raises(ShapeMismatch):
-        agent.mask_slots(11, 5)
-    with pytest.raises(ShapeMismatch):
-        agent.mask_slots(5, 5)  # block of 1 leaves no room for features
 
 
 # ---------------------------------------------------------------------------
@@ -154,16 +146,18 @@ def test_act_raises_when_no_frame_left():
 
 
 def _target_batch(sph, rows):
-    """(rewards, next_states, terminal) arrays for (keys, action, reward,
-    terminal) rows on one window."""
+    """(rewards, next_states, next_masks, terminal) arrays for (keys,
+    action, reward, terminal) rows on one window."""
     rewards = np.array([r[2] for r in rows])
-    next_states = np.array([encoded(sph, keys.add(action))
-                            for keys, action, _, _ in rows])
+    next_keys = [keys.add(action) for keys, action, _, _ in rows]
+    next_states = np.array([encoded(sph, keys) for keys in next_keys])
+    next_masks = np.array([keys.mask for keys in next_keys])
     terminal = np.array([r[3] for r in rows])
-    return rewards, next_states, terminal
+    return rewards, next_states, next_masks, terminal
 
 
-def _reference_targets(net, rewards, next_states, terminal, discount):
+def _reference_targets(net, rewards, next_states, next_masks, terminal,
+                       discount):
     weights = [w.tolist() for w in net.weights]
     biases = [b.tolist() for b in net.biases]
     return [ref.td_target_reference(float(r), x.tolist(), bool(t), weights,
@@ -206,7 +200,7 @@ def test_batch_targets_match_td_target_loop():
     want = _reference_targets(net, *batch, 0.5)
     assert got.tolist() == pytest.approx(want, rel=1e-12, abs=1e-12)
     assert got[-1] == rows[-1][2]
-    assert agent._batch_targets(batch[0], batch[1], np.ones(13, bool),
+    assert agent._batch_targets(*batch[:3], np.ones(13, bool),
                                 net, 0.5).tolist() == batch[0].tolist()
 
 
@@ -220,11 +214,12 @@ def test_replay_memory_ring_eviction():
     # 0 and 1 were evicted first, into the ring slots they had held
     assert mem.action.tolist() == [4, 5, 2, 3]
     assert mem.reward.tolist() == [4.0, 5.0, 2.0, 3.0]
-    states, actions, rewards, next_states, terminal = mem.sample(
+    states, actions, rewards, next_states, terminal, next_masks = mem.sample(
         np.random.default_rng(0), 10)
     assert set(actions.tolist()) <= {2, 3, 4, 5}
     assert np.array_equal(rewards, actions.astype(float))
     assert states.shape == next_states.shape == (10, 3 * 9)
+    assert next_masks.shape == (10, 3) and not next_masks.any()
     assert not terminal.any()
     with pytest.raises(ValueError):
         agent.ReplayMemory(np.zeros((1, 3, 8)), 0)
@@ -238,8 +233,9 @@ def test_replay_memory_snapshots_masks():
     mask = np.zeros(3)
     mem.add(0, mask, 1, 0.0, mask, False)
     mask[0] = 1.0  # caller mutates after insertion
-    states = mem.sample(np.random.default_rng(0), 1)[0]
-    assert states[0, agent.mask_slots(states.shape[1], 3)].sum() == 0.0
+    batch = mem.sample(np.random.default_rng(0), 1)
+    assert batch[0][0, np.arange(3) * 9 + 8].sum() == 0.0
+    assert not batch[5].any()
 
 
 @settings(max_examples=60, deadline=None)
@@ -257,7 +253,7 @@ def test_replay_sample_equals_per_row_states(seed, capacity, adds, batch):
         mem.add(*row)
         ring[i % capacity] = row
     assert len(mem) == min(adds, capacity)
-    states, actions, rewards, next_states, terminal = mem.sample(
+    states, actions, rewards, next_states, terminal, next_masks = mem.sample(
         np.random.default_rng(seed), batch)
     picks = np.random.default_rng(seed).integers(0, len(mem), size=batch)
     for b, pick in enumerate(picks):
@@ -266,6 +262,7 @@ def test_replay_sample_equals_per_row_states(seed, capacity, adds, batch):
         want_next = agent.assemble_state(features[window], next_mask)
         assert states[b].tobytes() == want.tobytes()
         assert next_states[b].tobytes() == want_next.tobytes()
+        assert np.array_equal(next_masks[b], next_mask)
         assert (actions[b], rewards[b], terminal[b]) == (action, reward, term)
 
 

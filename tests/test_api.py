@@ -1,3 +1,4 @@
+import importlib.util
 import re
 from pathlib import Path
 
@@ -26,3 +27,14 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     assert len(scope["keys"]) == 5
     assert isinstance(scope["rebuilt"], mocapkey.SphericalSequence)
     assert capsys.readouterr().out.startswith("remaining error: ")
+
+
+def test_bench_span_targets_exist():
+    # the benchmark's tracer wraps these by name; a rename must fail here
+    path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [(module, func) for module, func, _ in spans.TARGETS
+               if not hasattr(importlib.import_module(f"mocapkey.{module}"), func)]
+    assert len(spans.TARGETS) > 0 and missing == []

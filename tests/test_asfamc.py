@@ -7,8 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import synthcorpus
-from mocapkey import asfamc
+from mocapkey import asfamc, baselines, reconstruct, spherical
 from mocapkey.errors import MalformedAmc, MalformedAsf, UnreachablePose
+from mocapkey.motion import CMU_EXCLUDED_JOINTS, filter_joints, forward_kinematics
 
 # ---------------------------------------------------------------------------
 # Euler helpers
@@ -258,52 +259,103 @@ def test_parse_amc_radians_mode(skeleton):
 # ---------------------------------------------------------------------------
 
 
-def _fk_positions(skeleton, raw):
-    from mocapkey.motion import forward_kinematics
+def _fk(skeleton, raw):
+    """Unit world bone directions (N, M, 3) and the root path of a pose."""
     seq = forward_kinematics(skeleton, raw, dt=1.0 / 120.0)
-    by_name = {name: seq.positions[:, j]
-               for j, name in enumerate(seq.joint_names)}
-    return by_name, seq.root_positions
+    rel = spherical.relative_vectors(seq.positions, seq.root_positions, seq.parents)
+    return rel / np.linalg.norm(rel, axis=-1, keepdims=True), seq.root_positions
+
+
+def _angles(a, b):
+    """Angle between unit vectors along the last axis (chord form)."""
+    return 2.0 * np.arcsin(np.minimum(1.0, 0.5 * np.linalg.norm(a - b, axis=-1)))
+
+
+def _disturbed(skeleton, seed, frames):
+    """Bone vectors (not unit length) of a pose whose ltibia end moved
+    off the skeleton's reach, and the root path."""
+    seq = forward_kinematics(skeleton, synthcorpus.make_raw_motion(skeleton, seed, frames),
+                             dt=1.0 / 120.0)
+    positions = seq.positions.copy()
+    positions[:, skeleton.index("ltibia") - 1] += [0.4, 0.0, 0.0]
+    rel = spherical.relative_vectors(positions, seq.root_positions, seq.parents)
+    return rel, seq.root_positions
 
 
 def test_export_amc_round_trips_through_kinematics(skeleton):
-    raw = synthcorpus.make_raw_motion(skeleton, 21, 6)
-    by_name, root = _fk_positions(skeleton, raw)
-    text = asfamc.export_amc(skeleton, by_name, root, tolerance=1e-4)
-    parsed = asfamc.parse_amc(io.StringIO(text), skeleton)
-    by_name2, root2 = _fk_positions(skeleton, parsed)
+    dirs, root = _fk(skeleton, synthcorpus.make_raw_motion(skeleton, 21, 6))
+    text, bend = asfamc.export_amc(skeleton, dirs, root)
+    assert set(bend) == set(skeleton.bone_names)
+    assert max(bend.values()) < 1e-4
+    dirs2, root2 = _fk(skeleton, asfamc.parse_amc(io.StringIO(text), skeleton))
     assert np.max(np.abs(root2 - root)) < 1e-6
-    worst = max(np.max(np.abs(by_name2[n] - by_name[n])) for n in by_name)
-    assert worst < 1e-4
+    assert np.max(_angles(dirs2, dirs)) < 1e-4
+
+
+@pytest.mark.parametrize("pose", ["disturbed", "rebuilt"])
+def test_export_amc_bend_is_the_reparsed_pose_error(skeleton, small_windows, pose):
+    if pose == "disturbed":
+        targets, root = _disturbed(skeleton, 25, 8)
+        targets = targets / np.linalg.norm(targets, axis=-1, keepdims=True)
+    else:
+        # a window rebuilt from uniform keyframes, as `reconstruct` exports it
+        skeleton = filter_joints(skeleton, CMU_EXCLUDED_JOINTS)
+        sph = spherical.sequence_to_spherical(small_windows[0])
+        recon = reconstruct.reconstruct_full(
+            sph, baselines.select_uniform(sph.frame_count, 5))
+        targets = spherical.sph_to_cart(1.0, recon.theta, recon.phi)
+        root = recon.root_positions
+    text, bend = asfamc.export_amc(skeleton, targets, root)
+    dirs2, _ = _fk(skeleton, asfamc.parse_amc(io.StringIO(text), skeleton))
+    worst = _angles(dirs2, targets).max(axis=0)
+    for bi, name in enumerate(skeleton.bone_names):
+        assert bend[name] == pytest.approx(worst[bi], abs=1e-6), name
+    assert max(bend.values()) > 1e-4      # some joint did bend
 
 
 def test_export_amc_best_fit_mode_for_unreachable_targets(skeleton):
-    raw = synthcorpus.make_raw_motion(skeleton, 22, 4)
-    by_name, root = _fk_positions(skeleton, raw)
-    # push one limited joint off its reachable surface
-    by_name = dict(by_name)
-    by_name["ltibia"] = by_name["ltibia"] + np.array([0.4, 0.0, 0.0])
-    with pytest.raises(UnreachablePose) as err:
-        asfamc.export_amc(skeleton, by_name, root, tolerance=1e-6)
-    # the inconsistency may surface below ltibia once upstream twist adapts,
-    # but the message must name a joint of the disturbed chain and the frame
-    assert any(name in str(err.value) for name in ("lfemur", "ltibia", "lfoot", "ltoes"))
-    assert "frame 0" in str(err.value)
-    text = asfamc.export_amc(skeleton, by_name, root, tolerance=None)
+    dirs, root = _disturbed(skeleton, 22, 4)
+    text, bend = asfamc.export_amc(skeleton, dirs, root)
     assert ":DEGREES" in text
+    # the inconsistency may surface below ltibia once upstream twist adapts
+    chain = ("lfemur", "ltibia", "lfoot", "ltoes")
+    assert max(bend[name] for name in chain) > 1e-3
+    assert max(b for name, b in bend.items() if name not in chain) < 1e-6
 
 
-def test_export_amc_requires_parent_closure(skeleton):
-    raw = synthcorpus.make_raw_motion(skeleton, 23, 3)
-    by_name, root = _fk_positions(skeleton, raw)
-    partial = {"ltibia": by_name["ltibia"]}    # lfemur missing
-    with pytest.raises(ValueError):
-        asfamc.export_amc(skeleton, partial, root)
+def test_export_amc_rejects_bad_directions(skeleton):
+    dirs, root = _fk(skeleton, synthcorpus.make_raw_motion(skeleton, 23, 3))
+    with pytest.raises(ValueError, match="directions"):
+        asfamc.export_amc(skeleton, dirs[:, 1:], root)
+    with pytest.raises(ValueError, match="directions"):
+        asfamc.export_amc(skeleton, dirs, root[1:])
+    bi = skeleton.index("ltibia") - 1
+    zero = dirs.copy()
+    zero[2, bi] = 0.0
+    with pytest.raises(UnreachablePose, match="joint 'ltibia' frame 2"):
+        asfamc.export_amc(skeleton, zero, root)
+    nan = dirs.copy()
+    nan[1, bi, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        asfamc.export_amc(skeleton, nan, root)
+
+
+def test_export_amc_translation_only_root(skeleton):
+    text = synthcorpus.skeleton_text().replace("order TX TY TZ RX RY RZ",
+                                               "order TX TY TZ")
+    skel = asfamc.parse_asf(text)
+    assert skel.root.dof == ("tx", "ty", "tz")
+    raw = synthcorpus.make_raw_motion(skeleton, 27, 5)
+    raw = asfamc.RawMotion(raw.frame_count,
+                           {**raw.channels, "root": raw.channels["root"][:, :3]})
+    dirs, root = _fk(skel, raw)
+    out, bend = asfamc.export_amc(skel, dirs, root)
+    dirs2, root2 = _fk(skel, asfamc.parse_amc(io.StringIO(out), skel))
+    assert np.max(np.abs(root2 - root)) < 1e-6
+    assert np.max(_angles(dirs2, dirs)) < 1e-4 and max(bend.values()) < 1e-4
 
 
 def test_export_amc_comment_written(skeleton):
-    raw = synthcorpus.make_raw_motion(skeleton, 24, 2)
-    by_name, root = _fk_positions(skeleton, raw)
-    text = asfamc.export_amc(skeleton, by_name, root, tolerance=None,
-                             comment="window w00001")
+    dirs, root = _fk(skeleton, synthcorpus.make_raw_motion(skeleton, 24, 2))
+    text, _ = asfamc.export_amc(skeleton, dirs, root, comment="window w00001")
     assert text.splitlines()[0] == "# window w00001"

@@ -9,14 +9,17 @@ from mocapkey.errors import MalformedDataset
 from mocapkey.motion import MotionSequence
 
 
-def _random_sequence(seed, n=12, m=4, source="clip.amc"):
+def _random_sequence(seed, n=12, source="clip.amc"):
+    """Random positions for the bones of the synthetic skeleton, which a
+    record must carry in the skeleton's order."""
+    skel = synthcorpus.skeleton()
     rng = np.random.default_rng(seed)
     return MotionSequence(
         dt=1.0 / 30.0,
-        positions=rng.normal(size=(n, m, 3)),
+        positions=rng.normal(size=(n, len(skel.bone_names), 3)),
         root_positions=rng.normal(size=(n, 3)),
-        joint_names=tuple(f"j{i}" for i in range(m)),
-        parents=tuple([-1] + list(range(m - 1))),
+        joint_names=skel.bone_names,
+        parents=tuple(j.parent - 1 for j in skel.joints[1:]),
         source=source,
     )
 
@@ -92,6 +95,22 @@ def test_read_window_rejects_bad_header(tmp_path, skeleton):
     bad.write_bytes(header.replace(b'"frame_count"', b'"fr_count"') + b"\n" + body)
     with pytest.raises(MalformedDataset, match="bad window header"):
         dataset.read_window(bad)
+
+
+def test_read_window_rejects_names_other_than_the_bones(tmp_path, skeleton):
+    seq = _random_sequence(4)
+    renamed = dict(zip(seq.joint_names, reversed(seq.joint_names)))
+    dataset.write_window(tmp_path / "v2.mkw", skeleton, seq, 0)
+    _write_mkwin1(tmp_path / "v1.mkw", skeleton, seq, 0)
+    for name in ("v2.mkw", "v1.mkw"):
+        path = tmp_path / name
+        header, _, body = path.read_bytes().partition(b"\n")
+        magic, blob = header[:7], json.loads(header[7:])
+        for names in (seq.joint_names[:-1], [renamed[n] for n in seq.joint_names]):
+            blob["joint_names"] = list(names)
+            path.write_bytes(magic + json.dumps(blob).encode("utf-8") + b"\n" + body)
+            with pytest.raises(MalformedDataset, match="skeleton's bones"):
+                dataset.read_window(path)
 
 
 def test_read_window_rejects_truncation(tmp_path, skeleton):
