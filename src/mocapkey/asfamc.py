@@ -625,8 +625,8 @@ def export_amc(skeleton: Skeleton, directions: np.ndarray,
     against its parent-relative direction.
 
     Returns the text and ``bend``: for each bone name, the largest angle
-    (radians), over the frames, between its target direction and the
-    direction its solved rotation gives it.
+    (radians), over the frames, between its target direction and its
+    direction in the written pose, by forward kinematics of the channels.
     """
     directions = np.asarray(directions, dtype=np.float64)
     root_positions = np.asarray(root_positions, dtype=np.float64)
@@ -658,14 +658,12 @@ def export_amc(skeleton: Skeleton, directions: np.ndarray,
 
     nodes = _build_solve_nodes(skeleton)
     tops = [idx for idx, node in enumerate(nodes) if node.parent_index is None]
-    worst = [0.0] * m
     for fi in range(n):
         seen = directions[fi]
         for idx in tops:
             _, commits = _solve_subtree(nodes, idx, root_rot[fi], seen)
-            for ci, rot, residual in commits:
+            for ci, rot in commits:
                 committed = nodes[ci]
-                worst[ci] = max(worst[ci], residual)
                 abc3 = _scatter_angles(rot, committed)
                 pose[ci + 1, fi, 3:6] = abc3
                 if committed.twist_free:
@@ -674,8 +672,17 @@ def export_amc(skeleton: Skeleton, directions: np.ndarray,
     channel_rows = {
         joint.name: values[:, [_CHANNEL_COLUMN[ch] for ch in joint.dof]]
         for joint, values in zip(skeleton.joints, pose) if joint.dof}
+    # bend is measured on the pose as written: forward kinematics of the rows
+    raw = RawMotion(n, channel_rows)
+    world = [local_rotations(skeleton, root, raw)]
+    for joint in skeleton.joints[1:]:
+        world.append(world[joint.parent] @ local_rotations(skeleton, joint, raw))
+    written = np.stack([rot @ joint.direction
+                        for rot, joint in zip(world[1:], skeleton.joints[1:])], axis=1)
+    chord = np.linalg.norm(written - directions, axis=-1).max(axis=0, initial=0.0)
+    bend = 2.0 * np.arcsin(np.minimum(1.0, 0.5 * chord))
     return (_format_amc(skeleton, channel_rows, n, comment),
-            dict(zip(skeleton.bone_names, worst)))
+            dict(zip(skeleton.bone_names, bend.tolist())))
 
 
 @dataclass
@@ -770,7 +777,7 @@ def _solve_subtree(nodes: list["_SolveNode"], idx: int,
     candidate lands the subtree (e.g. only generic 2-dof children constrain
     the twist) a 1-d scan runs as a fallback. Scans never nest: inner
     evaluations set ``allow_scan=False``.
-    Returns (total residual, [(node index, dof rotation, residual), ...]).
+    Returns (total residual, [(node index, dof rotation), ...]).
     """
     node = nodes[idx]
     t = node.c.T @ (parent_rot.T @ seen[idx])
@@ -815,7 +822,7 @@ def _pick_candidate(nodes, idx, parent_rot, seen, t, candidates,
     for m in candidates:
         residual = _angle_between(m @ node.u, t)
         total = residual
-        commits = [(idx, m, residual)]
+        commits = [(idx, m)]
         if node.children:
             rot = parent_rot @ node.c @ m @ node.c.T
         for ci in node.children:

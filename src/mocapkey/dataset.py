@@ -82,6 +82,9 @@ def read_window(path) -> tuple[Skeleton, MotionSequence, int]:
         if names != skeleton.bone_names:
             raise MalformedDataset(f"{path}: joint names {list(names)} are not "
                                    f"the skeleton's bones {list(skeleton.bone_names)}")
+        if parents != tuple(j.parent - 1 for j in skeleton.joints[1:]):
+            raise MalformedDataset(f"{path}: parents {list(parents)} are not "
+                                   "the skeleton's bone tree")
         # (shape, kept): MKWIN1 interleaves velocity blocks, which are skipped
         layout = [((n, m, 3), True), ((n, 3), True)]
         if magic == MAGIC_V1:

@@ -292,10 +292,17 @@ def test_export_amc_round_trips_through_kinematics(skeleton):
     assert np.max(_angles(dirs2, dirs)) < 1e-4
 
 
-@pytest.mark.parametrize("pose", ["disturbed", "rebuilt"])
+@pytest.mark.parametrize("pose", ["disturbed", "wrist", "rebuilt"])
 def test_export_amc_bend_is_the_reparsed_pose_error(skeleton, small_windows, pose):
     if pose == "disturbed":
         targets, root = _disturbed(skeleton, 25, 8)
+        targets = targets / np.linalg.norm(targets, axis=-1, keepdims=True)
+    elif pose == "wrist":
+        # the 1-dof lwrist cannot reach a bone tilted off its twist axis;
+        # the hand and thumb below it bend in the written pose too
+        targets, root = _fk(skeleton, synthcorpus.make_raw_motion(skeleton, 25, 2))
+        targets, root = targets[:1], root[:1]
+        targets[:, skeleton.index("lwrist") - 1] += [0.0, 0.3, 0.3]
         targets = targets / np.linalg.norm(targets, axis=-1, keepdims=True)
     else:
         # a window rebuilt from uniform keyframes, as `reconstruct` exports it
@@ -311,6 +318,8 @@ def test_export_amc_bend_is_the_reparsed_pose_error(skeleton, small_windows, pos
     for bi, name in enumerate(skeleton.bone_names):
         assert bend[name] == pytest.approx(worst[bi], abs=1e-6), name
     assert max(bend.values()) > 1e-4      # some joint did bend
+    if pose == "wrist":
+        assert min(bend[name] for name in ("lhand", "lfingers", "lthumb")) > 1e-2
 
 
 def test_export_amc_best_fit_mode_for_unreachable_targets(skeleton):

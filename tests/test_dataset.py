@@ -106,10 +106,12 @@ def test_read_window_rejects_names_other_than_the_bones(tmp_path, skeleton):
         path = tmp_path / name
         header, _, body = path.read_bytes().partition(b"\n")
         magic, blob = header[:7], json.loads(header[7:])
-        for names in (seq.joint_names[:-1], [renamed[n] for n in seq.joint_names]):
-            blob["joint_names"] = list(names)
-            path.write_bytes(magic + json.dumps(blob).encode("utf-8") + b"\n" + body)
-            with pytest.raises(MalformedDataset, match="skeleton's bones"):
+        for key, value in (("joint_names", seq.joint_names[:-1]),
+                           ("joint_names", [renamed[n] for n in seq.joint_names]),
+                           ("parents", [-1, *seq.parents[1:-1], 0])):
+            edited = {**blob, key: list(value)}
+            path.write_bytes(magic + json.dumps(edited).encode("utf-8") + b"\n" + body)
+            with pytest.raises(MalformedDataset, match="the skeleton's bone"):
                 dataset.read_window(path)
 
 
