@@ -138,10 +138,6 @@ class Skeleton:
     def bone_names(self) -> tuple[str, ...]:
         return tuple(j.name for j in self.joints[1:])
 
-    @property
-    def bone_lengths(self) -> np.ndarray:
-        return np.array([j.length for j in self.joints[1:]])
-
     def index(self, name: str) -> int:
         for i, j in enumerate(self.joints):
             if j.name == name:
@@ -245,6 +241,8 @@ def parse_asf(source) -> Skeleton:
             continue
         if line.startswith(":"):
             parts = line[1:].split(None, 1)
+            if not parts:
+                raise MalformedAsf(f"line {no}: ':' without a section name")
             current = parts[0].lower()
             sections[current] = []
             if current == "name" and len(parts) > 1:
@@ -656,18 +654,22 @@ def export_amc(skeleton: Skeleton, directions: np.ndarray,
             for pos, axis_ch in enumerate(root.axis_order.lower()):
                 pose[0, fi, 3 + _AXIS_INDEX[axis_ch]] = abc[pos]
 
+    # a 3-dof joint can take any rotation that points its bone, so its
+    # subtree's best fit does not depend on the joints above it: it starts
+    # a solve of its own once its parent is committed
     nodes = _build_solve_nodes(skeleton)
-    tops = [idx for idx, node in enumerate(nodes) if node.parent_index is None]
+    tops = [idx for idx, node in enumerate(nodes)
+            if node.joint.parent == 0 or len(node.ordered) == 3]
+    world = [_EYE] * (m + 1)      # one frame's committed world rotations, by joint
     for fi in range(n):
-        seen = directions[fi]
+        world[0] = root_rot[fi]
         for idx in tops:
-            _, commits = _solve_subtree(nodes, idx, root_rot[fi], seen)
+            _, commits = _solve_subtree(nodes, idx, world[nodes[idx].joint.parent],
+                                        directions[fi])
             for ci, rot in commits:
-                committed = nodes[ci]
-                abc3 = _scatter_angles(rot, committed)
-                pose[ci + 1, fi, 3:6] = abc3
-                if committed.twist_free:
-                    committed.prev_m = _recompose(committed, abc3)
+                node = nodes[ci]
+                world[ci + 1] = world[node.joint.parent] @ node.c @ rot @ node.c.T
+                pose[ci + 1, fi, 3:6] = _scatter_angles(rot, node)
 
     channel_rows = {
         joint.name: values[:, [_CHANNEL_COLUMN[ch] for ch in joint.dof]]
@@ -690,30 +692,26 @@ class _SolveNode:
     """Per-bone constants for the pose solve; a node's index is its bone's
     index in ``skeleton.bone_names``.
 
-    ``twist_free`` marks joints whose own bone direction leaves a continuous
-    rotation parameter open: any 3-dof joint, a 1-dof joint whose bone lies
-    on its rotation axis (a pure twist joint like a wrist), or a 2-dof joint
-    whose bone lies on the first rotation axis. ``cone_axis`` is set when the
-    bone's reachable set is a single-axis cone, in which case the axis
-    component of the target is invariant and gives the parent a closed-form
-    condition on its free twist. ``bone_fixed`` joints cannot move their own
-    bone at all, which pins the parent twist uniquely. ``twist_scan`` is
-    False when no observation can respond to the twist (e.g. the only
-    limited child is a leaf whose bone lies along this bone), making a
-    search pointless. ``prev_m`` carries the previous frame's committed
-    rotation as a warm start.
+    ``children`` lists the child bones with fewer than 3 dof: a 3-dof child
+    absorbs any rotation of this joint, so it starts a solve of its own and
+    does not rank this joint's candidates. ``twist_free`` marks joints whose
+    own bone direction leaves a continuous rotation parameter open: any
+    3-dof joint, a 1-dof joint whose bone lies on its rotation axis (a pure
+    twist joint like a wrist), or a 2-dof joint whose bone lies on the first
+    rotation axis. ``cone_axis`` is set when the bone's reachable set is a
+    single-axis cone, in which case the axis component of the target is
+    invariant and gives the parent a closed-form condition on its free
+    twist. ``bone_fixed`` joints cannot move their own bone at all, which
+    pins the parent twist uniquely.
     """
     joint: Joint
     c: np.ndarray                 # local axis frame
     u: np.ndarray                 # rest direction in the axis frame
     ordered: tuple[str, ...]      # rotation axis letters, first applied first
-    parent_index: int | None      # None when the parent is the root
     children: list[int]
     twist_free: bool = False
     cone_axis: int | None = None
     bone_fixed: bool = False
-    twist_scan: bool = False
-    prev_m: np.ndarray | None = None
 
 
 def _build_solve_nodes(skeleton: Skeleton) -> list["_SolveNode"]:
@@ -722,10 +720,8 @@ def _build_solve_nodes(skeleton: Skeleton) -> list["_SolveNode"]:
         c = skeleton.axis_matrix(joint)
         ordered = tuple(a for a in joint.axis_order.lower()
                         if f"r{a}" in joint.rotation_dof)
-        node = _SolveNode(
-            joint=joint, c=c, u=c.T @ joint.direction, ordered=ordered,
-            parent_index=None if joint.parent == 0 else joint.parent - 1,
-            children=[])
+        node = _SolveNode(joint=joint, c=c, u=c.T @ joint.direction,
+                          ordered=ordered, children=[])
         if len(ordered) == 3:
             node.twist_free = True
         elif len(ordered) == 1:
@@ -743,20 +739,8 @@ def _build_solve_nodes(skeleton: Skeleton) -> list["_SolveNode"]:
         else:
             node.bone_fixed = True
         nodes.append(node)
-        if node.parent_index is not None:
-            nodes[node.parent_index].children.append(len(nodes) - 1)
-    for node in nodes:
-        if not node.twist_free:
-            continue
-        for ci in node.children:
-            child = nodes[ci]
-            if len(child.ordered) >= 3:
-                continue
-            if child.bone_fixed and not child.children:
-                rest_dir = node.c.T @ (child.c @ child.u)
-                if abs(float(rest_dir @ node.u)) > 1.0 - 1e-9:
-                    continue
-            node.twist_scan = True
+        if joint.parent != 0 and len(ordered) < 3:
+            nodes[joint.parent - 1].children.append(len(nodes) - 1)
     return nodes
 
 
@@ -764,51 +748,41 @@ def _solve_subtree(nodes: list["_SolveNode"], idx: int,
                    parent_rot: np.ndarray, seen: np.ndarray,
                    allow_scan: bool = True):
     """Recover the dof angles of one subtree for one frame's (M, 3) unit
-    world bone directions ``seen``.
+    world bone directions ``seen``, below a parent whose world rotation is
+    ``parent_rot``.
 
     Direction-only solving leaves free parameters (the twist of a
     ``twist_free`` joint, the two-branch ambiguity of a 2-dof joint);
-    candidates are ranked by the accumulated angular residual of the whole
-    subtree so the branch that keeps limited descendants reachable wins.
+    candidates are ranked by the summed angular residual of the joint and
+    of its ``children``' subtrees, the joints a candidate can move, so the
+    branch that keeps limited descendants reachable wins.
 
-    The free twist of a parent only matters to children with fewer than 3
-    dof (a 3-dof child absorbs it). Children whose bones live on a
-    single-axis cone pin the twist in closed form; when no closed-form
-    candidate lands the subtree (e.g. only generic 2-dof children constrain
-    the twist) a 1-d scan runs as a fallback. Scans never nest: inner
-    evaluations set ``allow_scan=False``.
-    Returns (total residual, [(node index, dof rotation), ...]).
+    The twist turns the joint about its solved bone direction. Children
+    whose bones are fixed or live on a single-axis cone pin the twist in
+    closed form; when no candidate lands the subtree (e.g. only generic
+    2-dof children constrain the twist) a 1-d scan runs as a fallback.
+    Scans never nest: inner evaluations set ``allow_scan=False``.
+    Returns (total residual, [(node index, dof rotation), ...]) with each
+    node before its children.
     """
     node = nodes[idx]
     t = node.c.T @ (parent_rot.T @ seen[idx])
     candidates = _dof_candidates(node.u, t, node.ordered)
-    hint = None
-    if node.twist_free:
+    if node.twist_free and node.children:
         base = candidates[0]
-        if node.prev_m is not None:
-            hint = _twist_angle_of(node.prev_m @ base.T, t)
-            candidates.append(_rodrigues(t, hint) @ base)
+        spin = _unit(base @ node.u)
         for ci in node.children:
-            child = nodes[ci]
-            if child.bone_fixed:
-                roots = _twist_from_fixed_child(nodes, idx, ci, t, base,
-                                                parent_rot, seen)
-            elif child.cone_axis is not None:
-                roots = _twist_candidates(nodes, idx, ci, t, base,
-                                          parent_rot, seen, child.cone_axis)
-            else:
-                continue
-            candidates.extend(_rodrigues(t, psi) @ base for psi in roots)
+            roots = _twist_candidates(nodes, idx, ci, spin, base, parent_rot, seen)
+            candidates.extend(_rodrigues(spin, psi) @ base for psi in roots)
 
     best = _pick_candidate(nodes, idx, parent_rot, seen, t, candidates,
                            allow_scan)
-    if allow_scan and node.twist_scan and best[0] > 1e-9:
+    if allow_scan and node.twist_free and node.children and best[0] > 1e-9:
         # the twist spins the bone about itself, so the node's own residual
         # is out of the scan's reach; a branch it dooms is not worth a search
-        own = _angle_between(candidates[0] @ node.u, t)
+        own = _angle_between(base @ node.u, t)
         if own < 1e-3:
-            refined = _scan_twist(nodes, idx, parent_rot, seen, t,
-                                  candidates[0], hint)
+            refined = _scan_twist(nodes, idx, parent_rot, seen, t, spin, base)
             if refined[0] < best[0]:
                 best = refined
     return best[0], best[1]
@@ -879,83 +853,50 @@ def _axis_angle_of(m: np.ndarray, axis: int) -> float:
     return math.atan2(m[j, i], m[i, i])
 
 
-def _recompose(node: "_SolveNode", abc3: np.ndarray) -> np.ndarray:
-    m = _EYE
-    for ch in node.ordered:
-        axis = _AXIS_INDEX[ch]
-        m = single_axis_matrix(axis, abc3[axis]) @ m
-    return m
+def _twist_candidates(nodes, idx, child_idx, spin, m0, parent_rot, seen):
+    """Twist angles psi about the unit ``spin`` axis that land a child.
 
-
-def _twist_candidates(nodes, idx, child_idx, t, m0, parent_rot, seen, axis):
-    """Twist angles psi about the solved bone direction that land a child's
-    target exactly on its reachable cone about coordinate ``axis``.
-
-    With M(psi) = R_t(psi) @ m0 the child's axis-frame target component along
-    the cone axis is A cos(psi) + B sin(psi) + D; matching the rest-direction
-    component gives up to two closed-form solutions.
+    With M(psi) = R_spin(psi) @ m0, a vector w fixed in this joint's frame
+    turns to M(psi) @ w, whose component along g, the child's target in
+    this joint's axis frame, is A cos(psi) + B sin(psi) + D. A
+    ``bone_fixed`` child's bone is such a w and must point along g: the
+    maximum, one root. A cone child's axis is such a w, and the target
+    must keep the rest direction's component along it: up to two roots.
+    Other children give no closed-form condition.
     """
     node = nodes[idx]
     child = nodes[child_idx]
-    e_axis = np.zeros(3)
-    e_axis[axis] = 1.0
+    if child.bone_fixed:
+        local = child.u
+    elif child.cone_axis is not None:
+        local = _EYE[child.cone_axis]
+    else:
+        return []
     g = node.c.T @ (parent_rot.T @ seen[child_idx])
-    w = m0 @ node.c.T @ (child.c @ e_axis)
-    tg = float(t @ g)
-    wt = float(w @ t)
-    a = float(w @ g) - tg * wt
-    b = -float(w @ _cross(t, g))
-    d = tg * wt
-    rhs = float(child.u[axis]) - d
+    w = m0 @ (node.c.T @ (child.c @ local))
+    d = float(spin @ w) * float(spin @ g)
+    a = float(w @ g) - d
+    b = float(spin @ _cross(w, g))
     r = math.hypot(a, b)
     if r < 1e-12:
         return []
     base = math.atan2(b, a)
+    if child.bone_fixed:
+        return [base]
+    rhs = float(child.u[child.cone_axis]) - d
     span = math.acos(max(-1.0, min(1.0, rhs / r)))
     return [base + span, base - span]
 
 
-def _twist_from_fixed_child(nodes, idx, child_idx, t, m0, parent_rot, seen):
-    """Twist psi aligning a child bone that the child's own dof cannot
-    move. Such a bone is rigid in this joint's frame, so matching its
-    observed direction pins the twist uniquely."""
-    node = nodes[idx]
-    child = nodes[child_idx]
-    g = node.c.T @ (parent_rot.T @ seen[child_idx])
-    w = m0 @ (node.c.T @ (child.c @ child.u))
-    cos_part = float(w @ g) - float(w @ t) * float(g @ t)
-    sin_part = float(t @ _cross(w, g))
-    if math.hypot(cos_part, sin_part) < 1e-12:
-        return []
-    return [math.atan2(sin_part, cos_part)]
-
-
-def _twist_angle_of(rel: np.ndarray, t: np.ndarray) -> float:
-    """Rotation angle of rel about axis t (projection when rel is only
-    approximately a t-rotation, e.g. a previous-frame warm start)."""
-    cos = 0.5 * (rel[0, 0] + rel[1, 1] + rel[2, 2] - 1.0)
-    skew = 0.5 * np.array([rel[2, 1] - rel[1, 2],
-                           rel[0, 2] - rel[2, 0],
-                           rel[1, 0] - rel[0, 1]])
-    return math.atan2(float(skew @ t), cos)
-
-
-def _scan_twist(nodes, idx, parent_rot, seen, t, m0, hint=None):
-    """Coarse grid then golden-section search of the twist angle minimizing
-    the subtree residual; fallback for targets no closed-form candidate
-    resolves (e.g. the twist is only pinned by 2-dof children).
-
-    A previous-frame ``hint`` is refined locally first; the full-circle grid
-    only runs when that fails to land the subtree.
-    """
+def _scan_twist(nodes, idx, parent_rot, seen, t, spin, m0):
+    """Coarse grid then golden-section search of the twist angle about
+    ``spin`` minimizing the subtree residual; fallback for targets no
+    closed-form candidate resolves (e.g. the twist is only pinned by 2-dof
+    children)."""
     def total_at(psi: float):
         return _pick_candidate(nodes, idx, parent_rot, seen, t,
-                               [_rodrigues(t, float(psi)) @ m0], False)
+                               [_rodrigues(spin, float(psi)) @ m0], False)
 
-    if hint is not None:
-        local = _golden_min(total_at, hint - 0.25, hint + 0.25, 45)
-        if local[0] < 1e-9:
-            return local
     grid = np.linspace(-math.pi, math.pi, 48, endpoint=False)
     best_psi = min(grid, key=lambda p: total_at(p)[0])
     step = 2.0 * math.pi / 48
@@ -1074,7 +1015,8 @@ def _solve_one_axis(u: np.ndarray, t: np.ndarray, axis: int) -> np.ndarray:
 def _solve_two_axes(u: np.ndarray, t: np.ndarray, first: int,
                     second: int) -> list[np.ndarray]:
     """Rotations R_second(beta) @ R_first(alpha) taking u toward t, ranked
-    by (residual, |alpha|).
+    by (residual rounded to 1e-12, |alpha|): residuals that differ only by
+    rounding tie, so noise does not swap mirror branches.
 
     The component of the rotated vector along the second axis depends only
     on alpha, giving A cos(alpha) + B sin(alpha) = t[second]; beta then
@@ -1102,7 +1044,7 @@ def _solve_two_axes(u: np.ndarray, t: np.ndarray, first: int,
         rb = _solve_one_axis(w, t, second)
         m = rb @ ra
         ranked.append((_angle_between(m @ u, t), abs(alpha), m))
-    ranked.sort(key=lambda item: (item[0], item[1]))
+    ranked.sort(key=lambda item: (round(item[0], 12), item[1]))
     return [m for _, _, m in ranked]
 
 

@@ -138,11 +138,13 @@ def test_parse_asf_rejects_duplicate_parent():
     ("  axis XYZ\n", "  axis XXZ\n"),
     ("  orientation 0 0 0\n", "  orientation 0 -inf 0\n"),
     ("  position 0 0 0\n", "  position 0 NaN 0\n"),
+    (":version 1.10\n", ":\n"),
 ], ids=["name", "length-missing", "length-text", "direction-short",
         "axis-short", "axis-text", "limits-text", "units-length-text",
         "root-axis-missing", "root-orientation-short", "root-position-missing",
         "direction-nan", "length-overflow", "axis-inf", "units-length-inf",
-        "root-axis-order", "root-orientation-inf", "root-position-nan"])
+        "root-axis-order", "root-orientation-inf", "root-position-nan",
+        "section-name"])
 def test_parse_asf_rejects_keyword_lines_without_values(line, broken):
     text = synthcorpus.skeleton_text()
     assert line in text
@@ -160,6 +162,56 @@ def test_skeleton_dict_round_trip(skeleton):
         assert np.allclose(a.direction, b.direction)
         assert np.allclose(a.axis, b.axis)
         assert a.dof == b.dof and a.limits == b.limits
+
+
+_TOKENS = st.one_of(
+    st.sampled_from(["", "nan", "inf", "-1e999", "(", ")", "(-180.0", "180.0)",
+                     "begin", "end", "root", ":root", ":bonedata", ":hierarchy",
+                     "order", "dof", "limits", "axis", "XXZ", "lfemur", "rx",
+                     "tx", "0", "1", "-3", "1.5", "#"]),
+    st.text(alphabet=" ()#:.-+e0123456789xyzXYZ", max_size=8))
+
+
+@st.composite
+def _one_line_edit(draw, text):
+    """``text`` with one line deleted, doubled, cut short, given a new
+    token, or preceded by a new line."""
+    lines = text.splitlines()
+    at = draw(st.integers(0, len(lines) - 1))
+    line = lines[at]
+    edit = draw(st.sampled_from(["delete", "double", "cut", "token", "insert"]))
+    if edit == "delete":
+        new = []
+    elif edit == "double":
+        new = [line, line]
+    elif edit == "cut":
+        new = [line[:draw(st.integers(0, len(line)))]]
+    elif edit == "token":
+        parts = line.split() or [""]
+        parts[draw(st.integers(0, len(parts) - 1))] = draw(_TOKENS)
+        new = [" ".join(parts)]
+    else:
+        new = [" ".join(draw(st.lists(_TOKENS, max_size=4))), line]
+    return "\n".join(lines[:at] + new + lines[at + 1:]) + "\n"
+
+
+@pytest.fixture(scope="module")
+def amc_30(skeleton):
+    return synthcorpus.amc_text(skeleton, synthcorpus.make_raw_motion(skeleton, 9, 30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), edit_asf=st.booleans())
+def test_parsers_fail_cleanly_on_one_line_edits(skeleton, amc_30, data, edit_asf):
+    # every outcome is a parse or a typed error naming the problem
+    try:
+        if edit_asf:
+            skel = asfamc.parse_asf(data.draw(_one_line_edit(synthcorpus.skeleton_text())))
+            asfamc.parse_amc(amc_30, skel)
+        else:
+            asfamc.parse_amc(data.draw(_one_line_edit(amc_30)), skeleton)
+    except (MalformedAsf, MalformedAmc):
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +334,15 @@ def _disturbed(skeleton, seed, frames):
     return rel, seq.root_positions
 
 
+def _rebuilt(skeleton, window):
+    """The tracked skeleton, bone directions and root path of a window
+    rebuilt from uniform keyframes, as `reconstruct` exports it."""
+    sph = spherical.sequence_to_spherical(window)
+    recon = reconstruct.reconstruct_full(sph, baselines.select_uniform(sph.frame_count, 5))
+    return (filter_joints(skeleton, CMU_EXCLUDED_JOINTS),
+            spherical.sph_to_cart(1.0, recon.theta, recon.phi), recon.root_positions)
+
+
 def test_export_amc_round_trips_through_kinematics(skeleton):
     dirs, root = _fk(skeleton, synthcorpus.make_raw_motion(skeleton, 21, 6))
     text, bend = asfamc.export_amc(skeleton, dirs, root)
@@ -299,19 +360,14 @@ def test_export_amc_bend_is_the_reparsed_pose_error(skeleton, small_windows, pos
         targets = targets / np.linalg.norm(targets, axis=-1, keepdims=True)
     elif pose == "wrist":
         # the 1-dof lwrist cannot reach a bone tilted off its twist axis;
-        # the hand and thumb below it bend in the written pose too
+        # twisting about the bone it does reach leaves its children free
+        # to land their targets in the written pose
         targets, root = _fk(skeleton, synthcorpus.make_raw_motion(skeleton, 25, 2))
         targets, root = targets[:1], root[:1]
         targets[:, skeleton.index("lwrist") - 1] += [0.0, 0.3, 0.3]
         targets = targets / np.linalg.norm(targets, axis=-1, keepdims=True)
     else:
-        # a window rebuilt from uniform keyframes, as `reconstruct` exports it
-        skeleton = filter_joints(skeleton, CMU_EXCLUDED_JOINTS)
-        sph = spherical.sequence_to_spherical(small_windows[0])
-        recon = reconstruct.reconstruct_full(
-            sph, baselines.select_uniform(sph.frame_count, 5))
-        targets = spherical.sph_to_cart(1.0, recon.theta, recon.phi)
-        root = recon.root_positions
+        skeleton, targets, root = _rebuilt(skeleton, small_windows[0])
     text, bend = asfamc.export_amc(skeleton, targets, root)
     dirs2, _ = _fk(skeleton, asfamc.parse_amc(io.StringIO(text), skeleton))
     worst = _angles(dirs2, targets).max(axis=0)
@@ -319,7 +375,49 @@ def test_export_amc_bend_is_the_reparsed_pose_error(skeleton, small_windows, pos
         assert bend[name] == pytest.approx(worst[bi], abs=1e-6), name
     assert max(bend.values()) > 1e-4      # some joint did bend
     if pose == "wrist":
-        assert min(bend[name] for name in ("lhand", "lfingers", "lthumb")) > 1e-2
+        assert bend["lwrist"] > 0.1
+        assert max(bend[name] for name in ("lhand", "lfingers", "lthumb")) < 1e-6
+
+
+@pytest.mark.parametrize("pose", ["rebuilt", "disturbed"])
+def test_export_amc_solves_each_frame_on_its_own(skeleton, small_windows, pose):
+    def frame_rows(text):
+        frames = []
+        for line in text.splitlines():
+            if line.isdigit():
+                frames.append([])
+            elif frames:
+                frames[-1].append(line)
+        return frames
+
+    if pose == "rebuilt":
+        skeleton, targets, root = _rebuilt(skeleton, small_windows[0])
+    else:
+        targets, root = _disturbed(skeleton, 25, 8)
+    whole = frame_rows(asfamc.export_amc(skeleton, targets, root)[0])
+    assert len(whole) == len(targets)
+    for fi, rows in enumerate(whole):
+        alone, _ = asfamc.export_amc(skeleton, targets[fi:fi + 1], root[fi:fi + 1])
+        assert frame_rows(alone) == [rows], fi
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), axes=st.permutations([0, 1, 2]))
+def test_two_axis_branch_holds_under_rounding_noise(seed, axes):
+    # both branches reach a reachable target, so residuals differ only by
+    # rounding; noise of that size must not swap the first-ranked branch
+    rng = np.random.default_rng(seed)
+    first, second = axes[:2]
+    u = rng.normal(size=3)
+    u /= np.linalg.norm(u)
+    alpha, beta = rng.uniform(-math.pi, math.pi, size=2)
+    t = (asfamc.single_axis_matrix(second, beta)
+         @ asfamc.single_axis_matrix(first, alpha) @ u)
+    noisy = t + rng.normal(0.0, 1e-15, size=3)
+    best = asfamc._solve_two_axes(u, t, first, second)[0]
+    assert np.allclose(best @ u, t, atol=1e-9)
+    assert np.allclose(asfamc._solve_two_axes(u, noisy, first, second)[0], best,
+                       atol=1e-9)
 
 
 def test_export_amc_best_fit_mode_for_unreachable_targets(skeleton):
