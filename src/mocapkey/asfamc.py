@@ -698,11 +698,12 @@ class _SolveNode:
     own bone direction leaves a continuous rotation parameter open: any
     3-dof joint, a 1-dof joint whose bone lies on its rotation axis (a pure
     twist joint like a wrist), or a 2-dof joint whose bone lies on the first
-    rotation axis. ``cone_axis`` is set when the bone's reachable set is a
-    single-axis cone, in which case the axis component of the target is
-    invariant and gives the parent a closed-form condition on its free
-    twist. ``bone_fixed`` joints cannot move their own bone at all, which
-    pins the parent twist uniquely.
+    rotation axis. ``band`` is (axis, lo, hi) for a 1- or 2-dof joint that
+    can move its bone: the joint's last rotation leaves the unit ``axis``
+    fixed, and the bone lands its target exactly when the target's
+    component along that axis lies in [lo, hi] (a single-axis cone is the
+    band [u[axis], u[axis]]). ``bone_fixed`` joints cannot move their own
+    bone at all, which pins the parent twist uniquely.
     """
     joint: Joint
     c: np.ndarray                 # local axis frame
@@ -710,7 +711,7 @@ class _SolveNode:
     ordered: tuple[str, ...]      # rotation axis letters, first applied first
     children: list[int]
     twist_free: bool = False
-    cone_axis: int | None = None
+    band: tuple[int, float, float] | None = None
     bone_fixed: bool = False
 
 
@@ -730,12 +731,15 @@ def _build_solve_nodes(skeleton: Skeleton) -> list["_SolveNode"]:
                 node.twist_free = True
                 node.bone_fixed = True
             else:
-                node.cone_axis = axis
+                v = float(node.u[axis])
+                node.band = (axis, v, v)
         elif len(ordered) == 2:
-            first = _AXIS_INDEX[ordered[0]]
-            if abs(node.u[first]) > 1.0 - 1e-9:
-                node.twist_free = True
-                node.cone_axis = _AXIS_INDEX[ordered[1]]
+            first, second = _AXIS_INDEX[ordered[0]], _AXIS_INDEX[ordered[1]]
+            node.twist_free = abs(node.u[first]) > 1.0 - 1e-9
+            # R_first sweeps the bone's component along the second axis
+            # over [-r, r], the reach of _solve_two_axes
+            r = math.hypot(node.u[second], _cross(_EYE[first], node.u)[second])
+            node.band = (second, -r, r)
         else:
             node.bone_fixed = True
         nodes.append(node)
@@ -745,8 +749,7 @@ def _build_solve_nodes(skeleton: Skeleton) -> list["_SolveNode"]:
 
 
 def _solve_subtree(nodes: list["_SolveNode"], idx: int,
-                   parent_rot: np.ndarray, seen: np.ndarray,
-                   allow_scan: bool = True):
+                   parent_rot: np.ndarray, seen: np.ndarray):
     """Recover the dof angles of one subtree for one frame's (M, 3) unit
     world bone directions ``seen``, below a parent whose world rotation is
     ``parent_rot``.
@@ -757,11 +760,10 @@ def _solve_subtree(nodes: list["_SolveNode"], idx: int,
     of its ``children``' subtrees, the joints a candidate can move, so the
     branch that keeps limited descendants reachable wins.
 
-    The twist turns the joint about its solved bone direction. Children
-    whose bones are fixed or live on a single-axis cone pin the twist in
-    closed form; when no candidate lands the subtree (e.g. only generic
-    2-dof children constrain the twist) a 1-d scan runs as a fallback.
-    Scans never nest: inner evaluations set ``allow_scan=False``.
+    The twist turns the joint about its solved bone direction. Each child
+    turns the twist into candidates in closed form: the one twist that
+    points a ``bone_fixed`` child's bone along its target, or the edges of
+    the twist range over which a ``band`` child lands its target.
     Returns (total residual, [(node index, dof rotation), ...]) with each
     node before its children.
     """
@@ -775,35 +777,17 @@ def _solve_subtree(nodes: list["_SolveNode"], idx: int,
             roots = _twist_candidates(nodes, idx, ci, spin, base, parent_rot, seen)
             candidates.extend(_rodrigues(spin, psi) @ base for psi in roots)
 
-    best = _pick_candidate(nodes, idx, parent_rot, seen, t, candidates,
-                           allow_scan)
-    if allow_scan and node.twist_free and node.children and best[0] > 1e-9:
-        # the twist spins the bone about itself, so the node's own residual
-        # is out of the scan's reach; a branch it dooms is not worth a search
-        own = _angle_between(base @ node.u, t)
-        if own < 1e-3:
-            refined = _scan_twist(nodes, idx, parent_rot, seen, t, spin, base)
-            if refined[0] < best[0]:
-                best = refined
-    return best[0], best[1]
-
-
-def _pick_candidate(nodes, idx, parent_rot, seen, t, candidates,
-                    allow_scan=True):
-    node = nodes[idx]
     best_total = math.inf
     best_commits = None
     for m in candidates:
-        residual = _angle_between(m @ node.u, t)
-        total = residual
+        total = _angle_between(m @ node.u, t)
         commits = [(idx, m)]
         if node.children:
             rot = parent_rot @ node.c @ m @ node.c.T
         for ci in node.children:
             if total >= best_total:
                 break
-            child_total, child_commits = _solve_subtree(nodes, ci, rot, seen,
-                                                        allow_scan)
+            child_total, child_commits = _solve_subtree(nodes, ci, rot, seen)
             total += child_total
             commits.extend(child_commits)
         if total < best_total:
@@ -860,18 +844,14 @@ def _twist_candidates(nodes, idx, child_idx, spin, m0, parent_rot, seen):
     turns to M(psi) @ w, whose component along g, the child's target in
     this joint's axis frame, is A cos(psi) + B sin(psi) + D. A
     ``bone_fixed`` child's bone is such a w and must point along g: the
-    maximum, one root. A cone child's axis is such a w, and the target
-    must keep the rest direction's component along it: up to two roots.
-    Other children give no closed-form condition.
+    maximum, one root. A ``band`` child's axis is such a w, and the child
+    lands while the component lies in [lo, hi]: the roots are the edges of
+    that twist range, up to four. An edge out of the component's range
+    clips to its nearest extremum, the best effort when the band is missed.
     """
     node = nodes[idx]
     child = nodes[child_idx]
-    if child.bone_fixed:
-        local = child.u
-    elif child.cone_axis is not None:
-        local = _EYE[child.cone_axis]
-    else:
-        return []
+    local = child.u if child.bone_fixed else _EYE[child.band[0]]
     g = node.c.T @ (parent_rot.T @ seen[child_idx])
     w = m0 @ (node.c.T @ (child.c @ local))
     d = float(spin @ w) * float(spin @ g)
@@ -883,40 +863,11 @@ def _twist_candidates(nodes, idx, child_idx, spin, m0, parent_rot, seen):
     base = math.atan2(b, a)
     if child.bone_fixed:
         return [base]
-    rhs = float(child.u[child.cone_axis]) - d
-    span = math.acos(max(-1.0, min(1.0, rhs / r)))
-    return [base + span, base - span]
-
-
-def _scan_twist(nodes, idx, parent_rot, seen, t, spin, m0):
-    """Coarse grid then golden-section search of the twist angle about
-    ``spin`` minimizing the subtree residual; fallback for targets no
-    closed-form candidate resolves (e.g. the twist is only pinned by 2-dof
-    children)."""
-    def total_at(psi: float):
-        return _pick_candidate(nodes, idx, parent_rot, seen, t,
-                               [_rodrigues(spin, float(psi)) @ m0], False)
-
-    grid = np.linspace(-math.pi, math.pi, 48, endpoint=False)
-    best_psi = min(grid, key=lambda p: total_at(p)[0])
-    step = 2.0 * math.pi / 48
-    return _golden_min(total_at, best_psi - step, best_psi + step, 60)
-
-
-def _golden_min(fn, lo: float, hi: float, iterations: int):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
-    fc, fd = fn(c)[0], fn(d)[0]
-    for _ in range(iterations):
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = fn(c)[0]
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = fn(d)[0]
-    return fn(0.5 * (lo + hi))
+    roots = []
+    for edge in dict.fromkeys(child.band[1:]):
+        span = math.acos(max(-1.0, min(1.0, (edge - d) / r)))
+        roots += [base + span, base - span]
+    return roots
 
 
 def _solve_root_rotation(skeleton: Skeleton, directions: np.ndarray) -> np.ndarray:

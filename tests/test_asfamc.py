@@ -334,6 +334,13 @@ def _disturbed(skeleton, seed, frames):
     return rel, seq.root_positions
 
 
+def _noisy(skeleton):
+    """Unit bone directions of an 8-frame full-skeleton pose plus Gaussian
+    noise (sigma 0.05, not renormalized), and the root path."""
+    dirs, root = _fk(skeleton, synthcorpus.make_raw_motion(skeleton, 31, 8))
+    return dirs + np.random.default_rng(0).normal(0.0, 0.05, dirs.shape), root
+
+
 def _rebuilt(skeleton, window):
     """The tracked skeleton, bone directions and root path of a window
     rebuilt from uniform keyframes, as `reconstruct` exports it."""
@@ -347,13 +354,14 @@ def test_export_amc_round_trips_through_kinematics(skeleton):
     dirs, root = _fk(skeleton, synthcorpus.make_raw_motion(skeleton, 21, 6))
     text, bend = asfamc.export_amc(skeleton, dirs, root)
     assert set(bend) == set(skeleton.bone_names)
-    assert max(bend.values()) < 1e-4
+    assert max(bend.values()) < 1e-9
     dirs2, root2 = _fk(skeleton, asfamc.parse_amc(io.StringIO(text), skeleton))
     assert np.max(np.abs(root2 - root)) < 1e-6
-    assert np.max(_angles(dirs2, dirs)) < 1e-4
+    # the text holds 10 significant digits of degrees: about 1e-9 rad a channel
+    assert np.max(_angles(dirs2, dirs)) < 1e-8
 
 
-@pytest.mark.parametrize("pose", ["disturbed", "wrist", "rebuilt"])
+@pytest.mark.parametrize("pose", ["disturbed", "wrist", "rebuilt", "noisy"])
 def test_export_amc_bend_is_the_reparsed_pose_error(skeleton, small_windows, pose):
     if pose == "disturbed":
         targets, root = _disturbed(skeleton, 25, 8)
@@ -366,6 +374,9 @@ def test_export_amc_bend_is_the_reparsed_pose_error(skeleton, small_windows, pos
         targets, root = targets[:1], root[:1]
         targets[:, skeleton.index("lwrist") - 1] += [0.0, 0.3, 0.3]
         targets = targets / np.linalg.norm(targets, axis=-1, keepdims=True)
+    elif pose == "noisy":
+        targets, root = _noisy(skeleton)
+        targets = targets / np.linalg.norm(targets, axis=-1, keepdims=True)
     else:
         skeleton, targets, root = _rebuilt(skeleton, small_windows[0])
     text, bend = asfamc.export_amc(skeleton, targets, root)
@@ -377,9 +388,11 @@ def test_export_amc_bend_is_the_reparsed_pose_error(skeleton, small_windows, pos
     if pose == "wrist":
         assert bend["lwrist"] > 0.1
         assert max(bend[name] for name in ("lhand", "lfingers", "lthumb")) < 1e-6
+    if pose == "noisy":
+        assert max(bend.values()) <= 0.1979
 
 
-@pytest.mark.parametrize("pose", ["rebuilt", "disturbed"])
+@pytest.mark.parametrize("pose", ["rebuilt", "disturbed", "noisy"])
 def test_export_amc_solves_each_frame_on_its_own(skeleton, small_windows, pose):
     def frame_rows(text):
         frames = []
@@ -392,8 +405,10 @@ def test_export_amc_solves_each_frame_on_its_own(skeleton, small_windows, pose):
 
     if pose == "rebuilt":
         skeleton, targets, root = _rebuilt(skeleton, small_windows[0])
-    else:
+    elif pose == "disturbed":
         targets, root = _disturbed(skeleton, 25, 8)
+    else:
+        targets, root = _noisy(skeleton)
     whole = frame_rows(asfamc.export_amc(skeleton, targets, root)[0])
     assert len(whole) == len(targets)
     for fi, rows in enumerate(whole):
@@ -418,6 +433,61 @@ def test_two_axis_branch_holds_under_rounding_noise(seed, axes):
     assert np.allclose(best @ u, t, atol=1e-9)
     assert np.allclose(asfamc._solve_two_axes(u, noisy, first, second)[0], best,
                        atol=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), axes=st.permutations([0, 1, 2]))
+def test_twist_band_roots_match_a_dense_grid(seed, axes):
+    # a 3-dof parent twisting about its bone under a 2-dof child: the child
+    # lands while its target's component along its second axis stays within
+    # the reach of its first rotation, sqrt(1 - u[first]^2)
+    rng = np.random.default_rng(seed)
+    first, second = axes[:2]
+
+    def joint(name, parent, order, dof):
+        direction = rng.normal(size=3)
+        return asfamc.Joint(name, parent, direction / np.linalg.norm(direction), 1.0,
+                            rng.uniform(-math.pi, math.pi, 3), order, dof)
+
+    letters = "".join("XYZ"[a] for a in axes)
+    skel = asfamc.Skeleton((
+        asfamc.Joint("root", None, np.zeros(3), 0.0, np.zeros(3), "XYZ", ()),
+        joint("upper", 0, "XYZ", ("rx", "ry", "rz")),
+        joint("lower", 1, letters, tuple(f"r{a}" for a in letters[:2].lower()))))
+    nodes = asfamc._build_solve_nodes(skel)
+    upper, lower = nodes
+    parent_rot, m0 = (asfamc.euler_matrix(rng.uniform(-math.pi, math.pi, 3), "XYZ")
+                      for _ in range(2))
+    seen = rng.normal(size=(2, 3))
+    seen /= np.linalg.norm(seen, axis=1, keepdims=True)
+    spin = m0 @ upper.u
+    roots = np.array(asfamc._twist_candidates(nodes, 0, 1, spin, m0, parent_rot, seen))
+
+    def component(psi):
+        # R_spin(psi).T g by Rodrigues' vector formula, then into the child's frame
+        g = upper.c.T @ (parent_rot.T @ seen[1])
+        cos, sin = np.cos(psi)[:, None], np.sin(psi)[:, None]
+        turned = cos * g - sin * np.cross(spin, g) + (1.0 - cos) * (spin @ g) * spin
+        return (turned @ m0 @ upper.c.T @ lower.c)[:, second]
+
+    reach = math.sqrt(1.0 - lower.u[first] ** 2)
+    step = 2.0 * math.pi / 3600
+    grid = np.arange(3600) * step
+    values = component(grid)
+    inside = np.abs(values) <= reach
+    edges = grid[inside != np.roll(inside, -1)] + 0.5 * step
+    extrema = grid[[np.argmax(values), np.argmin(values)]]
+
+    def near(angles, marks):
+        gap = np.abs((angles[:, None] - marks[None, :] + math.pi) % (2 * math.pi) - math.pi)
+        return gap.min(axis=1, initial=math.inf) <= step
+
+    lands = np.abs(component(roots)) <= reach + 1e-9
+    assert inside.any() == lands.any()
+    # every root is a band edge, or the extremum that is the best effort
+    # when an edge lies beyond the component's range
+    assert np.all(near(roots, edges) | near(roots, extrema))
+    assert np.all(near(edges, roots))
 
 
 def test_export_amc_best_fit_mode_for_unreachable_targets(skeleton):
