@@ -75,10 +75,17 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        if not isinstance(data, dict):
+            raise ValueError("config must be a JSON object")
+        kinds = {f.name: type(f.default) for f in fields(cls)}
+        unknown = set(data) - set(kinds)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        # an int passes where a float is expected, never the other way
+        mistyped = sorted(k for k, v in data.items() if isinstance(v, bool)
+                          or not isinstance(v, (int, kinds[k])))
+        if mistyped:
+            raise ValueError(f"config values of the wrong type: {mistyped}")
         return cls(**data)
 
     @classmethod
@@ -148,9 +155,9 @@ class ReplayMemory:
     """Bounded ring buffer of transitions, oldest evicted first.
 
     Stored as columns: each row names its window by position in the
-    stacked (P, N, F) pool features and keeps the keyframe masks before and
-    after its action. States are assembled on sampling, straight into the
-    batch arrays.
+    stacked (P, N, F) pool features and keeps the keyframe mask before its
+    action; the mask after it is that mask plus the action's frame. States
+    are assembled on sampling, straight into the batch arrays.
     """
 
     def __init__(self, features: np.ndarray, capacity: int):
@@ -162,19 +169,17 @@ class ReplayMemory:
         frames = features.shape[1]
         self.window = np.zeros(capacity, dtype=np.intp)
         self.mask = np.zeros((capacity, frames), dtype=bool)
-        self.next_mask = np.zeros((capacity, frames), dtype=bool)
         self.action = np.zeros(capacity, dtype=np.intp)
         self.reward = np.zeros(capacity)
         self.terminal = np.zeros(capacity, dtype=bool)
 
     def add(self, window: int, mask: np.ndarray, action: int, reward: float,
-            next_mask: np.ndarray, terminal: bool) -> None:
+            terminal: bool) -> None:
         row = self.inserted % self.capacity
         self.window[row] = window
         self.mask[row] = mask
         self.action[row] = action
         self.reward[row] = reward
-        self.next_mask[row] = next_mask
         self.terminal[row] = terminal
         self.inserted += 1
 
@@ -188,10 +193,13 @@ class ReplayMemory:
             raise EmptyDataset("replay memory is empty")
         picks = rng.integers(0, len(self), size=batch_size)
         features = self.features[self.window[picks]]
-        states = assemble_state(features, self.mask[picks])
-        next_states = assemble_state(features, self.next_mask[picks])
-        return (states, self.action[picks], self.reward[picks], next_states,
-                self.terminal[picks], self.next_mask[picks])
+        masks = self.mask[picks]
+        actions = self.action[picks]
+        next_masks = masks.copy()
+        next_masks[np.arange(batch_size), actions] = True
+        return (assemble_state(features, masks), actions, self.reward[picks],
+                assemble_state(features, next_masks), self.terminal[picks],
+                next_masks)
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +332,7 @@ def train(dataset: list[SphericalSequence], cfg: TrainConfig,
             q_new = q_error(sph, next_keys)
             reward = (q_prev - q_new) / q0
             terminal = len(next_keys) == w
-            memory.add(window, keys.mask, action, reward, next_keys.mask,
-                       terminal)
+            memory.add(window, keys.mask, action, reward, terminal)
             episode_reward += reward
             keys = next_keys
             q_prev = q_new

@@ -578,8 +578,7 @@ def local_rotations(skeleton: Skeleton, joint: Joint, raw: RawMotion) -> np.ndar
     """Per-frame local rotation ``C @ M @ C^-1`` for one joint, shape (N, 3, 3)."""
     n = raw.frame_count
     values = raw.channels.get(joint.name)
-    rot_channels = [d for d in joint.dof if d in _ROTATION_DOF]
-    if values is None or not rot_channels:
+    if values is None or not joint.rotation_dof:
         return np.broadcast_to(np.eye(3), (n, 3, 3)).copy()
     angles = np.zeros((n, 3))
     for ci, ch in enumerate(joint.dof):
@@ -589,6 +588,14 @@ def local_rotations(skeleton: Skeleton, joint: Joint, raw: RawMotion) -> np.ndar
     m = euler_matrix(ordered, joint.axis_order)
     c = skeleton.axis_matrix(joint)
     return c @ m @ c.T
+
+
+def world_rotations(skeleton: Skeleton, raw: RawMotion) -> list[np.ndarray]:
+    """Per-frame world rotations (N, 3, 3) of every joint, root first."""
+    world = [local_rotations(skeleton, skeleton.root, raw)]
+    for joint in skeleton.joints[1:]:
+        world.append(world[joint.parent] @ local_rotations(skeleton, joint, raw))
+    return world
 
 
 def root_track(skeleton: Skeleton, raw: RawMotion) -> np.ndarray:
@@ -650,9 +657,8 @@ def export_amc(skeleton: Skeleton, directions: np.ndarray,
     if root.rotation_dof:
         c_root = skeleton.axis_matrix(root)
         for fi in range(n):
-            abc = euler_from_matrix(c_root.T @ root_rot[fi] @ c_root, root.axis_order)
-            for pos, axis_ch in enumerate(root.axis_order.lower()):
-                pose[0, fi, 3 + _AXIS_INDEX[axis_ch]] = abc[pos]
+            pose[0, fi, 3:6] = _euler_channels(c_root.T @ root_rot[fi] @ c_root,
+                                               root.axis_order)
 
     # a 3-dof joint can take any rotation that points its bone, so its
     # subtree's best fit does not depend on the joints above it: it starts
@@ -675,10 +681,7 @@ def export_amc(skeleton: Skeleton, directions: np.ndarray,
         joint.name: values[:, [_CHANNEL_COLUMN[ch] for ch in joint.dof]]
         for joint, values in zip(skeleton.joints, pose) if joint.dof}
     # bend is measured on the pose as written: forward kinematics of the rows
-    raw = RawMotion(n, channel_rows)
-    world = [local_rotations(skeleton, root, raw)]
-    for joint in skeleton.joints[1:]:
-        world.append(world[joint.parent] @ local_rotations(skeleton, joint, raw))
+    world = world_rotations(skeleton, RawMotion(n, channel_rows))
     written = np.stack([rot @ joint.direction
                         for rot, joint in zip(world[1:], skeleton.joints[1:])], axis=1)
     chord = np.linalg.norm(written - directions, axis=-1).max(axis=0, initial=0.0)
@@ -806,21 +809,17 @@ def _scatter_angles(m: np.ndarray, node: "_SolveNode") -> np.ndarray:
     joints with fewer than 3 dof read their angles off the known
     single-axis product structure instead.
     """
-    out = np.zeros(3)
     ordered = node.ordered
     if len(ordered) == 3:
-        abc = euler_from_matrix(m, node.joint.axis_order)
-        for pos, axis_ch in enumerate(node.joint.axis_order.lower()):
-            out[_AXIS_INDEX[axis_ch]] = abc[pos]
-        return out
+        return _euler_channels(m, node.joint.axis_order)
+    out = np.zeros(3)
     if len(ordered) == 1:
         axis = _AXIS_INDEX[ordered[0]]
         out[axis] = _axis_angle_of(m, axis)
         return out
     if len(ordered) == 2:
         first, second = _AXIS_INDEX[ordered[0]], _AXIS_INDEX[ordered[1]]
-        e_first = np.zeros(3)
-        e_first[first] = 1.0
+        e_first = _EYE[first]
         spun = m @ e_first            # R_first leaves e_first in place
         i, j = (second + 1) % 3, (second + 2) % 3
         beta = math.atan2(e_first[i] * spun[j] - e_first[j] * spun[i],
@@ -828,6 +827,13 @@ def _scatter_angles(m: np.ndarray, node: "_SolveNode") -> np.ndarray:
         residue = single_axis_matrix(second, -beta) @ m
         out[first] = _axis_angle_of(residue, first)
         out[second] = beta
+    return out
+
+
+def _euler_channels(m: np.ndarray, axis_order: str) -> np.ndarray:
+    """Angles (indexed x, y, z) of the ``axis_order`` Euler triple of m."""
+    out = np.zeros(3)
+    out[[_AXIS_INDEX[a] for a in axis_order.lower()]] = euler_from_matrix(m, axis_order)
     return out
 
 
@@ -973,10 +979,8 @@ def _solve_two_axes(u: np.ndarray, t: np.ndarray, first: int,
     on alpha, giving A cos(alpha) + B sin(alpha) = t[second]; beta then
     aligns the projections in the plane orthogonal to the second axis.
     """
-    e_first = np.zeros(3)
-    e_first[first] = 1.0
     a = u[second]
-    b = _cross(e_first, u)[second]
+    b = _cross(_EYE[first], u)[second]
     d = t[second]
     r = math.hypot(a, b)
     base = math.atan2(b, a)

@@ -56,6 +56,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _listed(item, choices=None):
+    """argparse type: a non-empty comma-separated list of ``item`` values,
+    each one of ``choices`` when given."""
+    def parse(text: str) -> tuple:
+        values = tuple(item(t) for t in text.split(",") if t)
+        if not values or (choices and not set(values) <= set(choices)):
+            raise ValueError(text)
+        return values
+    parse.__name__ = "comma-separated"     # argparse names it in its error
+    return parse
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="mocapkey",
                      description="Keyframe extraction and cubic motion "
@@ -93,9 +105,10 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("eval", help="compare selectors on a dataset split")
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--model", default=None, help="checkpoint for sidql")
-    p.add_argument("--methods", default="rc,uc,greedy,sidql",
+    p.add_argument("--methods", type=_listed(str, METHODS),
+                   default="rc,uc,greedy,sidql",
                    help=f"comma-separated subset of {','.join(METHODS)}")
-    p.add_argument("--k", default="5,10,15",
+    p.add_argument("--k", type=_listed(int), default="5,10,15",
                    help="comma-separated keyframe budgets")
     p.add_argument("--out", required=True, help="report CSV path")
     p.add_argument("--split", default="test", choices=("train", "test"))
@@ -106,7 +119,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("reconstruct", help="rebuild one window as AMC")
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--seq", required=True, help="window id, e.g. w00003")
-    p.add_argument("--keyframes", default=None,
+    p.add_argument("--keyframes", type=_listed(int), default=None,
                    help="explicit comma-separated frame indices")
     p.add_argument("--method", default=None, choices=METHODS,
                    help="selector to choose keyframes")
@@ -336,20 +349,7 @@ def _eval_window(payload):
 
 
 def cmd_eval(args) -> int:
-    methods = tuple(t for t in args.methods.split(",") if t)
-    for m in methods:
-        if m not in METHODS:
-            print(f"eval: unknown method '{m}'", file=sys.stderr)
-            return EXIT_USAGE
-    try:
-        ks = tuple(int(t) for t in args.k.split(",") if t)
-    except ValueError:
-        print(f"eval: bad --k value '{args.k}'", file=sys.stderr)
-        return EXIT_USAGE
-    if not methods or not ks:
-        print("eval: need at least one method and one keyframe budget",
-              file=sys.stderr)
-        return EXIT_USAGE
+    methods, ks = args.methods, args.k
     net = None
     model_digest = None
     if "sidql" in methods:
@@ -455,13 +455,7 @@ def cmd_reconstruct(args) -> int:
     rec = records[0]
     sph = sequence_to_spherical(rec.seq)
     if args.keyframes:
-        try:
-            indices = [int(t) for t in args.keyframes.split(",") if t]
-        except ValueError:
-            print(f"reconstruct: bad --keyframes '{args.keyframes}'",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        keys = KeyframeSet.from_indices(indices, sph.frame_count)
+        keys = KeyframeSet.from_indices(args.keyframes, sph.frame_count)
     elif args.method:
         if args.k is None:
             print("reconstruct: --method requires --k", file=sys.stderr)

@@ -24,12 +24,13 @@ import numpy as np
 from .asfamc import Skeleton
 from .errors import MalformedDataset
 from .motion import MotionSequence
-from .neural import atomic_open
+from .neural import atomic_open, read_blocks, write_blocks
 
 MAGIC = b"MKWIN2 "
 MAGIC_V1 = b"MKWIN1 "
 MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = 1
+TRAIN_FRACTION = 0.8     # share of sources in the training split
 
 
 @dataclass(frozen=True)
@@ -54,12 +55,8 @@ def write_window(path, skeleton: Skeleton, seq: MotionSequence,
         "start_frame": int(start_frame),
         "skeleton": skeleton.to_dict(),
     }
-    with atomic_open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        for block in (seq.positions, seq.root_positions):
-            fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
+    write_blocks(path, MAGIC + json.dumps(header, sort_keys=True).encode("utf-8"),
+                 (seq.positions, seq.root_positions))
 
 
 def read_window(path) -> tuple[Skeleton, MotionSequence, int]:
@@ -77,6 +74,7 @@ def read_window(path) -> tuple[Skeleton, MotionSequence, int]:
             parents = tuple(int(p) for p in header["parents"])
             skeleton = Skeleton.from_dict(header["skeleton"])
             start = int(header.get("start_frame", 0))
+            positions, root_positions = np.empty((n, m, 3)), np.empty((n, 3))
         except (KeyError, ValueError, TypeError) as exc:
             raise MalformedDataset(f"{path}: bad window header: {exc}") from None
         if names != skeleton.bone_names:
@@ -85,41 +83,30 @@ def read_window(path) -> tuple[Skeleton, MotionSequence, int]:
         if parents != tuple(j.parent - 1 for j in skeleton.joints[1:]):
             raise MalformedDataset(f"{path}: parents {list(parents)} are not "
                                    "the skeleton's bone tree")
-        # (shape, kept): MKWIN1 interleaves velocity blocks, which are skipped
-        layout = [((n, m, 3), True), ((n, 3), True)]
-        if magic == MAGIC_V1:
-            layout = [((n, m, 3), True), ((n, m, 3), False),
-                      ((n, 3), True), ((n, 3), False)]
-        blocks = []
-        for shape, kept in layout:
-            count = int(np.prod(shape))
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
-                raise MalformedDataset(f"{path}: truncated window record")
-            if kept:
-                blocks.append(np.frombuffer(raw, dtype="<f8").reshape(shape).copy())
-        if fh.read(1):
-            raise MalformedDataset(f"{path}: trailing bytes after the last block")
+        blocks = [positions, root_positions]
+        if magic == MAGIC_V1:   # MKWIN1 follows each block with its velocities, unused
+            blocks = [positions, np.empty_like(positions),
+                      root_positions, np.empty_like(root_positions)]
+        read_blocks(fh, blocks, MalformedDataset)
     seq = MotionSequence(
-        dt=dt, positions=blocks[0], root_positions=blocks[1],
+        dt=dt, positions=positions, root_positions=root_positions,
         joint_names=names, parents=parents,
         source=header.get("source", ""),
     )
     return skeleton, seq, start
 
 
-def split_sources(sources: list[str], seed: int,
-                  train_fraction: float = 0.8) -> dict[str, str]:
+def split_sources(sources: list[str], seed: int) -> dict[str, str]:
     """Deterministic train/test assignment per source id.
 
     Shuffles the sorted source list with the seed and sends the first
-    train_fraction share to the training split; with two or more sources
+    TRAIN_FRACTION share to the training split; with two or more sources
     both splits are kept nonempty.
     """
     ordered = sorted(sources)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(ordered))
-    n_train = int(round(train_fraction * len(ordered)))
+    n_train = int(round(TRAIN_FRACTION * len(ordered)))
     if len(ordered) >= 2:
         n_train = min(max(n_train, 1), len(ordered) - 1)
     else:
@@ -129,8 +116,7 @@ def split_sources(sources: list[str], seed: int,
 
 
 def write_dataset(out_dir, per_source: dict[str, list[tuple[Skeleton, MotionSequence, int]]],
-                  preprocessing: dict, seed: int,
-                  train_fraction: float = 0.8) -> dict:
+                  preprocessing: dict, seed: int) -> dict:
     """Write all window records plus the manifest; returns the manifest.
 
     ``per_source`` maps a source id to that file's windows as
@@ -138,7 +124,7 @@ def write_dataset(out_dir, per_source: dict[str, list[tuple[Skeleton, MotionSequ
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    split = split_sources(list(per_source), seed, train_fraction)
+    split = split_sources(list(per_source), seed)
     rows = []
     counter = 0
     for source in sorted(per_source):
@@ -156,7 +142,7 @@ def write_dataset(out_dir, per_source: dict[str, list[tuple[Skeleton, MotionSequ
     manifest = {
         "format": MANIFEST_FORMAT,
         "seed": int(seed),
-        "train_fraction": train_fraction,
+        "train_fraction": TRAIN_FRACTION,
         "preprocessing": preprocessing,
         "windows": rows,
     }
@@ -175,10 +161,18 @@ def load_manifest(dataset_dir) -> dict:
         raise MalformedDataset(f"{path}: manifest not found") from None
     except json.JSONDecodeError as exc:
         raise MalformedDataset(f"{path}: bad manifest: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise MalformedDataset(f"{path}: manifest is not a JSON object")
     if manifest.get("format") != MANIFEST_FORMAT:
         raise MalformedDataset(
             f"{path}: manifest format {manifest.get('format')}, "
             f"expected {MANIFEST_FORMAT}")
+    rows = manifest.get("windows")
+    if not isinstance(rows, list) or not all(
+            isinstance(row, dict) and isinstance(row.get("file"), str)
+            and {"source", "split"} <= row.keys() for row in rows):
+        raise MalformedDataset(f"{path}: manifest windows must be a list of "
+                               "objects with a file, source and split")
     return manifest
 
 

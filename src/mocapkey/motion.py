@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .asfamc import Joint, RawMotion, Skeleton, local_rotations, root_track
+from .asfamc import Joint, RawMotion, Skeleton, root_track, world_rotations
 from .errors import TooShort
 
 # Distal extremities removed from the skeleton (filter_joints) before
@@ -58,16 +58,12 @@ def forward_kinematics(skeleton: Skeleton, raw: RawMotion, dt: float,
     Joint order matches the skeleton's (topological, root excluded). Pass
     the :func:`filter_joints` skeleton to compute only the tracked joints.
     """
-    n = raw.frame_count
     joints = skeleton.joints
-    rotations = np.empty((len(joints), n, 3, 3))
-    positions = np.empty((len(joints), n, 3))
-    rotations[0] = local_rotations(skeleton, joints[0], raw)
+    rotations = world_rotations(skeleton, raw)
+    positions = np.empty((len(joints), raw.frame_count, 3))
     positions[0] = root_track(skeleton, raw)
     for idx in range(1, len(joints)):
         joint = joints[idx]
-        local = local_rotations(skeleton, joint, raw)
-        rotations[idx] = rotations[joint.parent] @ local
         offset = joint.length * joint.direction
         positions[idx] = positions[joint.parent] + rotations[idx] @ offset
 

@@ -85,14 +85,7 @@ def _check_input(net: QNetwork, x: np.ndarray) -> np.ndarray:
 
 def forward(net: QNetwork, x) -> np.ndarray:
     """Network output for one input (D,) or a batch (B, D)."""
-    x = _check_input(net, x)
-    h = x
-    last = len(net.weights) - 1
-    for li, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = h @ w + b
-        if li != last:
-            np.maximum(h, 0.0, out=h)
-    return h
+    return _forward_cached(net, _check_input(net, x))[0]
 
 
 def _forward_cached(net: QNetwork, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -214,9 +207,31 @@ def atomic_open(path, mode: str = "w", **kwargs):
             os.remove(tmp)
 
 
+def write_blocks(path, header: bytes, blocks) -> None:
+    """Write ``header`` as one line, then each block as raw little-endian
+    float64 in C order; atomically, through :func:`atomic_open`."""
+    with atomic_open(path, "wb") as fh:
+        fh.write(header + b"\n")
+        for block in blocks:
+            fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
+
+
+def read_blocks(fh, blocks, error) -> None:
+    """Fill each float64 array in ``blocks`` from the rest of the binary file
+    ``fh``, past its header line; raises ``error`` when bytes are missing
+    or left over."""
+    for block in blocks:
+        raw = fh.read(8 * block.size)
+        if len(raw) != 8 * block.size:
+            raise error(f"{fh.name}: truncated float64 blocks")
+        np.copyto(block, np.frombuffer(raw, dtype="<f8").reshape(block.shape))
+    if fh.read(1):
+        raise error(f"{fh.name}: trailing bytes after the last block")
+
+
 # ---------------------------------------------------------------------------
-# Checkpoints: one JSON header line, then raw little-endian float64 blocks
-# (network weights and biases in layer order, then Adam m and v moments).
+# Checkpoints: one JSON header line, then the float64 blocks of the network
+# weights and biases in layer order, then the Adam m and v moments.
 # ---------------------------------------------------------------------------
 
 def checkpoint_save(net: QNetwork, adam: AdamState, path, extra: dict | None = None) -> None:
@@ -233,11 +248,8 @@ def checkpoint_save(net: QNetwork, adam: AdamState, path, extra: dict | None = N
         },
         "extra": extra or {},
     }
-    with atomic_open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        for block in net.parameters() + adam.m + adam.v:
-            fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
+    write_blocks(path, json.dumps(header, sort_keys=True).encode("utf-8"),
+                 net.parameters() + adam.m + adam.v)
 
 
 def checkpoint_load(path) -> tuple[QNetwork, AdamState, dict]:
@@ -246,28 +258,22 @@ def checkpoint_load(path) -> tuple[QNetwork, AdamState, dict]:
         try:
             header = json.loads(header_line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CorruptCheckpoint(f"unreadable header: {exc}") from None
+            raise CorruptCheckpoint(f"{path}: unreadable header: {exc}") from None
+        if not isinstance(header, dict):
+            raise CorruptCheckpoint(f"{path}: header is not a JSON object")
         version = header.get("format_version")
         if version != CHECKPOINT_VERSION:
-            raise VersionMismatch(
-                f"checkpoint format {version}, expected {CHECKPOINT_VERSION}")
+            raise VersionMismatch(f"{path}: checkpoint format {version}, "
+                                  f"expected {CHECKPOINT_VERSION}")
         try:
-            shapes = [int(s) for s in header["shapes"]]
-            seed = int(header.get("seed", 0))
+            net = init([int(s) for s in header["shapes"]], int(header.get("seed", 0)))
             ah = header["adam"]
+            adam = AdamState.for_network(
+                net, learning_rate=float(ah["learning_rate"]),
+                beta1=float(ah["beta1"]), beta2=float(ah["beta2"]),
+                eps=float(ah["eps"]))
+            adam.step = int(ah["step"])
         except (KeyError, TypeError, ValueError) as exc:
-            raise CorruptCheckpoint(f"malformed header: {exc}") from None
-        net = init(shapes, seed)
-        adam = AdamState.for_network(
-            net, learning_rate=float(ah["learning_rate"]),
-            beta1=float(ah["beta1"]), beta2=float(ah["beta2"]),
-            eps=float(ah["eps"]))
-        adam.step = int(ah["step"])
-        for block in net.parameters() + adam.m + adam.v:
-            raw = fh.read(block.size * 8)
-            if len(raw) != block.size * 8:
-                raise CorruptCheckpoint("truncated parameter block")
-            np.copyto(block, np.frombuffer(raw, dtype="<f8").reshape(block.shape))
-        if fh.read(1):
-            raise CorruptCheckpoint("trailing bytes after parameter blocks")
+            raise CorruptCheckpoint(f"{path}: malformed header: {exc}") from None
+        read_blocks(fh, net.parameters() + adam.m + adam.v, CorruptCheckpoint)
     return net, adam, header.get("extra", {})

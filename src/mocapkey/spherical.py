@@ -56,34 +56,28 @@ def sph_to_cart(r, theta, phi):
     ], axis=-1)
 
 
-def velocity_to_sph(p, v, on_pole: str = "raise"):
+def _chart_terms(p, v):
+    """(r, sin theta, cos theta, sin phi, cos phi, v) at ``p``: the terms
+    both rate forms are built from."""
+    r, theta, phi = cart_to_sph(p)
+    return (r, np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi),
+            np.asarray(v, dtype=np.float64))
+
+
+def velocity_to_sph(p, v):
     """Angular rates (r_dot, theta_dot, phi_dot) of a moving point.
 
     Differentiates the spherical chart along the Cartesian velocity ``v``
-    at position ``p``. phi_dot is undefined on the poles; ``on_pole``
-    selects between raising PoleSingularity and returning 0.0 there.
+    at position ``p``. phi_dot is undefined on the poles; raises
+    PoleSingularity there.
     """
-    if on_pole not in ("raise", "zero"):
-        raise ValueError(f"on_pole must be 'raise' or 'zero', got {on_pole!r}")
-    p = np.asarray(p, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    r, theta, phi = cart_to_sph(p)
-    r = np.asarray(r)
-    theta = np.asarray(theta)
-    phi = np.asarray(phi)
-    st, ct = np.sin(theta), np.cos(theta)
-    sp, cp = np.sin(phi), np.cos(phi)
+    r, st, ct, sp, cp, v = _chart_terms(p, v)
+    if np.any(st < POLE_EPS):
+        raise PoleSingularity("phi rate is undefined on the z axis")
     vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
     r_dot = st * cp * vx + st * sp * vy + ct * vz
     theta_dot = (ct * cp * vx + ct * sp * vy - st * vz) / r
-    pole = st < POLE_EPS
-    if np.any(pole):
-        if on_pole == "raise":
-            raise PoleSingularity("phi rate is undefined on the z axis")
-        phi_dot = np.where(pole, 0.0,
-                           (-sp * vx + cp * vy) / np.where(pole, 1.0, r * st))
-    else:
-        phi_dot = (-sp * vx + cp * vy) / (r * st)
+    phi_dot = (-sp * vx + cp * vy) / (r * st)
     if np.asarray(r_dot).ndim == 0:
         return float(r_dot), float(theta_dot), float(phi_dot)
     return r_dot, theta_dot, phi_dot
@@ -102,14 +96,7 @@ def velocity_to_sph_constrained(p, v):
     PoleSingularity or MeridianSingularity there. The general
     :func:`velocity_to_sph` agrees with this wherever both are defined.
     """
-    p = np.asarray(p, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    r, theta, phi = cart_to_sph(p)
-    r = np.asarray(r)
-    theta = np.asarray(theta)
-    phi = np.asarray(phi)
-    st, ct = np.sin(theta), np.cos(theta)
-    sp, cp = np.sin(phi), np.cos(phi)
+    r, st, ct, sp, cp, v = _chart_terms(p, v)
     if np.any(st < POLE_EPS):
         raise PoleSingularity("constrained rates are undefined on the z axis")
     if np.any(np.abs(cp) < POLE_EPS):
@@ -175,15 +162,10 @@ def sequence_to_spherical(seq: MotionSequence) -> SphericalSequence:
     ends.
     """
     rel = relative_vectors(seq.positions, seq.root_positions, seq.parents)
-    r = np.linalg.norm(rel, axis=-1)
-    if np.any(r == 0.0):
-        raise ZeroVector("a joint coincides with its parent")
-    theta = np.arccos(np.clip(rel[..., 2] / r, -1.0, 1.0))
-    phi = np.arctan2(rel[..., 1], rel[..., 0])
-    on_pole = (rel[..., 0] == 0.0) & (rel[..., 1] == 0.0)
-    phi = np.where(on_pole, 0.0, phi)
+    r, theta, phi = cart_to_sph(rel)
+    pole = (rel[..., 0] == 0.0) & (rel[..., 1] == 0.0)
     for m in range(phi.shape[1]):
-        col_pole = on_pole[:, m]
+        col_pole = pole[:, m]
         if col_pole.any() and not col_pole.all():
             # carry the nearest defined azimuth across pole frames so the
             # unwrap below sees a continuous track

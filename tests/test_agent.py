@@ -208,18 +208,18 @@ def test_replay_memory_ring_eviction():
     mem = agent.ReplayMemory(np.zeros((1, 3, 8)), capacity=4)
     mask = np.zeros(3)
     for i in range(6):
-        mem.add(0, mask, action=i, reward=float(i), next_mask=mask,
-                terminal=False)
+        mem.add(0, mask, action=i % 3, reward=float(i), terminal=False)
     assert len(mem) == 4 and mem.inserted == 6
     # 0 and 1 were evicted first, into the ring slots they had held
-    assert mem.action.tolist() == [4, 5, 2, 3]
+    assert mem.action.tolist() == [1, 2, 2, 0]
     assert mem.reward.tolist() == [4.0, 5.0, 2.0, 3.0]
     states, actions, rewards, next_states, terminal, next_masks = mem.sample(
         np.random.default_rng(0), 10)
-    assert set(actions.tolist()) <= {2, 3, 4, 5}
-    assert np.array_equal(rewards, actions.astype(float))
+    assert set(rewards.tolist()) <= {2.0, 3.0, 4.0, 5.0}
+    assert np.array_equal(actions, rewards.astype(int) % 3)
     assert states.shape == next_states.shape == (10, 3 * 9)
-    assert next_masks.shape == (10, 3) and not next_masks.any()
+    # the next mask is the stored mask plus the action's frame
+    assert np.array_equal(next_masks, np.eye(3, dtype=bool)[actions])
     assert not terminal.any()
     with pytest.raises(ValueError):
         agent.ReplayMemory(np.zeros((1, 3, 8)), 0)
@@ -231,11 +231,11 @@ def test_replay_memory_ring_eviction():
 def test_replay_memory_snapshots_masks():
     mem = agent.ReplayMemory(np.zeros((1, 3, 8)), capacity=4)
     mask = np.zeros(3)
-    mem.add(0, mask, 1, 0.0, mask, False)
+    mem.add(0, mask, 1, 0.0, False)
     mask[0] = 1.0  # caller mutates after insertion
     batch = mem.sample(np.random.default_rng(0), 1)
     assert batch[0][0, np.arange(3) * 9 + 8].sum() == 0.0
-    assert not batch[5].any()
+    assert batch[5].tolist() == [[False, True, False]]
 
 
 @settings(max_examples=60, deadline=None)
@@ -249,7 +249,7 @@ def test_replay_sample_equals_per_row_states(seed, capacity, adds, batch):
     ring = [None] * capacity
     for i in range(adds):
         row = (int(rng.integers(3)), rng.random(5) < 0.4, int(rng.integers(5)),
-               float(rng.normal()), rng.random(5) < 0.6, bool(rng.random() < 0.3))
+               float(rng.normal()), bool(rng.random() < 0.3))
         mem.add(*row)
         ring[i % capacity] = row
     assert len(mem) == min(adds, capacity)
@@ -257,7 +257,9 @@ def test_replay_sample_equals_per_row_states(seed, capacity, adds, batch):
         np.random.default_rng(seed), batch)
     picks = np.random.default_rng(seed).integers(0, len(mem), size=batch)
     for b, pick in enumerate(picks):
-        window, mask, action, reward, next_mask, term = ring[pick]
+        window, mask, action, reward, term = ring[pick]
+        next_mask = mask.copy()
+        next_mask[action] = True
         want = agent.assemble_state(features[window], mask)
         want_next = agent.assemble_state(features[window], next_mask)
         assert states[b].tobytes() == want.tobytes()

@@ -104,6 +104,25 @@ def test_eval_reports_all_methods(tmp_path, prepped, trained, capsys):
     assert "greedy" in out and "W=4" in out
 
 
+def test_eval_jobs_match_a_single_process(tmp_path, prepped, trained):
+    outputs = []
+    for jobs in ("1", "2"):
+        report = tmp_path / f"jobs{jobs}.csv"
+        assert cli.main(["eval", "--data", str(prepped), "--model", str(trained),
+                         "--k", "4,6", "--split", "train", "--jobs", jobs,
+                         "--out", str(report)]) == cli.EXIT_OK
+        with open(report, newline="") as fh:
+            rows = [{k: v for k, v in r.items() if k != "decision_time_s"}
+                    for r in csv.DictReader(fh)]
+        summary = json.loads((tmp_path / f"jobs{jobs}.csv.summary.json").read_text())
+        for cells in summary["table"].values():
+            for cell in cells.values():
+                del cell["mean_decision_time_s"]
+        outputs.append((rows, summary))
+    assert len(outputs[0][0]) == 4 * 4 * 2  # train windows x methods x budgets
+    assert outputs[0] == outputs[1]
+
+
 def test_eval_without_model_skips_agent(tmp_path, prepped):
     report = tmp_path / "baselines.csv"
     code = cli.main(["eval", "--data", str(prepped), "--methods", "rc,uc",
@@ -180,6 +199,28 @@ def test_data_errors_exit_two(tmp_path):
                      "--out", str(tmp_path / "a.ckpt")]) == cli.EXIT_DATA
     assert cli.main(["eval", "--data", str(empty), "--methods", "rc",
                      "--out", str(tmp_path / "r.csv")]) == cli.EXIT_DATA
+
+    # malformed JSON: a manifest, a checkpoint header and a training config
+    for i, manifest in enumerate([[], {"format": 1},
+                                  {"format": 1, "windows": [
+                                      {"file": "w00000.mkw", "source": "a"}]}]):
+        data = tmp_path / f"ds{i}"
+        data.mkdir()
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        assert cli.main(["eval", "--data", str(data), "--methods", "rc",
+                         "--out", str(tmp_path / "r.csv")]) == cli.EXIT_DATA
+    adam = {"learning_rate": 0.01, "beta2": 0.999, "eps": 1e-8, "step": 0}
+    for header in ([], {"format_version": 1, "shapes": [2, 2, 2, 2],
+                        "adam": adam}):
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(json.dumps(header).encode() + b"\n")
+        assert cli.main(["eval", "--data", str(empty), "--methods", "sidql",
+                         "--model", str(ckpt),
+                         "--out", str(tmp_path / "r.csv")]) == cli.EXIT_DATA
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"episodes": "ten"}))
+    assert cli.main(["train", "--data", str(empty), "--config", str(config),
+                     "--out", str(tmp_path / "a.ckpt")]) == cli.EXIT_DATA
 
 
 def test_reconstruct_unknown_window_exits_two(tmp_path, prepped):

@@ -144,10 +144,10 @@ def test_split_sources_deterministic_and_nonempty():
 
 def test_split_sources_edge_counts():
     assert dataset.split_sources(["only.amc"], seed=0) == {"only.amc": "train"}
-    two = dataset.split_sources(["a", "b"], seed=0, train_fraction=0.99)
-    assert sorted(two.values()) == ["test", "train"]
-    two = dataset.split_sources(["a", "b"], seed=0, train_fraction=0.01)
-    assert sorted(two.values()) == ["test", "train"]
+    # round(0.8 * 2) = 2 training sources, clipped to keep a test source
+    for seed in range(4):
+        two = dataset.split_sources(["a", "b"], seed=seed)
+        assert sorted(two.values()) == ["test", "train"]
 
 
 # ---------------------------------------------------------------------------

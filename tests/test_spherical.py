@@ -86,13 +86,9 @@ def test_velocity_transform_pole_handling():
     p = np.array([0.0, 0.0, 1.0])
     v = np.array([0.3, -0.2, 0.1])
     with pytest.raises(PoleSingularity):
-        spherical.velocity_to_sph(p, v, on_pole="raise")
-    r_dot, th_dot, ph_dot = spherical.velocity_to_sph(p, v, on_pole="zero")
-    assert r_dot == pytest.approx(0.1)
-    # theta keeps its directional rate under the phi := 0 pole convention;
-    # only the undefined phi rate collapses to zero
-    assert th_dot == pytest.approx(0.3)
-    assert ph_dot == 0.0
+        spherical.velocity_to_sph(p, v)
+    with pytest.raises(PoleSingularity):
+        spherical.velocity_to_sph(np.array([[1.0, 0.0, 0.0], p]), np.stack([v, v]))
 
 
 def test_constrained_velocity_agrees_with_general_on_tangential_input():
