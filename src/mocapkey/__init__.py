@@ -19,8 +19,9 @@ from .errors import (CheckpointError, CorruptCheckpoint, DegenerateInterval,
                      DegenerateSequence, EmptyDataset, InvalidKeyframeSet,
                      InvalidW, MalformedAmc, MalformedAsf, MalformedDataset,
                      MeridianSingularity, MocapKeyError, NonFiniteGradient,
-                     NoValidAction, PoleSingularity, ShapeMismatch, TooShort,
-                     UnreachablePose, VersionMismatch, ZeroVector)
+                     NoValidAction, NumericError, PoleSingularity,
+                     ShapeMismatch, TooShort, UnreachablePose, VersionMismatch,
+                     ZeroVector)
 from .keyframes import KeyframeSet
 from .metrics import (angle_distance, q_baseline, q_error, root_rmse,
                       section_error_table, section_errors)
@@ -40,7 +41,8 @@ __all__ = [
     "DegenerateInterval", "DegenerateSequence", "EmptyDataset",
     "InvalidKeyframeSet", "InvalidW", "Joint", "KeyframeSet", "MalformedAmc",
     "MalformedAsf", "MalformedDataset", "MeridianSingularity", "MocapKeyError",
-    "MotionSequence", "NoValidAction", "NonFiniteGradient", "PoleSingularity",
+    "MotionSequence", "NoValidAction", "NonFiniteGradient", "NumericError",
+    "PoleSingularity",
     "PreprocessConfig", "QNetwork", "RawMotion", "ReplayMemory",
     "ShapeMismatch", "Skeleton", "SphericalSequence", "TooShort",
     "TrainConfig", "TrainResult", "UnreachablePose", "VersionMismatch",

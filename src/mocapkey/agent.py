@@ -16,13 +16,24 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import neural
-from .errors import (EmptyDataset, DegenerateSequence, InvalidW, NoValidAction,
-                     ShapeMismatch)
-from .keyframes import KeyframeSet
+from .errors import (CorruptCheckpoint, DegenerateSequence, EmptyDataset,
+                     NoValidAction, ShapeMismatch)
+from .keyframes import KeyframeSet, check_keyframe_count
 from .metrics import q_baseline, q_error
 from .spherical import SphericalSequence, wrap_angle
 
 RATE_CLIP = 10.0     # rad/s bound before normalization in the state encoding
+EPSILON_START = 1.0  # exploration rate at the first environment step
+EPSILON_END = 0.05   # exploration rate once the decay is over
+EPSILON_FRACTION = 0.6   # share of env steps spent decaying
+
+# Settings that configs once carried, each with the one value in use;
+# configs stored with them load when they hold exactly that value.
+_RETIRED = {"epsilon_start": EPSILON_START, "epsilon_end": EPSILON_END,
+            "epsilon_fraction": EPSILON_FRACTION,
+            "huber_delta": neural.HUBER_DELTA,
+            "adam_beta1": neural.AdamState.beta1,
+            "adam_beta2": neural.AdamState.beta2, "adam_eps": neural.AdamState.eps}
 
 
 @dataclass(frozen=True)
@@ -38,17 +49,10 @@ class TrainConfig:
     train_interval: int = 100        # environment steps between updates
     target_interval: int = 100       # updates between target-network syncs
     discount: float = 0.5
-    epsilon_start: float = 1.0
-    epsilon_end: float = 0.05
-    epsilon_fraction: float = 0.6    # share of env steps spent decaying
     eval_interval: int = 500         # episodes between policy evaluations; 0 = off
     eval_sample: int = 64            # training windows scored per evaluation
     hidden1: int = 128
     hidden2: int = 64
-    huber_delta: float = 1.0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -58,15 +62,10 @@ class TrainConfig:
                      "train_interval", "target_interval", "hidden1", "hidden2"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        for name in ("learning_rate", "huber_delta", "adam_eps"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
         if not 0.0 <= self.discount <= 1.0:
             raise ValueError("discount must be in [0, 1]")
-        if not 0.0 <= self.epsilon_end <= self.epsilon_start <= 1.0:
-            raise ValueError("need 0 <= epsilon_end <= epsilon_start <= 1")
-        if not 0.0 < self.epsilon_fraction <= 1.0:
-            raise ValueError("epsilon_fraction must be in (0, 1]")
         if self.eval_interval < 0 or self.eval_sample < 1:
             raise ValueError("eval_interval must be >= 0 and eval_sample >= 1")
 
@@ -77,6 +76,12 @@ class TrainConfig:
     def from_dict(cls, data: dict) -> "TrainConfig":
         if not isinstance(data, dict):
             raise ValueError("config must be a JSON object")
+        data = dict(data)
+        for key in _RETIRED.keys() & data.keys():
+            value = data.pop(key)
+            if isinstance(value, bool) or value != _RETIRED[key]:
+                raise ValueError(f"config key '{key}' is fixed at "
+                                 f"{_RETIRED[key]!r}, got {value!r}")
         kinds = {f.name: type(f.default) for f in fields(cls)}
         unknown = set(data) - set(kinds)
         if unknown:
@@ -92,11 +97,6 @@ class TrainConfig:
     def from_file(cls, path) -> "TrainConfig":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
-
-    def to_file(self, path) -> None:
-        with neural.atomic_open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
     def digest(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")
@@ -237,10 +237,10 @@ class TrainResult:
                 "updates": self.updates}
 
 
-def _epsilon_at(cfg: TrainConfig, step: int, total_steps: int) -> float:
-    horizon = max(1.0, cfg.epsilon_fraction * total_steps)
+def _epsilon_at(step: int, total_steps: int) -> float:
+    horizon = max(1.0, EPSILON_FRACTION * total_steps)
     frac = min(1.0, step / horizon)
-    return cfg.epsilon_start + (cfg.epsilon_end - cfg.epsilon_start) * frac
+    return EPSILON_START + (EPSILON_END - EPSILON_START) * frac
 
 
 def train(dataset: list[SphericalSequence], cfg: TrainConfig,
@@ -281,14 +281,12 @@ def train(dataset: list[SphericalSequence], cfg: TrainConfig,
                 f"window {sph.source or '?'} has shape "
                 f"({sph.frame_count}, {sph.joint_count}), expected ({n}, {m})")
     w = cfg.keyframe_count
-    if w > n:
-        raise InvalidW(f"keyframe count {w} exceeds window length {n}")
+    check_keyframe_count(n, w)
     state_dim = n * (4 * m + 1)
 
     if initial is None:
         net = neural.init([state_dim, cfg.hidden1, cfg.hidden2, n], cfg.seed)
-        adam = neural.AdamState.for_network(
-            net, cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+        adam = neural.AdamState.for_network(net, cfg.learning_rate)
         global_step = 0
         episode_base = 0
         updates = 0
@@ -324,9 +322,9 @@ def train(dataset: list[SphericalSequence], cfg: TrainConfig,
         keys = KeyframeSet.endpoints(n)
         q_prev = q0
         episode_reward = 0.0
-        epsilon = _epsilon_at(cfg, global_step, total_steps)
+        epsilon = _epsilon_at(global_step, total_steps)
         for _ in range(w - 2):
-            epsilon = _epsilon_at(cfg, global_step, total_steps)
+            epsilon = _epsilon_at(global_step, total_steps)
             action = act(net, features[window], keys.mask, epsilon, rng)
             next_keys = keys.add(action)
             q_new = q_error(sph, next_keys)
@@ -342,8 +340,8 @@ def train(dataset: list[SphericalSequence], cfg: TrainConfig,
                  next_masks) = memory.sample(rng, cfg.batch_size)
                 targets = _batch_targets(rewards, next_states, next_masks,
                                          terminals, target, cfg.discount)
-                _, loss = neural.backward_and_step(
-                    net, adam, states, actions, targets, cfg.huber_delta)
+                _, loss = neural.backward_and_step(net, adam, states,
+                                                   actions, targets)
                 updates += 1
                 log.append(LogRow(global_step, episode, epsilon, loss=loss))
                 if updates % cfg.target_interval == 0:
@@ -438,8 +436,7 @@ def infer_keyframes(net: neural.QNetwork, sph: SphericalSequence,
     first-layer computation is shared across steps for speed.
     """
     n = sph.frame_count
-    if not 2 <= w <= n:
-        raise InvalidW(f"keyframe count must be in [2, {n}], got {w}")
+    check_keyframe_count(n, w)
     if net.output_dim != n or net.input_dim != n * (4 * sph.joint_count + 1):
         raise ShapeMismatch(
             f"network {net.shapes} does not fit a ({n}, {sph.joint_count}) window")
@@ -471,12 +468,14 @@ def save_agent(path, result: TrainResult, cfg: TrainConfig) -> None:
 
 def load_agent(path) -> tuple[TrainResult, TrainConfig]:
     net, adam, extra = neural.checkpoint_load(path)
+    counters = extra.get("counters", {}) if isinstance(extra, dict) else None
+    if not isinstance(counters, dict):
+        raise CorruptCheckpoint(
+            f"{path}: 'extra' and its 'counters' must be JSON objects")
+    try:
+        counts = {name: int(counters.get(name, 0))
+                  for name in ("global_step", "episodes_done", "updates")}
+    except (TypeError, ValueError) as exc:
+        raise CorruptCheckpoint(f"{path}: malformed counters: {exc}") from None
     cfg = TrainConfig.from_dict(extra.get("config", {}))
-    counters = extra.get("counters", {})
-    result = TrainResult(
-        net=net, adam=adam, log=[],
-        global_step=int(counters.get("global_step", 0)),
-        episodes_done=int(counters.get("episodes_done", 0)),
-        updates=int(counters.get("updates", 0)),
-    )
-    return result, cfg
+    return TrainResult(net=net, adam=adam, log=[], **counts), cfg

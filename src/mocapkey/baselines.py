@@ -5,20 +5,15 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidW
-from .keyframes import KeyframeSet
+from .keyframes import KeyframeSet, check_keyframe_count
 from .metrics import q_baseline, section_error_table
 from .spherical import SphericalSequence
-
-
-def _check_w(n: int, w: int) -> None:
-    if not 2 <= w <= n:
-        raise InvalidW(f"keyframe count must be in [2, {n}], got {w}")
 
 
 def select_random(n: int, w: int, seed: int) -> KeyframeSet:
     """Endpoints plus w-2 interior frames drawn uniformly without
     replacement; a pure function of (n, w, seed)."""
-    _check_w(n, w)
+    check_keyframe_count(n, w)
     rng = np.random.default_rng(seed)
     interior = rng.choice(np.arange(1, n - 1), size=w - 2, replace=False)
     return KeyframeSet.from_indices([0, n - 1, *interior.tolist()], n)
@@ -30,7 +25,7 @@ def select_uniform(n: int, w: int) -> KeyframeSet:
     Rounding is half-to-even; collisions (possible only in contrived
     cases) shift to the nearest unused higher index.
     """
-    _check_w(n, w)
+    check_keyframe_count(n, w)
     used = set()
     out = []
     for i in range(w):
@@ -52,7 +47,7 @@ def select_greedy(sph: SphericalSequence, w: int) -> KeyframeSet:
     frame f to section [a, b] replaces E[a, b] by E[a, f] + E[f, b].
     """
     n = sph.frame_count
-    _check_w(n, w)
+    check_keyframe_count(n, w)
     q_baseline(sph)   # degenerate windows have no meaningful argmin
     table = section_error_table(sph)
     mask = KeyframeSet.endpoints(n).mask

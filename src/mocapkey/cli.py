@@ -5,11 +5,11 @@ agent on the train split), ``eval`` (selector comparison table on a
 split), ``reconstruct`` (one window back to AMC from chosen keyframes).
 
 Exit codes: 0 success, 1 usage error, 2 data error (parsing, missing or
-inconsistent inputs, bad config), 3 numeric failure (degenerate metrics,
-singularities, non-finite gradients, unreachable poses).
+inconsistent inputs, bad config), 3 numeric failure (any ``NumericError``:
+degenerate metrics, singularities, non-finite gradients, unreachable poses).
 
-The ``MOCAPKEY_CONFIG`` environment variable supplies a default training
-config file; an explicit ``--config`` wins.
+``train`` reads its config from ``--config`` (JSON; defaults otherwise),
+and its ``--episodes``, ``--keyframes`` and ``--seed`` flags win over it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -26,10 +25,8 @@ import numpy as np
 
 from . import agent, baselines, dataset, neural
 from .asfamc import export_amc, parse_amc, parse_asf
-from .errors import (DegenerateInterval, DegenerateSequence, EmptyDataset,
-                     MeridianSingularity, MocapKeyError, NoValidAction,
-                     NonFiniteGradient, PoleSingularity, UnreachablePose,
-                     ZeroVector)
+from .errors import (DegenerateSequence, EmptyDataset, MocapKeyError,
+                     NumericError)
 from .keyframes import KeyframeSet
 from .metrics import REPORT_COLUMNS, q_baseline, q_error, root_rmse
 from .motion import (CMU_EXCLUDED_JOINTS, PreprocessConfig, filter_joints,
@@ -41,10 +38,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
-
-_NUMERIC_ERRORS = (DegenerateSequence, NonFiniteGradient, PoleSingularity,
-                   MeridianSingularity, ZeroVector, DegenerateInterval,
-                   UnreachablePose, NoValidAction)
 
 METHODS = ("rc", "uc", "greedy", "sidql")
 
@@ -145,7 +138,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except _NUMERIC_ERRORS as exc:
+    except NumericError as exc:
         print(f"mocapkey {args.command}: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (MocapKeyError, OSError, ValueError) as exc:
@@ -239,18 +232,13 @@ def cmd_prep(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _load_config(args) -> agent.TrainConfig:
-    path = args.config or os.environ.get("MOCAPKEY_CONFIG")
-    cfg = agent.TrainConfig.from_file(path) if path else agent.TrainConfig()
-    overrides = {}
-    if getattr(args, "episodes", None) is not None:
-        overrides["episodes"] = args.episodes
-    if getattr(args, "keyframes", None) is not None:
-        overrides["keyframe_count"] = args.keyframes
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        cfg = agent.TrainConfig.from_dict({**cfg.to_dict(), **overrides})
-    return cfg
+    """The ``--config`` file, or the defaults, with the given flags over it."""
+    cfg = (agent.TrainConfig.from_file(args.config).to_dict() if args.config
+           else {})
+    flags = {"episodes": args.episodes, "keyframe_count": args.keyframes,
+             "seed": args.seed}
+    return agent.TrainConfig.from_dict(
+        {**cfg, **{k: v for k, v in flags.items() if v is not None}})
 
 
 def cmd_train(args) -> int:

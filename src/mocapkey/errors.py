@@ -1,12 +1,17 @@
 """Exception types raised across the package.
 
 Every error that callers are expected to catch derives from MocapKeyError,
-grouped loosely by pipeline stage (parsing, geometry, metrics, training).
+grouped loosely by pipeline stage (parsing, geometry, metrics, training);
+numeric failures derive from NumericError.
 """
 
 
 class MocapKeyError(Exception):
     """Base class for all package-specific errors."""
+
+
+class NumericError(MocapKeyError):
+    """Base class for degenerate metrics, singularities and the like."""
 
 
 # --- parsing / file formats -------------------------------------------------
@@ -27,7 +32,7 @@ class MalformedDataset(MocapKeyError):
     """Dataset directory, manifest or window record is invalid."""
 
 
-class UnreachablePose(MocapKeyError):
+class UnreachablePose(NumericError):
     """A parent-relative direction is incompatible with a joint's dof."""
 
 
@@ -45,19 +50,19 @@ class CorruptCheckpoint(CheckpointError):
 
 # --- geometry ----------------------------------------------------------------
 
-class ZeroVector(MocapKeyError):
+class ZeroVector(NumericError):
     """Spherical conversion of the zero vector is undefined."""
 
 
-class PoleSingularity(MocapKeyError):
+class PoleSingularity(NumericError):
     """Azimuth rate is undefined because the point lies on the z-axis."""
 
 
-class MeridianSingularity(MocapKeyError):
+class MeridianSingularity(NumericError):
     """Constrained azimuth rate divides by cos(phi) which is ~0."""
 
 
-class DegenerateInterval(MocapKeyError):
+class DegenerateInterval(NumericError):
     """Cubic fit requested over an empty or reversed time interval."""
 
 
@@ -71,7 +76,7 @@ class InvalidW(MocapKeyError):
     """Requested keyframe count outside [2, N]."""
 
 
-class DegenerateSequence(MocapKeyError):
+class DegenerateSequence(NumericError):
     """Baseline error Q0 is zero, so relative error is undefined."""
 
 
@@ -81,11 +86,11 @@ class ShapeMismatch(MocapKeyError):
     """Input vector length does not match the network or encoder."""
 
 
-class NonFiniteGradient(MocapKeyError):
+class NonFiniteGradient(NumericError):
     """A training step produced NaN or infinite gradients."""
 
 
-class NoValidAction(MocapKeyError):
+class NoValidAction(NumericError):
     """All frames are already keyframes; no action can be taken."""
 
 

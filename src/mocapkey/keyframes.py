@@ -6,7 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidKeyframeSet
+from .errors import InvalidKeyframeSet, InvalidW
+
+
+def check_keyframe_count(n: int, w: int) -> None:
+    """Raise InvalidW unless a budget of w keyframes fits n frames."""
+    if not 2 <= w <= n:
+        raise InvalidW(f"keyframe count must be in [2, {n}], got {w}")
 
 
 @dataclass(frozen=True)

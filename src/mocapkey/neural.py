@@ -17,6 +17,7 @@ import numpy as np
 from .errors import CorruptCheckpoint, NonFiniteGradient, ShapeMismatch, VersionMismatch
 
 CHECKPOINT_VERSION = 1
+HUBER_DELTA = 1.0    # |error| where the loss turns from quadratic to linear
 
 
 @dataclass
@@ -100,13 +101,13 @@ def _forward_cached(net: QNetwork, x: np.ndarray) -> tuple[np.ndarray, list[np.n
     return h, activations
 
 
-def huber(pred, target, delta: float = 1.0):
+def huber(pred, target):
     """Huber loss and its derivative in pred; elementwise.
 
-    Quadratic 0.5 e^2 for |e| <= delta, linear delta(|e| - delta/2) outside.
+    Quadratic 0.5 e^2 for |e| <= delta, linear delta(|e| - delta/2) outside,
+    with delta = HUBER_DELTA.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    delta = HUBER_DELTA
     e = np.asarray(pred, dtype=np.float64) - np.asarray(target, dtype=np.float64)
     ae = np.abs(e)
     small = ae <= delta
@@ -129,11 +130,12 @@ class AdamState:
 
     @classmethod
     def for_network(cls, net: QNetwork, learning_rate: float,
-                    beta1: float = 0.9, beta2: float = 0.999,
-                    eps: float = 1e-8) -> "AdamState":
+                    **hyper) -> "AdamState":
+        """Zero moments shaped like ``net``; ``hyper`` may set beta1, beta2
+        and eps, which otherwise keep their defaults."""
         params = net.parameters()
         return cls(
-            learning_rate=learning_rate, beta1=beta1, beta2=beta2, eps=eps,
+            learning_rate=learning_rate, **hyper,
             m=[np.zeros_like(p) for p in params],
             v=[np.zeros_like(p) for p in params],
         )
@@ -151,8 +153,7 @@ def adam_step(net: QNetwork, adam: AdamState, grads: list[np.ndarray]) -> None:
         p -= adam.learning_rate * (m / c1) / (np.sqrt(v / c2) + adam.eps)
 
 
-def gradients(net: QNetwork, xs, actions, targets,
-              delta: float = 1.0) -> tuple[list[np.ndarray], float]:
+def gradients(net: QNetwork, xs, actions, targets) -> tuple[list[np.ndarray], float]:
     """Gradients of the mean Huber loss on the chosen-action outputs.
 
     Only the output unit named by each row's action receives loss; all
@@ -166,7 +167,7 @@ def gradients(net: QNetwork, xs, actions, targets,
         raise ShapeMismatch("actions and targets must be one value per row")
     out, activations = _forward_cached(net, xs)
     picked = out[np.arange(batch), actions]
-    losses, dloss = huber(picked, targets, delta)
+    losses, dloss = huber(picked, targets)
     grad_out = np.zeros_like(out)
     grad_out[np.arange(batch), actions] = np.asarray(dloss) / batch
 
@@ -185,10 +186,10 @@ def gradients(net: QNetwork, xs, actions, targets,
     return grads, float(np.mean(losses))
 
 
-def backward_and_step(net: QNetwork, adam: AdamState, xs, actions, targets,
-                      delta: float = 1.0) -> tuple[QNetwork, float]:
+def backward_and_step(net: QNetwork, adam: AdamState, xs, actions,
+                      targets) -> tuple[QNetwork, float]:
     """One Adam update of the mean Huber loss over the batch."""
-    grads, mean_loss = gradients(net, xs, actions, targets, delta)
+    grads, mean_loss = gradients(net, xs, actions, targets)
     adam_step(net, adam, grads)
     return net, mean_loss
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,7 +40,7 @@ def test_train_config_round_trip(tmp_path):
     cfg = tiny_config(learning_rate=0.005)
     assert agent.TrainConfig.from_dict(cfg.to_dict()) == cfg
     path = tmp_path / "cfg.json"
-    cfg.to_file(path)
+    path.write_text(json.dumps(cfg.to_dict()))
     assert agent.TrainConfig.from_file(path) == cfg
     assert cfg.digest() != tiny_config(learning_rate=0.004).digest()
     with pytest.raises(ValueError, match="unknown config keys"):
@@ -47,11 +49,26 @@ def test_train_config_round_trip(tmp_path):
 
 def test_train_config_validation():
     for bad in [dict(keyframe_count=1), dict(discount=1.5),
-                dict(learning_rate=0.0), dict(episodes=0),
-                dict(epsilon_start=0.2, epsilon_end=0.4),
-                dict(epsilon_fraction=0.0)]:
+                dict(learning_rate=0.0), dict(episodes=0)]:
         with pytest.raises(ValueError):
             tiny_config(**bad)
+
+
+# every config and checkpoint written while these were settings holds them
+# at these values
+RETIRED_DEFAULTS = {"epsilon_start": 1.0, "epsilon_end": 0.05,
+                    "epsilon_fraction": 0.6, "huber_delta": 1.0,
+                    "adam_beta1": 0.9, "adam_beta2": 0.999, "adam_eps": 1e-8}
+
+
+def test_train_config_accepts_retired_keys_only_at_their_fixed_values():
+    cfg = tiny_config()
+    stored = {**cfg.to_dict(), **RETIRED_DEFAULTS}
+    assert agent.TrainConfig.from_dict(stored) == cfg
+    for key, value in RETIRED_DEFAULTS.items():
+        for bad in (value / 2, True, str(value)):
+            with pytest.raises(ValueError, match=key):
+                agent.TrainConfig.from_dict({**stored, key: bad})
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +322,7 @@ def test_train_runs_and_logs():
     assert all(np.isfinite(r.loss) for r in update_rows)
     # epsilon decays toward the configured floor
     assert episode_rows[0].epsilon > episode_rows[-1].epsilon
-    assert episode_rows[-1].epsilon >= cfg.epsilon_end - 1e-12
+    assert episode_rows[-1].epsilon >= agent.EPSILON_END - 1e-12
 
 
 def test_train_retains_best_evaluated_policy():

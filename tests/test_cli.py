@@ -2,11 +2,13 @@ import csv
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 import synthcorpus
-from mocapkey import cli
-from mocapkey.asfamc import parse_amc, parse_asf
+from mocapkey import cli, neural
+from mocapkey.agent import TrainConfig, load_agent
+from mocapkey.asfamc import RawMotion, parse_amc, parse_asf
 from mocapkey.dataset import load_manifest, read_window
 from mocapkey.motion import CMU_EXCLUDED_JOINTS, finite_difference
 
@@ -157,16 +159,34 @@ def test_reconstruct_with_method_selector(tmp_path, prepped, trained):
     assert out.exists()
 
 
-def test_train_env_var_config(tmp_path, prepped, monkeypatch):
+def test_train_flags_override_the_config_file(tmp_path, prepped):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({**TINY_TRAIN_CONFIG, "episodes": 4}))
-    monkeypatch.setenv("MOCAPKEY_CONFIG", str(cfg_path))
-    ckpt = tmp_path / "envagent.ckpt"
-    code = cli.main(["train", "--data", str(prepped), "--out", str(ckpt)])
+    cfg_path.write_text(json.dumps(TINY_TRAIN_CONFIG))
+    ckpt = tmp_path / "flagged.ckpt"
+    code = cli.main(["train", "--data", str(prepped), "--out", str(ckpt),
+                     "--config", str(cfg_path), "--episodes", "4",
+                     "--keyframes", "5", "--seed", "9"])
     assert code == cli.EXIT_OK
-    from mocapkey.agent import load_agent
     result, cfg = load_agent(ckpt)
-    assert cfg.episodes == 4 and result.episodes_done == 4
+    assert cfg == TrainConfig.from_dict(
+        {**TINY_TRAIN_CONFIG, "episodes": 4, "keyframe_count": 5, "seed": 9})
+    assert result.episodes_done == 4 and result.global_step == 4 * 3
+
+
+def test_train_resume_continues_the_counters(tmp_path, prepped, trained):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(TINY_TRAIN_CONFIG))
+    ckpt = tmp_path / "resumed.ckpt"
+    code = cli.main(["train", "--data", str(prepped), "--out", str(ckpt),
+                     "--config", str(cfg_path), "--resume", str(trained),
+                     "--episodes", "5"])
+    assert code == cli.EXIT_OK
+    before, _ = load_agent(trained)
+    result, cfg = load_agent(ckpt)
+    assert cfg.episodes == 5
+    assert before.episodes_done == 20 and before.global_step == 40
+    assert result.episodes_done == 25 and result.global_step == 50
+    assert result.updates >= before.updates > 0
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +210,7 @@ def test_usage_errors_exit_one(tmp_path, prepped):
                      "--out", str(tmp_path / "o.amc")]) == cli.EXIT_USAGE
 
 
-def test_data_errors_exit_two(tmp_path):
+def test_data_errors_exit_two(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
     assert cli.main(["prep", "--asf", str(empty), "--amc", str(empty),
@@ -217,10 +237,47 @@ def test_data_errors_exit_two(tmp_path):
         assert cli.main(["eval", "--data", str(empty), "--methods", "sidql",
                          "--model", str(ckpt),
                          "--out", str(tmp_path / "r.csv")]) == cli.EXIT_DATA
+    # a readable checkpoint whose extra, counters or a counter is malformed
+    net = neural.init([2, 2, 2, 2], seed=0)
+    adam = neural.AdamState.for_network(net, learning_rate=0.01)
+    for extra in (["config"], {"config": {}, "counters": []},
+                  {"config": {}, "counters": {"global_step": [1]}},
+                  {"config": {}, "counters": {"updates": "many"}}):
+        ckpt = tmp_path / "extra.ckpt"
+        neural.checkpoint_save(net, adam, ckpt, extra=extra)
+        assert cli.main(["eval", "--data", str(empty), "--methods", "sidql",
+                         "--model", str(ckpt),
+                         "--out", str(tmp_path / "r.csv")]) == cli.EXIT_DATA
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"episodes": "ten"}))
-    assert cli.main(["train", "--data", str(empty), "--config", str(config),
-                     "--out", str(tmp_path / "a.ckpt")]) == cli.EXIT_DATA
+    for bad in ({"episodes": "ten"}, {"epsilon_end": 0.1}):
+        config.write_text(json.dumps(bad))
+        capsys.readouterr()
+        assert cli.main(["train", "--data", str(empty), "--config", str(config),
+                         "--out", str(tmp_path / "a.ckpt")]) == cli.EXIT_DATA
+        assert next(iter(bad)) in capsys.readouterr().err
+
+
+def test_numeric_failure_exits_three(tmp_path, capsys):
+    # a still take: every frame repeats the first, so no window has an
+    # endpoint-only error for greedy to reduce
+    tree = tmp_path / "still"
+    tree.mkdir()
+    (tree / "still.asf").write_text(synthcorpus.skeleton_text())
+    skel = synthcorpus.skeleton()
+    raw = synthcorpus.make_raw_motion(skel, 1, 500)
+    still = RawMotion(raw.frame_count, {
+        name: np.repeat(values[:1], raw.frame_count, axis=0)
+        for name, values in raw.channels.items()})
+    (tree / "still.amc").write_text(synthcorpus.amc_text(skel, still))
+    data = tmp_path / "ds"
+    assert cli.main(["prep", "--asf", str(tree), "--amc", str(tree),
+                     "--out", str(data)]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main(["reconstruct", "--data", str(data), "--seq", "w00000",
+                     "--method", "greedy", "--k", "3",
+                     "--out", str(tmp_path / "o.amc")]) == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "numeric failure" in err and "Traceback" not in err
 
 
 def test_reconstruct_unknown_window_exits_two(tmp_path, prepped):

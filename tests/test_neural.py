@@ -66,11 +66,9 @@ def test_huber_values_and_derivative():
     assert loss == pytest.approx(0.125) and grad == pytest.approx(0.5)
     loss, grad = neural.huber(np.array(5.0), np.array(2.0))  # e = 3, linear zone
     assert loss == pytest.approx(3.0 - 0.5) and grad == pytest.approx(1.0)
-    loss, grad = neural.huber(np.array([0.0, -4.0]), np.array([0.5, 0.0]), delta=2.0)
-    assert np.allclose(loss, [0.125, 2.0 * (4.0 - 1.0)])
-    assert np.allclose(grad, [-0.5, -2.0])
-    with pytest.raises(ValueError):
-        neural.huber(np.array(1.0), np.array(0.0), delta=0.0)
+    loss, grad = neural.huber(np.array([0.0, -4.0]), np.array([0.5, 0.0]))
+    assert np.allclose(loss, [0.125, 4.0 - 0.5])
+    assert np.allclose(grad, [-0.5, -1.0])
 
 
 def test_huber_continuous_at_the_knee():
@@ -85,10 +83,10 @@ def test_huber_continuous_at_the_knee():
 # ---------------------------------------------------------------------------
 
 
-def _mean_chosen_huber(net, xs, actions, targets, delta=1.0):
+def _mean_chosen_huber(net, xs, actions, targets):
     out = neural.forward(net, xs)
     picked = out[np.arange(len(actions)), actions]
-    losses, _ = neural.huber(picked, targets, delta)
+    losses, _ = neural.huber(picked, targets)
     return float(np.mean(losses))
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import random_spherical
 from mocapkey import spherical
 from mocapkey.errors import MeridianSingularity, PoleSingularity, ZeroVector
+from mocapkey.motion import MotionSequence
 
 
 def test_wrap_angle_range_and_fixed_points():
@@ -132,6 +133,21 @@ def test_sequence_to_spherical_phi_is_continuous(small_windows):
     for seq in small_windows:
         sph = spherical.sequence_to_spherical(seq)
         assert np.max(np.abs(np.diff(sph.phi, axis=0))) < math.pi
+
+
+def test_sequence_to_spherical_carries_phi_over_pole_frames():
+    # joint "a" passes the z axis on frames 1 and 2, which take the azimuth
+    # of the nearest off-axis frame; joint "b" stays on the axis throughout
+    xy = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+    positions = np.zeros((5, 2, 3))
+    positions[:, 0, :2] = xy
+    positions[..., 2] = 1.0
+    seq = MotionSequence(dt=0.1, positions=positions,
+                         root_positions=np.zeros((5, 3)),
+                         joint_names=("a", "b"), parents=(-1, -1))
+    phi = spherical.sequence_to_spherical(seq).phi
+    assert np.allclose(phi[:, 0], [0.0, 0.0, math.pi / 2, math.pi / 2, math.pi / 2])
+    assert np.all(phi[:, 1] == 0.0)
 
 
 def test_rates_are_finite_differences_of_tracks(small_windows):
