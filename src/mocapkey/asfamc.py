@@ -203,14 +203,14 @@ class RawMotion:
 # ASF parsing
 # ---------------------------------------------------------------------------
 
-def _read_lines(source) -> list[str]:
+def _read_text(source) -> str:
     if hasattr(source, "read"):
         text = source.read()
     else:
         text = source
     if isinstance(text, bytes):
         text = text.decode("utf-8", errors="replace")
-    return text.splitlines()
+    return text
 
 
 class _BoneDraft:
@@ -231,7 +231,7 @@ def parse_asf(source) -> Skeleton:
     Requires the ``:units``, ``:root``, ``:bonedata`` and ``:hierarchy``
     sections; raises MalformedAsf naming the offending line otherwise.
     """
-    lines = _read_lines(source)
+    lines = _read_text(source).splitlines()
     sections: dict[str, list[tuple[int, str]]] = {}
     current = None
     name = ""
@@ -480,7 +480,11 @@ def parse_amc(source, skeleton: Skeleton) -> RawMotion:
     are converted to radians when the file is in degrees (the default and
     the CMU convention; an explicit ``:RADIANS`` header disables it).
     """
-    lines = _read_lines(source)
+    text = _read_text(source)
+    regular = _parse_regular_amc(text, skeleton)
+    if regular is not None:
+        return regular
+    lines = text.splitlines()
     degrees = True
     by_name = {j.name: j for j in skeleton.joints}
     rows = {j.name: ([], []) for j in skeleton.joints}   # frames, value tokens
@@ -521,13 +525,10 @@ def parse_amc(source, skeleton: Skeleton) -> RawMotion:
     if not n:
         raise MalformedAmc("no frames found")
 
-    channels: dict[str, np.ndarray] = {}
+    blocks = {}
     for joint in skeleton.joints:
-        if not joint.dof:
-            continue
         frames, values = rows[joint.name]
-        data = np.zeros((n, len(joint.dof)))
-        if values:
+        if joint.dof and values:
             try:
                 block = np.array(values, dtype=np.float64)
             except ValueError:
@@ -536,7 +537,79 @@ def parse_amc(source, skeleton: Skeleton) -> RawMotion:
                 raise _amc_error(lines, len(lines), "")
             at = np.array(frames) - 1
             last = np.append(at[1:] != at[:-1], True)   # repeats: last row wins
-            data[at[last]] = block[last]
+            blocks[joint.name] = (at[last], block[last])
+    return _raw_motion(skeleton, n, degrees, blocks)
+
+
+def _parse_regular_amc(text: str, skeleton: Skeleton) -> RawMotion | None:
+    """``parse_amc`` in one pass over the text, for the layout that CMU
+    files and the synthetic corpus write: after the header, frames "1".."N"
+    each list the same joints in the same order, one joint per line, with
+    single spaces, LF line ends and no comments. None for any other text,
+    which the line loop then parses to the same result or error."""
+    start = 0 if text.startswith("1\n") else text.find("\n1\n") + 1
+    body = text[start:]
+    if not body.startswith("1\n") or "#" in body:
+        return None
+    degrees = True
+    for raw in text[:start].splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line and not line.startswith(":"):
+            return None
+        header = line[1:].strip().upper()
+        if header in ("DEGREES", "RADIANS"):
+            degrees = header == "DEGREES"
+    tokens = body.split()
+    by_name = {j.name: j for j in skeleton.joints}
+    # frame 1 gives the layout: (joint, column of its first value); a name
+    # starting with ':' would be a header line to the line loop
+    layout = []
+    width = 1
+    while width < len(tokens) and tokens[width] != "2":
+        joint = by_name.get(tokens[width])
+        if joint is None or not joint.dof or joint.name.startswith(":"):
+            return None
+        layout.append((joint, width + 1))
+        width += 1 + len(joint.dof)
+    n = len(tokens) // width
+    if (n * width != len(tokens) or len({j.name for j, _ in layout}) != len(layout)
+            or tokens[::width] != [str(f) for f in range(1, n + 1)]
+            or any(tokens[c - 1::width].count(j.name) != n for j, c in layout)):
+        return None
+    # exactly one separator after each token, and as many spaces between
+    # LFs as each line of the layout has: then every separator is a space
+    # or an LF, and each line holds the layout's tokens
+    octets = np.frombuffer(body.encode("utf-8", "surrogatepass"), np.uint8)
+    spaces = np.searchsorted(np.flatnonzero(octets == 32), np.flatnonzero(octets == 10))
+    if (len(body) != len("".join(tokens)) + len(tokens)
+            or not np.array_equal(np.diff(spaces, prepend=0),
+                                  np.tile([0] + [len(j.dof) for j, _ in layout], n))):
+        return None
+    columns = {j.name: [tokens[c + k::width] for k in range(len(j.dof))]
+               for j, c in layout}
+    del tokens
+    try:
+        blocks = {name: (slice(None), np.array(cols, dtype=np.float64).T)
+                  for name, cols in columns.items()}
+    except ValueError:
+        return None
+    if not all(np.isfinite(block).all() for _, block in blocks.values()):
+        return None
+    return _raw_motion(skeleton, n, degrees, blocks)
+
+
+def _raw_motion(skeleton: Skeleton, n: int, degrees: bool,
+                blocks: dict[str, tuple]) -> RawMotion:
+    """Channels from each listed joint's (frame rows, values) block; a
+    joint listed in no frame is all zeros."""
+    channels: dict[str, np.ndarray] = {}
+    for joint in skeleton.joints:
+        if not joint.dof:
+            continue
+        data = np.zeros((n, len(joint.dof)))
+        if joint.name in blocks:
+            at, block = blocks[joint.name]
+            data[at] = block
         if degrees:
             for ci, ch in enumerate(joint.dof):
                 if ch in _ROTATION_DOF:

@@ -8,8 +8,9 @@ Exit codes: 0 success, 1 usage error, 2 data error (parsing, missing or
 inconsistent inputs, bad config), 3 numeric failure (any ``NumericError``:
 degenerate metrics, singularities, non-finite gradients, unreachable poses).
 
-``train`` reads its config from ``--config`` (JSON; defaults otherwise),
-and its ``--episodes``, ``--keyframes`` and ``--seed`` flags win over it.
+``train`` reads its config from ``--config`` (JSON), else from the
+``--resume`` checkpoint, else uses the defaults; its ``--episodes``,
+``--keyframes`` and ``--seed`` flags win over it.
 """
 
 from __future__ import annotations
@@ -162,6 +163,18 @@ def _find_skeleton(amc_path: Path, asf_by_stem: dict[str, Path]) -> Path | None:
     return None
 
 
+def _read_skeleton(asf_path: Path, excluded: tuple[str, ...]):
+    """(skeleton, skeleton without the excluded joints) from one ASF file,
+    or the error that reading it raised."""
+    try:
+        with open(asf_path, "r", encoding="utf-8", errors="replace") as fh:
+            skeleton = parse_asf(fh)
+        present = tuple(n for n in excluded if n in {j.name for j in skeleton.joints})
+        return skeleton, filter_joints(skeleton, present)
+    except (MocapKeyError, OSError, ValueError) as exc:
+        return exc
+
+
 def cmd_prep(args) -> int:
     asf_root = Path(args.asf)
     amc_root = Path(args.amc)
@@ -175,6 +188,7 @@ def cmd_prep(args) -> int:
     cfg = PreprocessConfig(source_fps=args.source_fps, target_fps=args.fps,
                            window_len=args.window)
 
+    skeletons: dict[Path, tuple | Exception] = {}   # each ASF file read once
     per_source: dict[str, list] = {}
     failures = 0
     for amc_path in amc_files:
@@ -185,13 +199,15 @@ def cmd_prep(args) -> int:
             print(f"prep: warning: no skeleton for {source}, skipped", file=sys.stderr)
             failures += 1
             continue
+        if asf_path not in skeletons:
+            skeletons[asf_path] = _read_skeleton(asf_path, excluded)
+        loaded = skeletons[asf_path]
         try:
-            with open(asf_path, "r", encoding="utf-8", errors="replace") as fh:
-                skeleton = parse_asf(fh)
+            if isinstance(loaded, Exception):
+                raise loaded
+            skeleton, sub_skeleton = loaded
             with open(amc_path, "r", encoding="utf-8", errors="replace") as fh:
                 raw = parse_amc(fh, skeleton)
-            present = tuple(n for n in excluded if n in {j.name for j in skeleton.joints})
-            sub_skeleton = filter_joints(skeleton, present)
             seq = forward_kinematics(sub_skeleton, raw, dt=1.0 / args.source_fps,
                                      source=source)
             windows = preprocess(seq, cfg)
@@ -231,10 +247,11 @@ def cmd_prep(args) -> int:
 # train
 # ---------------------------------------------------------------------------
 
-def _load_config(args) -> agent.TrainConfig:
-    """The ``--config`` file, or the defaults, with the given flags over it."""
-    cfg = (agent.TrainConfig.from_file(args.config).to_dict() if args.config
-           else {})
+def _load_config(args, resumed: agent.TrainConfig | None) -> agent.TrainConfig:
+    """The ``--config`` file, else the resumed checkpoint's config, else the
+    defaults, with the given flags over it."""
+    base = agent.TrainConfig.from_file(args.config) if args.config else resumed
+    cfg = base.to_dict() if base else {}
     flags = {"episodes": args.episodes, "keyframe_count": args.keyframes,
              "seed": args.seed}
     return agent.TrainConfig.from_dict(
@@ -242,15 +259,13 @@ def _load_config(args) -> agent.TrainConfig:
 
 
 def cmd_train(args) -> int:
-    cfg = _load_config(args)
+    initial, resumed = agent.load_agent(args.resume) if args.resume else (None, None)
+    cfg = _load_config(args, resumed)
     records = dataset.load_dataset(args.data, split="train")
     if not records:
         raise EmptyDataset(f"{args.data}: no training windows")
     manifest = dataset.load_manifest(args.data)
     windows = [sequence_to_spherical(rec.seq) for rec in records]
-    initial = None
-    if args.resume:
-        initial, _ = agent.load_agent(args.resume)
 
     started = time.perf_counter()
     last_print = [started]

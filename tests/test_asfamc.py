@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -304,6 +305,127 @@ def test_parse_amc_radians_mode(skeleton):
     parsed = asfamc.parse_amc(io.StringIO("\n".join(rad_lines)), skeleton)
     for name, values in raw.channels.items():
         assert np.allclose(parsed.channels[name], values, atol=1e-9), name
+
+
+_SKELETON = synthcorpus.skeleton()
+_AMC_3 = synthcorpus.amc_text(_SKELETON, synthcorpus.make_raw_motion(_SKELETON, 4, 3))
+_LAYOUT_EDITS = ("join", "split", "move", "duplicate", "delete", "swap", "drop joint",
+                 "token", "tab", "double space", "trailing space", "cr", "radians",
+                 "crlf", "no final newline")
+
+
+@st.composite
+def _amc_variant(draw, text):
+    """``text`` after up to three edits that keep or break its regular
+    layout: lines joined, split, duplicated, deleted or swapped, a newline
+    moved, a joint dropped from every frame, a token replaced, a tab, a
+    doubled or trailing space, a CR, ``:RADIANS``, CRLF line ends or no
+    final newline."""
+    lines = text.splitlines()
+    newline, end = "\n", "\n"
+    for edit in draw(st.lists(st.sampled_from(_LAYOUT_EDITS), max_size=3)):
+        at = draw(st.integers(0, len(lines) - 2))
+        line, words = lines[at], lines[at].split(" ")
+        if edit == "join":
+            lines[at:at + 2] = [line + " " + lines[at + 1]]
+        elif edit in ("split", "move"):
+            if edit == "move":
+                words += lines.pop(at + 1).split(" ")
+            cut = draw(st.integers(0, len(words)))
+            lines[at:at + 1] = [" ".join(words[:cut]), " ".join(words[cut:])]
+        elif edit == "duplicate":
+            lines.insert(at, line)
+        elif edit == "delete":
+            del lines[at]
+        elif edit == "swap":
+            lines[at:at + 2] = [lines[at + 1], line]
+        elif edit == "drop joint":
+            name = draw(st.sampled_from([j.name for j in _SKELETON.joints]))
+            lines = [ln for ln in lines if ln.split(" ")[0] != name]
+        elif edit == "token":
+            words[draw(st.integers(0, len(words) - 1))] = draw(st.sampled_from(
+                ["nan", "1e400", "-inf", "x", "-0", "1_0", "2", "01", "root", ":RADIANS"]))
+            lines[at] = " ".join(words)
+        elif edit in ("tab", "double space"):
+            lines[at] = line.replace(" ", {"tab": "\t", "double space": "  "}[edit], 1)
+        elif edit in ("trailing space", "cr"):
+            lines[at] = line + {"trailing space": " ", "cr": "\r"}[edit]
+        elif edit == "radians":
+            lines = [":RADIANS" if ln == ":DEGREES" else ln for ln in lines]
+        elif edit == "crlf":
+            newline = end = "\r\n"
+        else:
+            end = ""
+    return newline.join(lines) + end
+
+
+def _moved_newline(text):
+    """``name v`` / ``2`` at the end of frame 1 rewritten as ``name`` /
+    ``v 2``: the same tokens, in lines the line loop rejects."""
+    head, _, tail = text.partition("\n2\n")
+    name, value = head.rsplit(" ", 1)
+    return f"{name}\n{value} 2\n{tail}"
+
+
+def _moved_value(text):
+    """The last value of frame 1's root line moved, after a tab, to the
+    next line, and a space doubled on the root line: the same tokens and
+    the same spaces on each line, but not the same tokens on each line."""
+    lines = text.split("\n")
+    at = next(i for i, line in enumerate(lines) if line.startswith("root "))
+    *head, second, last = lines[at].split(" ")
+    lines[at:at + 2] = [" ".join(head) + "  " + second, last + "\t" + lines[at + 1]]
+    return "\n".join(lines)
+
+
+def _twin(text):
+    """``text`` with a comment on every line: the same meaning, but never
+    the regular layout, so the line loop parses it."""
+    return "\n".join(line + " # c" for line in text.splitlines())
+
+
+def _parse_outcome(text, skeleton=_SKELETON):
+    try:
+        raw = asfamc.parse_amc(text, skeleton)
+    except MalformedAmc as exc:
+        return str(exc)
+    return raw.frame_count, [(k, v.shape, v.tobytes()) for k, v in raw.channels.items()]
+
+
+@settings(max_examples=600, deadline=None)
+@given(text=_amc_variant(_AMC_3))
+@example(text=_AMC_3)
+@example(text=_moved_newline(_AMC_3))
+@example(text=_moved_value(_AMC_3))
+@example(text=_AMC_3.replace("\nltibia ", "\nltibia nan\nltibia "))  # twice a frame
+@example(text=_AMC_3.replace("\n3\n", "\n4\n"))
+def test_parse_amc_one_pass_equals_the_line_loop(text):
+    assert asfamc._parse_regular_amc(_twin(text), _SKELETON) is None
+    assert _parse_outcome(text) == _parse_outcome(_twin(text))
+
+
+@pytest.mark.parametrize("joint, name, old, new", [
+    ("rfingers", ":rfingers", "\nrfingers ", "\n:rfingers "),
+    ("rfingers", "rfingers#1", "\nrfingers ", "\nrfingers#1 "),
+    ("lhipjoint", "5", "\nroot ", "\n5\nroot "),
+])
+def test_parse_amc_one_pass_keeps_line_loop_names(joint, name, old, new):
+    # to the line loop, the line of an ASF leaf bone named ':rfingers' is a
+    # header line, and in a skeleton built in code 'rfingers#1' ends in a
+    # comment and the line of a joint '5' without channels is a frame number
+    joints = tuple(dataclasses.replace(j, name=name) if j.name == joint else j
+                   for j in _SKELETON.joints)
+    skeleton = dataclasses.replace(_SKELETON, joints=joints)
+    text = _AMC_3.replace(old, new)
+    assert _parse_outcome(text, skeleton) == _parse_outcome(_twin(text), skeleton)
+
+
+def test_parse_amc_takes_the_one_pass_path_on_regular_text():
+    for frames in (1, 3, 40):
+        raw = synthcorpus.make_raw_motion(_SKELETON, 6, frames)
+        text = synthcorpus.amc_text(_SKELETON, raw)
+        assert asfamc._parse_regular_amc(text, _SKELETON) is not None
+    assert asfamc._parse_regular_amc(_moved_newline(_AMC_3), _SKELETON) is None
 
 
 # ---------------------------------------------------------------------------

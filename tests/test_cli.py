@@ -189,6 +189,17 @@ def test_train_resume_continues_the_counters(tmp_path, prepped, trained):
     assert result.updates >= before.updates > 0
 
 
+def test_train_resume_without_config_keeps_the_checkpoint_config(tmp_path, prepped,
+                                                                  trained):
+    ckpt = tmp_path / "resumed.ckpt"
+    code = cli.main(["train", "--data", str(prepped), "--out", str(ckpt),
+                     "--resume", str(trained), "--episodes", "5"])
+    assert code == cli.EXIT_OK
+    result, cfg = load_agent(ckpt)
+    assert cfg == TrainConfig.from_dict({**TINY_TRAIN_CONFIG, "episodes": 5})
+    assert result.episodes_done == 25 and result.global_step == 50
+
+
 # ---------------------------------------------------------------------------
 # failure modes and exit codes
 # ---------------------------------------------------------------------------
@@ -342,21 +353,28 @@ def test_prep_skips_unmatched_amc(tmp_path, corpus_dir, capsys):
     assert "no skeleton" in capsys.readouterr().err
 
 
-def test_prep_skips_source_with_malformed_skeleton(tmp_path, capsys):
+def test_prep_skips_source_with_malformed_skeleton(tmp_path, capsys, monkeypatch):
     tree = tmp_path / "tree"
     tree.mkdir()
     (tree / "good.asf").write_text(synthcorpus.skeleton_text())
     (tree / "bad.asf").write_text(
         synthcorpus.skeleton_text().replace("name lfemur", "name", 1))
     skel = synthcorpus.skeleton()
-    for stem in ("good", "bad"):
+    for stem in ("good", "bad", "bad_2"):     # bad_2.amc also uses bad.asf
         raw = synthcorpus.make_raw_motion(skel, 1, 500)
         (tree / f"{stem}.amc").write_text(synthcorpus.amc_text(skel, raw))
+    read = []
+    monkeypatch.setattr(cli, "parse_asf",
+                        lambda fh: read.append(fh.name) or parse_asf(fh))
     code = cli.main(["prep", "--asf", str(tree), "--amc", str(tree),
                      "--out", str(tmp_path / "ds")])
     assert code == cli.EXIT_OK
-    err = capsys.readouterr().err
+    assert sorted(read) == [str(tree / "bad.asf"), str(tree / "good.asf")]
+    out, err = capsys.readouterr()
     assert "Traceback" not in err
-    assert "prep: warning: bad.amc: line" in err
+    # the skeleton is read once, but each take on it is reported and skipped
+    assert [ln.split(": line")[0] for ln in err.splitlines()] \
+        == ["prep: warning: bad.amc", "prep: warning: bad_2.amc"]
+    assert "1 sources (2 skipped)" in out
     assert [w["source"] for w in load_manifest(tmp_path / "ds")["windows"]] \
         == ["good.amc", "good.amc"]
