@@ -32,8 +32,8 @@ EPSILON_FRACTION = 0.6   # share of env steps spent decaying
 _RETIRED = {"epsilon_start": EPSILON_START, "epsilon_end": EPSILON_END,
             "epsilon_fraction": EPSILON_FRACTION,
             "huber_delta": neural.HUBER_DELTA,
-            "adam_beta1": neural.AdamState.beta1,
-            "adam_beta2": neural.AdamState.beta2, "adam_eps": neural.AdamState.eps}
+            "adam_beta1": neural.ADAM_BETA1,
+            "adam_beta2": neural.ADAM_BETA2, "adam_eps": neural.ADAM_EPS}
 
 
 @dataclass(frozen=True)

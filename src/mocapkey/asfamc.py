@@ -478,66 +478,54 @@ def parse_amc(source, skeleton: Skeleton) -> RawMotion:
     Frames must be numbered 1..N without gaps; every listed joint must
     exist in the skeleton with a matching channel count. Rotation values
     are converted to radians when the file is in degrees (the default and
-    the CMU convention; an explicit ``:RADIANS`` header disables it).
+    the CMU convention; an explicit ``:RADIANS`` header disables it). Each
+    line is checked as it is read, so the first bad line is the one named.
     """
     text = _read_text(source)
     regular = _parse_regular_amc(text, skeleton)
     if regular is not None:
         return regular
-    lines = text.splitlines()
     degrees = True
     by_name = {j.name: j for j in skeleton.joints}
-    rows = {j.name: ([], []) for j in skeleton.joints}   # frames, value tokens
+    rows = {j.name: {} for j in skeleton.joints}   # frame index -> values
     n = 0
-    for no, raw in enumerate(lines, start=1):
-        if "#" in raw:
-            raw = raw.split("#", 1)[0]
-        parts = raw.split()
-        if not parts:
+    for no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
-        head = parts[0]
-        if head.startswith(":"):
-            header = raw.strip()[1:].strip().upper()
-            if header == "DEGREES":
-                degrees = True
-            elif header == "RADIANS":
-                degrees = False
+        if line.startswith(":"):
+            degrees = _angle_unit(line, degrees)
             continue
-        if len(parts) == 1 and _is_int(head):
-            if int(head) != n + 1:
-                raise _amc_error(lines, no - 1, f"line {no}: frame {int(head)} follows "
-                                 f"frame {n} (frames must be contiguous from 1)")
-            n += 1
-            continue
+        head, *tokens = line.split()
+        if not tokens:
+            try:
+                frame = int(head)
+            except ValueError:
+                pass
+            else:
+                if frame != n + 1:
+                    raise MalformedAmc(f"line {no}: frame {frame} follows frame {n} "
+                                       "(frames must be contiguous from 1)")
+                n = frame
+                continue
         if n == 0:
-            raise _amc_error(lines, no - 1,
-                             f"line {no}: channel data before the first frame number")
+            raise MalformedAmc(f"line {no}: channel data before the first frame number")
         joint = by_name.get(head)
         if joint is None:
-            raise _amc_error(lines, no - 1, f"line {no}: unknown joint '{head}'")
-        tokens = parts[1:]
-        if len(tokens) != len(joint.dof):
-            raise _amc_error(lines, no, f"line {no}: joint '{head}' has "
-                             f"{len(tokens)} values, expected {len(joint.dof)}")
-        rows[head][0].append(n)
-        rows[head][1].append(tokens)
-
+            raise MalformedAmc(f"line {no}: unknown joint '{head}'")
+        try:
+            values = [float(v) for v in tokens]
+        except ValueError:
+            raise MalformedAmc(f"line {no}: non-numeric channel value") from None
+        if not all(map(math.isfinite, values)):
+            raise MalformedAmc(f"line {no}: non-finite channel value")
+        if len(values) != len(joint.dof):
+            raise MalformedAmc(f"line {no}: joint '{head}' has "
+                               f"{len(values)} values, expected {len(joint.dof)}")
+        rows[head][n - 1] = values     # a joint listed twice a frame: last row wins
     if not n:
         raise MalformedAmc("no frames found")
-
-    blocks = {}
-    for joint in skeleton.joints:
-        frames, values = rows[joint.name]
-        if joint.dof and values:
-            try:
-                block = np.array(values, dtype=np.float64)
-            except ValueError:
-                block = None
-            if block is None or not np.isfinite(block).all():
-                raise _amc_error(lines, len(lines), "")
-            at = np.array(frames) - 1
-            last = np.append(at[1:] != at[:-1], True)   # repeats: last row wins
-            blocks[joint.name] = (at[last], block[last])
+    blocks = {name: (list(got), list(got.values())) for name, got in rows.items() if got}
     return _raw_motion(skeleton, n, degrees, blocks)
 
 
@@ -556,9 +544,7 @@ def _parse_regular_amc(text: str, skeleton: Skeleton) -> RawMotion | None:
         line = raw.split("#", 1)[0].strip()
         if line and not line.startswith(":"):
             return None
-        header = line[1:].strip().upper()
-        if header in ("DEGREES", "RADIANS"):
-            degrees = header == "DEGREES"
+        degrees = _angle_unit(line, degrees)
     tokens = body.split()
     by_name = {j.name: j for j in skeleton.joints}
     # frame 1 gives the layout: (joint, column of its first value); a name
@@ -598,6 +584,12 @@ def _parse_regular_amc(text: str, skeleton: Skeleton) -> RawMotion | None:
     return _raw_motion(skeleton, n, degrees, blocks)
 
 
+def _angle_unit(line: str, degrees: bool) -> bool:
+    """Whether rotation values are in degrees after the stripped header
+    line ``line``: ``:DEGREES`` and ``:RADIANS`` set it, others keep it."""
+    return {"DEGREES": True, "RADIANS": False}.get(line[1:].strip().upper(), degrees)
+
+
 def _raw_motion(skeleton: Skeleton, n: int, degrees: bool,
                 blocks: dict[str, tuple]) -> RawMotion:
     """Channels from each listed joint's (frame rows, values) block; a
@@ -616,31 +608,6 @@ def _raw_motion(skeleton: Skeleton, n: int, degrees: bool,
                     data[:, ci] = np.deg2rad(data[:, ci])
         channels[joint.name] = data
     return RawMotion(frame_count=n, channels=channels)
-
-
-def _amc_error(lines: list[str], scanned: int, error: str) -> MalformedAmc:
-    """``error``, unless one of the first ``scanned`` lines holds a
-    non-numeric or non-finite channel value: the first bad line of the
-    file wins."""
-    for no, raw in enumerate(lines[:scanned], start=1):
-        parts = raw.split("#", 1)[0].split()
-        if not parts or parts[0].startswith(":"):
-            continue
-        try:
-            values = [float(v) for v in parts[1:]]
-        except ValueError:
-            return MalformedAmc(f"line {no}: non-numeric channel value")
-        if not all(map(math.isfinite, values)):
-            return MalformedAmc(f"line {no}: non-finite channel value")
-    return MalformedAmc(error)
-
-
-def _is_int(token: str) -> bool:
-    try:
-        int(token)
-    except ValueError:
-        return False
-    return True
 
 
 # ---------------------------------------------------------------------------

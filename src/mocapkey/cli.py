@@ -62,6 +62,17 @@ def _listed(item, choices=None):
     return parse
 
 
+def _positive(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
+_positive.__name__ = "positive integer"     # argparse names it in its error
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="mocapkey",
                      description="Keyframe extraction and cubic motion "
@@ -107,8 +118,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="report CSV path")
     p.add_argument("--split", default="test", choices=("train", "test"))
     p.add_argument("--seed", type=int, default=0, help="seed for the random selector")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for evaluation")
+    p.add_argument("--jobs", type=_positive, default=1,
+                   help="worker processes for evaluation (at least 1)")
 
     p = sub.add_parser("reconstruct", help="rebuild one window as AMC")
     p.add_argument("--data", required=True, help="dataset directory")
@@ -373,7 +384,6 @@ def cmd_eval(args) -> int:
         for i, rec in enumerate(sorted(records, key=lambda r: r.window_id))
     ]
 
-    results = []
     if args.jobs > 1:
         import concurrent.futures as futures
         with futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:

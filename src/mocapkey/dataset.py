@@ -74,7 +74,6 @@ def read_window(path) -> tuple[Skeleton, MotionSequence, int]:
             parents = tuple(int(p) for p in header["parents"])
             skeleton = Skeleton.from_dict(header["skeleton"])
             start = int(header.get("start_frame", 0))
-            positions, root_positions = np.empty((n, m, 3)), np.empty((n, 3))
         except (KeyError, ValueError, TypeError) as exc:
             raise MalformedDataset(f"{path}: bad window header: {exc}") from None
         if names != skeleton.bone_names:
@@ -83,11 +82,11 @@ def read_window(path) -> tuple[Skeleton, MotionSequence, int]:
         if parents != tuple(j.parent - 1 for j in skeleton.joints[1:]):
             raise MalformedDataset(f"{path}: parents {list(parents)} are not "
                                    "the skeleton's bone tree")
-        blocks = [positions, root_positions]
         if magic == MAGIC_V1:   # MKWIN1 follows each block with its velocities, unused
-            blocks = [positions, np.empty_like(positions),
-                      root_positions, np.empty_like(root_positions)]
-        read_blocks(fh, blocks, MalformedDataset)
+            positions, _, root_positions, _ = read_blocks(
+                fh, [(n, m, 3), (n, m, 3), (n, 3), (n, 3)], MalformedDataset)
+        else:
+            positions, root_positions = read_blocks(fh, [(n, m, 3), (n, 3)], MalformedDataset)
     seq = MotionSequence(
         dt=dt, positions=positions, root_positions=root_positions,
         joint_names=names, parents=parents,

@@ -61,10 +61,6 @@ class KeyframeSet:
         out[list(self.indices)] = True
         return out
 
-    def sections(self) -> list[tuple[int, int]]:
-        """Consecutive keyframe pairs, each an inclusive frame span."""
-        return list(zip(self.indices, self.indices[1:]))
-
     def complement(self) -> np.ndarray:
         """Frames that are not keyframes, ascending."""
         return np.flatnonzero(~self.mask)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -62,18 +63,23 @@ def init(shapes, seed: int) -> QNetwork:
 
     ``shapes`` is [D_in, H1, H2, D_out]; exactly two hidden layers.
     """
+    rng = np.random.default_rng(seed)
+    weights, biases = [], []
+    for fan_in, fan_out in _layers(shapes):
+        bound = np.sqrt(6.0 / (fan_in + fan_out))
+        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+        biases.append(np.zeros(fan_out))
+    return QNetwork(weights=weights, biases=biases, seed=seed)
+
+
+def _layers(shapes) -> list[tuple[int, int]]:
+    """(fan_in, fan_out) of each layer of a [D_in, H1, H2, D_out] network."""
     shapes = [int(s) for s in shapes]
     if len(shapes) != 4:
         raise ValueError(f"expected [D_in, H1, H2, D_out], got {shapes}")
     if any(s < 1 for s in shapes):
         raise ValueError(f"layer sizes must be positive: {shapes}")
-    rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(shapes, shapes[1:]):
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return QNetwork(weights=weights, biases=biases, seed=seed)
+    return list(zip(shapes, shapes[1:]))
 
 
 def _check_input(net: QNetwork, x: np.ndarray) -> np.ndarray:
@@ -118,24 +124,25 @@ def huber(pred, target):
     return loss, grad
 
 
+# Adam's moment decay rates and denominator guard, fixed for every run
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
 
     @classmethod
-    def for_network(cls, net: QNetwork, learning_rate: float,
-                    **hyper) -> "AdamState":
-        """Zero moments shaped like ``net``; ``hyper`` may set beta1, beta2
-        and eps, which otherwise keep their defaults."""
+    def for_network(cls, net: QNetwork, learning_rate: float) -> "AdamState":
+        """Zero moments shaped like ``net``."""
         params = net.parameters()
         return cls(
-            learning_rate=learning_rate, **hyper,
+            learning_rate=learning_rate,
             m=[np.zeros_like(p) for p in params],
             v=[np.zeros_like(p) for p in params],
         )
@@ -143,14 +150,14 @@ class AdamState:
 
 def adam_step(net: QNetwork, adam: AdamState, grads: list[np.ndarray]) -> None:
     adam.step += 1
-    c1 = 1.0 - adam.beta1 ** adam.step
-    c2 = 1.0 - adam.beta2 ** adam.step
+    c1 = 1.0 - ADAM_BETA1 ** adam.step
+    c2 = 1.0 - ADAM_BETA2 ** adam.step
     for p, g, m, v in zip(net.parameters(), grads, adam.m, adam.v):
-        m *= adam.beta1
-        m += (1.0 - adam.beta1) * g
-        v *= adam.beta2
-        v += (1.0 - adam.beta2) * g * g
-        p -= adam.learning_rate * (m / c1) / (np.sqrt(v / c2) + adam.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p -= adam.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 def gradients(net: QNetwork, xs, actions, targets) -> tuple[list[np.ndarray], float]:
@@ -217,17 +224,19 @@ def write_blocks(path, header: bytes, blocks) -> None:
             fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
 
 
-def read_blocks(fh, blocks, error) -> None:
-    """Fill each float64 array in ``blocks`` from the rest of the binary file
-    ``fh``, past its header line; raises ``error`` when bytes are missing
-    or left over."""
-    for block in blocks:
-        raw = fh.read(8 * block.size)
-        if len(raw) != 8 * block.size:
-            raise error(f"{fh.name}: truncated float64 blocks")
-        np.copyto(block, np.frombuffer(raw, dtype="<f8").reshape(block.shape))
-    if fh.read(1):
-        raise error(f"{fh.name}: trailing bytes after the last block")
+def read_blocks(fh, shapes, error) -> list[np.ndarray]:
+    """The float64 arrays of ``shapes``, in order, from the rest of the
+    binary file ``fh`` past its header line; raises ``error``, before
+    allocating any of them, when the file holds fewer or more bytes."""
+    if any(d < 0 for shape in shapes for d in shape):
+        raise error(f"{fh.name}: negative block size in {list(shapes)}")
+    sizes = [8 * math.prod(shape) for shape in shapes]
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if left != sum(sizes):
+        raise error(f"{fh.name}: " + ("truncated float64 blocks" if left < sum(sizes)
+                                      else "trailing bytes after the last block"))
+    return [np.frombuffer(fh.read(size), dtype="<f8").reshape(shape).astype(np.float64)
+            for size, shape in zip(sizes, shapes)]
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +251,9 @@ def checkpoint_save(net: QNetwork, adam: AdamState, path, extra: dict | None = N
         "seed": net.seed,
         "adam": {
             "learning_rate": adam.learning_rate,
-            "beta1": adam.beta1,
-            "beta2": adam.beta2,
-            "eps": adam.eps,
+            "beta1": ADAM_BETA1,
+            "beta2": ADAM_BETA2,
+            "eps": ADAM_EPS,
             "step": adam.step,
         },
         "extra": extra or {},
@@ -267,14 +276,21 @@ def checkpoint_load(path) -> tuple[QNetwork, AdamState, dict]:
             raise VersionMismatch(f"{path}: checkpoint format {version}, "
                                   f"expected {CHECKPOINT_VERSION}")
         try:
-            net = init([int(s) for s in header["shapes"]], int(header.get("seed", 0)))
+            layers = _layers(header["shapes"])
+            seed = int(header.get("seed", 0))
             ah = header["adam"]
-            adam = AdamState.for_network(
-                net, learning_rate=float(ah["learning_rate"]),
-                beta1=float(ah["beta1"]), beta2=float(ah["beta2"]),
-                eps=float(ah["eps"]))
-            adam.step = int(ah["step"])
+            learning_rate, step = float(ah["learning_rate"]), int(ah["step"])
+            for key, fixed in (("beta1", ADAM_BETA1), ("beta2", ADAM_BETA2),
+                               ("eps", ADAM_EPS)):
+                if float(ah[key]) != fixed:
+                    raise CorruptCheckpoint(f"{path}: adam {key} is {ah[key]!r}, "
+                                            f"fixed at {fixed!r}")
         except (KeyError, TypeError, ValueError) as exc:
             raise CorruptCheckpoint(f"{path}: malformed header: {exc}") from None
-        read_blocks(fh, net.parameters() + adam.m + adam.v, CorruptCheckpoint)
+        # each layer's weight and bias, for the network, Adam's m and its v
+        params = [shape for a, b in layers for shape in ((a, b), (b,))]
+        blocks = read_blocks(fh, params * 3, CorruptCheckpoint)
+    k = len(params)
+    net = QNetwork(weights=blocks[0:k:2], biases=blocks[1:k:2], seed=seed)
+    adam = AdamState(learning_rate, step, m=blocks[k:2 * k], v=blocks[2 * k:])
     return net, adam, header.get("extra", {})

@@ -264,6 +264,19 @@ def test_parse_amc_rejects_bad_frame_numbers(skeleton):
     clean[bad] = "rtibia 1e999"
     with pytest.raises(MalformedAmc, match=rf"^line {bad + 1}: non-finite"):
         asfamc.parse_amc(io.StringIO("\n".join(clean)), skeleton)
+    # a frame gap before the first bad value is the first bad line
+    gap = lines.index("7")
+    lines[bad] = "rtibia 1"
+    lines[gap + 2] = lines[gap + 2].split()[0] + " abc"
+    with pytest.raises(MalformedAmc, match=rf"^line {gap + 1}: frame 7 follows frame 1"):
+        asfamc.parse_amc(io.StringIO("\n".join(lines)), skeleton)
+    # and channel data before frame 1, even with a bad value of its own
+    first = clean.index("1")
+    for data in ("rtibia abc", "rtibia nan", "rtibia 1 2"):
+        early = clean[:first] + [data] + clean[first:]
+        with pytest.raises(MalformedAmc, match=rf"^line {first + 1}: channel data "
+                                               "before the first frame number$"):
+            asfamc.parse_amc(io.StringIO("\n".join(early)), skeleton)
 
 
 def test_parse_amc_rejects_unknown_joint(skeleton):
@@ -271,6 +284,11 @@ def test_parse_amc_rejects_unknown_joint(skeleton):
     text = synthcorpus.amc_text(skeleton, raw) + "pelvis 1 2 3\n"
     with pytest.raises(MalformedAmc):
         asfamc.parse_amc(io.StringIO(text), skeleton)
+    # an unknown joint with a bad value is reported as the unknown joint
+    at = text.count("\n")
+    for values in ("x", "nan 1", "1e999"):
+        with pytest.raises(MalformedAmc, match=rf"^line {at}: unknown joint 'pelvis'$"):
+            asfamc.parse_amc(io.StringIO(text.replace("1 2 3", values)), skeleton)
 
 
 def test_parse_amc_rejects_wrong_channel_count(skeleton):
@@ -284,6 +302,13 @@ def test_parse_amc_rejects_wrong_channel_count(skeleton):
     with pytest.raises(MalformedAmc) as err:
         asfamc.parse_amc(io.StringIO("\n".join(out)), skeleton)
     assert "ltibia" in str(err.value)
+    # a bad value on a line with the wrong count is reported as the value
+    at = next(i for i, ln in enumerate(lines) if ln.startswith("ltibia "))
+    for values, problem in (("x 0.5", "non-numeric"), ("nan 0.5", "non-finite"),
+                            ("0.5 x", "non-numeric")):
+        edited = lines[:at] + [f"ltibia {values}"] + lines[at + 1:]
+        with pytest.raises(MalformedAmc, match=rf"^line {at + 1}: {problem} channel value$"):
+            asfamc.parse_amc(io.StringIO("\n".join(edited)), skeleton)
 
 
 def test_parse_amc_radians_mode(skeleton):
@@ -425,6 +450,11 @@ def test_parse_amc_takes_the_one_pass_path_on_regular_text():
         raw = synthcorpus.make_raw_motion(_SKELETON, 6, frames)
         text = synthcorpus.amc_text(_SKELETON, raw)
         assert asfamc._parse_regular_amc(text, _SKELETON) is not None
+    # so is the text that AMC export (and so `reconstruct`) writes
+    dirs, root = _fk(_SKELETON, synthcorpus.make_raw_motion(_SKELETON, 8, 4))
+    text, _ = asfamc.export_amc(_SKELETON, dirs, root, comment="rebuilt")
+    assert asfamc._parse_regular_amc(text, _SKELETON) is not None
+    assert _parse_outcome(text) == _parse_outcome(_twin(text))
     assert asfamc._parse_regular_amc(_moved_newline(_AMC_3), _SKELETON) is None
 
 

@@ -1,6 +1,11 @@
 import csv
 import json
+import os
+import resource
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,6 +219,10 @@ def test_usage_errors_exit_one(tmp_path, prepped):
                      "--out", str(tmp_path / "r.csv")]) == cli.EXIT_USAGE
     assert cli.main(["eval", "--data", str(prepped), "--k", "five",
                      "--out", str(tmp_path / "r.csv")]) == cli.EXIT_USAGE
+    for jobs in ("0", "-2"):
+        assert cli.main(["eval", "--data", str(prepped), "--methods", "rc",
+                         "--jobs", jobs, "--out", str(tmp_path / "r.csv")]) == cli.EXIT_USAGE
+    assert not (tmp_path / "r.csv").exists()
     assert cli.main(["reconstruct", "--data", str(prepped), "--seq", "w00000",
                      "--out", str(tmp_path / "o.amc")]) == cli.EXIT_USAGE
     assert cli.main(["reconstruct", "--data", str(prepped), "--seq", "w00000",
@@ -289,6 +298,45 @@ def test_numeric_failure_exits_three(tmp_path, capsys):
                      "--out", str(tmp_path / "o.amc")]) == cli.EXIT_NUMERIC
     err = capsys.readouterr().err
     assert "numeric failure" in err and "Traceback" not in err
+
+
+def _capped_main(args, limit=2 << 30):
+    """Exit code and stderr of ``cli.main(args)`` in a child process whose
+    address space is capped at ``limit`` bytes, so a file that names a huge
+    size cannot make any host allocate it."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from mocapkey import cli; "
+                               "sys.exit(cli.main(sys.argv[1:]))", *args],
+        preexec_fn=cap, env=env, capture_output=True, text=True, timeout=300)
+    return proc.returncode, proc.stderr
+
+
+def test_oversize_headers_exit_two_without_allocating(tmp_path, prepped):
+    # a checkpoint header naming a 300000 x 300000 layer, with no blocks
+    adam = {"learning_rate": 0.01, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "step": 0}
+    ckpt = tmp_path / "huge.ckpt"
+    ckpt.write_bytes(json.dumps({"format_version": 1, "shapes": [300000, 300000, 1, 1],
+                                 "adam": adam}).encode() + b"\n")
+    code, err = _capped_main(["eval", "--data", str(prepped), "--methods", "sidql",
+                              "--model", str(ckpt), "--out", str(tmp_path / "r.csv")])
+    assert (code, "truncated float64 blocks" in err, "Traceback" in err) == (
+        cli.EXIT_DATA, True, False), err
+    # a window record naming 10**9 frames
+    data = tmp_path / "ds"
+    shutil.copytree(prepped, data)
+    record = data / "w00000.mkw"
+    header, _, body = record.read_bytes().partition(b"\n")
+    blob = json.loads(header[7:])
+    blob["frame_count"] = 10 ** 9
+    record.write_bytes(header[:7] + json.dumps(blob).encode() + b"\n" + body)
+    code, err = _capped_main(["reconstruct", "--data", str(data), "--seq", "w00000",
+                              "--keyframes", "0,29,59", "--out", str(tmp_path / "o.amc")])
+    assert (code, "truncated float64 blocks" in err, "Traceback" in err) == (
+        cli.EXIT_DATA, True, False), err
 
 
 def test_reconstruct_unknown_window_exits_two(tmp_path, prepped):

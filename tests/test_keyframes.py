@@ -52,11 +52,6 @@ def test_mask_and_from_mask_round_trip():
     assert KeyframeSet.from_mask(mask).indices == keys.indices
 
 
-def test_sections_are_consecutive_pairs():
-    keys = KeyframeSet.from_indices([0, 3, 7, 9], 10)
-    assert keys.sections() == [(0, 3), (3, 7), (7, 9)]
-
-
 def test_complement_lists_free_interior_frames():
     keys = KeyframeSet.from_indices([0, 3, 9], 10)
     assert keys.complement().tolist() == [1, 2, 4, 5, 6, 7, 8]

@@ -89,7 +89,7 @@ def test_step_reward_telescopes_to_total_improvement(small_sph):
 def test_section_errors_sum_to_q_error(small_sph):
     sph = small_sph[0]
     keys = KeyframeSet.from_indices([0, 13, 29, 47, 59], sph.frame_count)
-    a, b = zip(*keys.sections())
+    a, b = keys.indices[:-1], keys.indices[1:]
     per_section = metrics.section_errors(sph, a, b)
     assert per_section.shape == (4,) and np.all(per_section > 0.0)
     n, m = sph.theta.shape

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -195,7 +196,7 @@ def test_backward_and_step_reduces_loss():
 
 def test_checkpoint_round_trip_bitwise(tmp_path):
     net = neural.init([3, 5, 4, 2], seed=7)
-    adam = neural.AdamState.for_network(net, learning_rate=0.003, beta1=0.85)
+    adam = neural.AdamState.for_network(net, learning_rate=0.003)
     rng = np.random.default_rng(1)
     for _ in range(3):
         grads = [rng.normal(size=p.shape) for p in net.parameters()]
@@ -207,9 +208,17 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     assert net2.shapes == net.shapes and net2.seed == net.seed
     for a, b in zip(net.parameters(), net2.parameters()):
         assert np.array_equal(a, b)
-    assert (adam2.learning_rate, adam2.beta1, adam2.step) == (0.003, 0.85, 3)
+    assert (adam2.learning_rate, adam2.step) == (0.003, 3)
     for a, b in zip(adam.m + adam.v, adam2.m + adam2.v):
         assert np.array_equal(a, b)
+    # Adam's betas and eps are fixed: a header holding another value is corrupt
+    header, _, body = path.read_bytes().partition(b"\n")
+    for key, value in (("beta1", 0.85), ("beta2", 0.99), ("eps", 1e-7)):
+        edited = json.loads(header)
+        edited["adam"][key] = value
+        path.write_bytes(json.dumps(edited).encode("utf-8") + b"\n" + body)
+        with pytest.raises(CorruptCheckpoint, match=f"adam {key} is {value!r}, fixed at"):
+            neural.checkpoint_load(path)
 
 
 def test_checkpoint_rejects_version_and_corruption(tmp_path):
