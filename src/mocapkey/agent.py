@@ -8,8 +8,11 @@ episode return telescopes to the total fraction removed.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import hashlib
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, fields
 
@@ -19,7 +22,7 @@ from . import neural
 from .errors import (CorruptCheckpoint, DegenerateSequence, EmptyDataset,
                      NoValidAction, ShapeMismatch)
 from .keyframes import KeyframeSet, check_keyframe_count
-from .metrics import q_baseline, q_error
+from .metrics import q_baseline, q_error, section_kernel, stacked_angles
 from .spherical import SphericalSequence, wrap_angle
 
 RATE_CLIP = 10.0     # rad/s bound before normalization in the state encoding
@@ -132,43 +135,101 @@ def assemble_state(features: np.ndarray, mask: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def act(net: neural.QNetwork, features: np.ndarray, mask: np.ndarray,
-        epsilon: float, rng: np.random.Generator) -> int:
+        epsilon: float, rng: np.random.Generator, greedy=None) -> int:
     """Epsilon-greedy action for one window's (N, F) features and boolean
-    keyframe mask.
-
-    Valid actions are the frames not in the mask. Only the greedy branch
-    assembles the state; it masks invalid outputs to -inf, and argmax ties
-    resolve to the lowest frame index.
-    """
+    keyframe mask: a random frame not in the mask (no state is assembled),
+    or :func:`_forward_argmax` of the assembled state, which ``greedy(mask,
+    valid)``, a :meth:`_CertifiedQ.best` of ``net``, returns when given."""
     valid = np.flatnonzero(~mask)
     if valid.size == 0:
         raise NoValidAction("every frame is already a keyframe")
     if rng.random() < epsilon:
         return int(rng.choice(valid))
-    q = neural.forward(net, assemble_state(features, mask))
-    masked = np.full_like(q, -np.inf)
-    masked[valid] = q[valid]
-    return int(np.argmax(masked))
+    if greedy is not None:
+        return greedy(mask, valid)
+    return _forward_argmax(net, assemble_state(features, mask), valid)
+
+
+def _forward_argmax(net: neural.QNetwork, state: np.ndarray, valid: np.ndarray) -> int:
+    """The valid frame of largest ``neural.forward`` value, ties to the lowest."""
+    return int(valid[np.argmax(neural.forward(net, state)[valid])])
+
+
+class _CertifiedQ:
+    """Greedy actions of ``net`` on windows given as (P, D) zero-mask
+    states, certified equal to :func:`_forward_argmax` of the full state.
+
+    The first pre-activation is the window's zero-mask one, cached until
+    :meth:`refresh`, plus the first-layer rows of the keyframes. That sums
+    in another order than ``neural.forward``; but a layer of k - 1 inputs
+    summed in any order is within gamma_k (|x|.|W| + |b|) of its exact value,
+    gamma_k = k u / (1 - k u) with u = 2**-53 (Higham 2002, sec. 3.1); a ReLU
+    widens no gap; and on layer 1, |x|.|w_j| <= ||x|| ||W||_F.
+    The running argmax is kept only when it leads by more than that bound;
+    otherwise the state is assembled and forwarded.
+    """
+
+    def __init__(self, net: neural.QNetwork, states: np.ndarray):
+        self.net, self.states = net, states
+        self.stride = states.shape[1] // net.output_dim   # frame i's bit: i * stride + F
+        self.refresh()
+
+    def refresh(self) -> None:
+        """Forget what was derived from the weights; call after they change."""
+        self._base, self._scales = {}, None
+
+    def q_bound(self, window: int, mask: np.ndarray) -> tuple[np.ndarray, float]:
+        """Running Q values of the window's state with keyframe ``mask``, and
+        a bound on their distance from ``neural.forward``'s."""
+        (w0, w1, w2), (b0, b1, b2) = self.net.weights, self.net.biases
+        if window not in self._base:
+            x = self.states[window]
+            self._base[window] = (x @ w0 + b0, x @ x)
+        if self._scales is None:     # per layer: gamma_k, weight scale, max |b|
+            ks = (w0.shape[0] + mask.size + 1, w1.shape[0] + 1, w2.shape[0] + 1)
+            scales = (math.sqrt(w0.ravel() @ w0.ravel()),
+                      np.abs(w1).sum(axis=0).max(), np.abs(w2).sum(axis=0).max())
+            self._scales = [(k * 2.0 ** -53 / (1.0 - k * 2.0 ** -53), scale, np.abs(b).max())
+                            for k, scale, b in zip(ks, scales, (b0, b1, b2))]
+        base, sq = self._base[window]
+        h = base + w0[self.stride - 1::self.stride][mask].sum(axis=0)
+        (g, scale, b_max), *deeper = self._scales
+        err = 2.0 * g * (math.sqrt(sq + np.count_nonzero(mask)) * scale + b_max)
+        for (w, b), (g, scale, b_max) in zip(((w1, b1), (w2, b2)), deeper):
+            h = np.maximum(h, 0.0)    # inputs err apart, each sum within g
+            err = ((1.0 + g) * err + 2.0 * g * h.max()) * scale + 2.0 * g * b_max
+            h = h @ w + b
+        return h, err
+
+    def best(self, window: int, mask: np.ndarray, valid: np.ndarray) -> int:
+        """:func:`act`'s greedy frame; ``valid`` is the frames not in ``mask``."""
+        q, err = self.q_bound(window, mask)
+        top = int(np.argmax(q[valid]))
+        # both values may move by err; doubled for the bound's own rounding
+        if q[valid[top]] - np.delete(q[valid], top).max(initial=-np.inf) > 4.0 * err:
+            return int(valid[top])
+        state = self.states[window].copy()
+        state[self.stride - 1::self.stride] = mask
+        return _forward_argmax(self.net, state, valid)
 
 
 class ReplayMemory:
     """Bounded ring buffer of transitions, oldest evicted first.
 
-    Stored as columns: each row names its window by position in the
-    stacked (P, N, F) pool features and keeps the keyframe mask before its
-    action; the mask after it is that mask plus the action's frame. States
-    are assembled on sampling, straight into the batch arrays.
+    Stored as columns: each row names its window by position in the pool
+    and keeps the keyframe mask before its action; the mask after it is
+    that mask plus the action's frame. The pool's (P, N, F) features are
+    assembled once with zero masks; sampling gathers them and sets the bits.
     """
 
     def __init__(self, features: np.ndarray, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be positive")
-        self.features = features
+        self.states = assemble_state(features, np.zeros(features.shape[:2], bool))
         self.capacity = capacity
         self.inserted = 0
-        frames = features.shape[1]
         self.window = np.zeros(capacity, dtype=np.intp)
-        self.mask = np.zeros((capacity, frames), dtype=bool)
+        self.mask = np.zeros((capacity, features.shape[1]), dtype=bool)
         self.action = np.zeros(capacity, dtype=np.intp)
         self.reward = np.zeros(capacity)
         self.terminal = np.zeros(capacity, dtype=bool)
@@ -188,18 +249,13 @@ class ReplayMemory:
 
     def sample(self, rng: np.random.Generator, batch_size: int):
         """``batch_size`` rows drawn with replacement, as the arrays
-        (states, actions, rewards, next_states, terminal, next_masks)."""
+        (states, actions, rewards, terminal)."""
         if not len(self):
             raise EmptyDataset("replay memory is empty")
         picks = rng.integers(0, len(self), size=batch_size)
-        features = self.features[self.window[picks]]
-        masks = self.mask[picks]
-        actions = self.action[picks]
-        next_masks = masks.copy()
-        next_masks[np.arange(batch_size), actions] = True
-        return (assemble_state(features, masks), actions, self.reward[picks],
-                assemble_state(features, next_masks), self.terminal[picks],
-                next_masks)
+        states = self.states[self.window[picks]]
+        states.reshape(batch_size, self.mask.shape[1], -1)[..., -1] = self.mask[picks]
+        return states, self.action[picks], self.reward[picks], self.terminal[picks]
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +309,8 @@ def train(dataset: list[SphericalSequence], cfg: TrainConfig,
     trains every cfg.train_interval environment steps once the memory holds
     one batch, and the target network refreshes every cfg.target_interval
     updates. Passing a previous TrainResult resumes its network, optimizer
-    and counters (the target restarts equal to the main network).
+    (at cfg.learning_rate) and counters; the target restarts equal to the
+    main network.
 
     With cfg.eval_interval > 0 the greedy policy is scored every that many
     episodes on a fixed random sample of the training windows (mean
@@ -270,12 +327,15 @@ def train(dataset: list[SphericalSequence], cfg: TrainConfig,
             q0 = q_baseline(sph)
         except DegenerateSequence:
             continue
-        pool.append((sph, q0, di))
+        # the step reward's kernel inputs and the endpoint section's error
+        angle, rate = stacked_angles(sph)
+        pool.append((sph, q0, di, angle, rate, section_kernel(
+            angle, rate, sph.dt, np.array([0]), np.array([sph.frame_count - 1]))))
     if not pool:
         raise EmptyDataset("every training window is degenerate")
     n = pool[0][0].frame_count
     m = pool[0][0].joint_count
-    for sph, _, _ in pool:
+    for sph, *_ in pool:
         if sph.frame_count != n or sph.joint_count != m:
             raise ShapeMismatch(
                 f"window {sph.source or '?'} has shape "
@@ -293,6 +353,7 @@ def train(dataset: list[SphericalSequence], cfg: TrainConfig,
     else:
         net = initial.net
         adam = initial.adam
+        adam.learning_rate = cfg.learning_rate
         if net.input_dim != state_dim or net.output_dim != n:
             raise ShapeMismatch(
                 f"checkpoint network {net.shapes} does not fit data "
@@ -302,8 +363,10 @@ def train(dataset: list[SphericalSequence], cfg: TrainConfig,
         updates = initial.updates
     target = net.copy()
     rng = np.random.default_rng(cfg.seed + episode_base)
-    features = np.stack([state_features(sph) for sph, _, _ in pool])
-    memory = ReplayMemory(features, cfg.memory_capacity)
+    memory = ReplayMemory(np.stack([state_features(sph) for sph, *_ in pool]),
+                          cfg.memory_capacity)
+    features = memory.states.reshape(len(pool), n, -1)[..., :-1]
+    certified = _CertifiedQ(net, memory.states)
     log: list[LogRow] = []
     total_steps = global_step + cfg.episodes * (w - 2)
 
@@ -318,30 +381,38 @@ def train(dataset: list[SphericalSequence], cfg: TrainConfig,
     for ep in range(cfg.episodes):
         episode = episode_base + ep
         window = rng.integers(len(pool))
-        sph, q0, _ = pool[window]
-        keys = KeyframeSet.endpoints(n)
+        sph, q0, _, angle, rate, errors = pool[window]
+        keys = [0, n - 1]
+        mask = np.zeros(n, dtype=bool)
+        mask[keys] = True
+        greedy = functools.partial(certified.best, window)
         q_prev = q0
         episode_reward = 0.0
         epsilon = _epsilon_at(global_step, total_steps)
-        for _ in range(w - 2):
+        for step in range(w - 2):
             epsilon = _epsilon_at(global_step, total_steps)
-            action = act(net, features[window], keys.mask, epsilon, rng)
-            next_keys = keys.add(action)
-            q_new = q_error(sph, next_keys)
+            action = act(net, features[window], mask, epsilon, rng, greedy)
+            # the new keyframe splits one section; q_error sums each
+            # section on its own, so only that one's errors are recomputed
+            at = bisect.bisect(keys, action)
+            split = section_kernel(angle, rate, sph.dt, np.array([keys[at - 1], action]),
+                                   np.array([action, keys[at]]))
+            errors = np.concatenate((errors[:at - 1], split, errors[at:]))
+            keys.insert(at, action)
+            q_new = float(errors.sum()) / (n * m)
             reward = (q_prev - q_new) / q0
-            terminal = len(next_keys) == w
-            memory.add(window, keys.mask, action, reward, terminal)
+            memory.add(window, mask, action, reward, step == w - 3)
+            mask[action] = True
             episode_reward += reward
-            keys = next_keys
             q_prev = q_new
             global_step += 1
             if global_step % cfg.train_interval == 0 and len(memory) >= cfg.batch_size:
-                (states, actions, rewards, next_states, terminals,
-                 next_masks) = memory.sample(rng, cfg.batch_size)
-                targets = _batch_targets(rewards, next_states, next_masks,
-                                         terminals, target, cfg.discount)
+                states, actions, rewards, terminals = memory.sample(rng, cfg.batch_size)
+                targets = _batch_targets(states, actions, rewards, terminals,
+                                         target, cfg.discount)
                 _, loss = neural.backward_and_step(net, adam, states,
                                                    actions, targets)
+                certified.refresh()
                 updates += 1
                 log.append(LogRow(global_step, episode, epsilon, loss=loss))
                 if updates % cfg.target_interval == 0:
@@ -350,7 +421,9 @@ def train(dataset: list[SphericalSequence], cfg: TrainConfig,
                           episode_reward=episode_reward))
         if eval_pool and ((ep + 1) % cfg.eval_interval == 0
                           or ep + 1 == cfg.episodes):
-            score = _eval_policy(net, pool, eval_pool, w)
+            # the greedy policy's mean remaining error share on the sample
+            score = sum(q_error(pool[i][0], infer_keyframes(net, pool[i][0], w)[0])
+                        / pool[i][1] for i in eval_pool) / len(eval_pool)
             log.append(LogRow(global_step, episode, epsilon, eval_q=score))
             if score < best_q:
                 best_q = score
@@ -368,29 +441,22 @@ def train(dataset: list[SphericalSequence], cfg: TrainConfig,
         eval_indices=tuple(pool[i][2] for i in eval_pool) if eval_pool else None)
 
 
-def _eval_policy(net: neural.QNetwork, pool: list, eval_pool: list[int],
-                 w: int) -> float:
-    """Mean remaining error share of the greedy policy on the sample."""
-    total = 0.0
-    for i in eval_pool:
-        sph, q0, _ = pool[i]
-        keys, _ = infer_keyframes(net, sph, w)
-        total += q_error(sph, keys) / q0
-    return total / len(eval_pool)
-
-
-def _batch_targets(rewards: np.ndarray, next_states: np.ndarray,
-                   next_masks: np.ndarray, terminal: np.ndarray,
+def _batch_targets(states: np.ndarray, actions: np.ndarray,
+                   rewards: np.ndarray, terminal: np.ndarray,
                    target_net: neural.QNetwork, discount: float) -> np.ndarray:
     """Bootstrapped value targets: r at terminal rows and where the next
     state has no valid action, otherwise r plus the discounted best valid
     action value of the target network (one forward over the open rows).
-    ``next_masks`` holds the next states' boolean keyframe masks."""
+    A row's next state is its state with the action's keyframe bit set;
+    only the open rows' next states are built."""
     targets = rewards.copy()
     open_rows = np.flatnonzero(~terminal)
     if open_rows.size:
-        q = neural.forward(target_net, next_states[open_rows])
-        q[next_masks[open_rows]] = -np.inf
+        next_states = states[open_rows]
+        bits = next_states.reshape(open_rows.size, target_net.output_dim, -1)[..., -1]
+        bits[np.arange(open_rows.size), actions[open_rows]] = 1.0
+        q = neural.forward(target_net, next_states)
+        q[bits != 0.0] = -np.inf
         best = q.max(axis=1)
         live = np.isfinite(best)
         targets[open_rows[live]] += discount * best[live]
@@ -401,39 +467,13 @@ def _batch_targets(rewards: np.ndarray, next_states: np.ndarray,
 # Inference
 # ---------------------------------------------------------------------------
 
-class _FastQ:
-    """Incremental Q evaluation for one window.
-
-    The first hidden pre-activation is linear in the state, and successive
-    states differ only in keyframe bits, so it is kept as a running vector:
-    seeded from the angle features (all mask bits zero contribute nothing)
-    and bumped by one first-layer row per added keyframe.
-    """
-
-    def __init__(self, net: neural.QNetwork, features: np.ndarray):
-        self._net = net
-        width = features.shape[1]      # frame i's mask bit: i(width + 1) + width
-        self._mask_rows = net.weights[0][width::width + 1]
-        base = assemble_state(features, np.zeros(net.output_dim))
-        self._h1 = base @ net.weights[0] + net.biases[0]
-
-    def add_keyframe(self, frame: int) -> None:
-        self._h1 += self._mask_rows[frame]
-
-    def q_values(self) -> np.ndarray:
-        net = self._net
-        h = np.maximum(self._h1, 0.0)
-        h = np.maximum(h @ net.weights[1] + net.biases[1], 0.0)
-        return h @ net.weights[2] + net.biases[2]
-
-
 def infer_keyframes(net: neural.QNetwork, sph: SphericalSequence,
                     w: int) -> tuple[KeyframeSet, float]:
     """Greedy (epsilon = 0) rollout of the trained network.
 
     Returns the keyframe set and the wall-clock selection time in seconds.
-    Identical in outcome to repeated :func:`act` with epsilon 0; the
-    first-layer computation is shared across steps for speed.
+    Identical in outcome to repeated :func:`act` with epsilon 0: each step
+    is a :meth:`_CertifiedQ.best`.
     """
     n = sph.frame_count
     check_keyframe_count(n, w)
@@ -441,18 +481,12 @@ def infer_keyframes(net: neural.QNetwork, sph: SphericalSequence,
         raise ShapeMismatch(
             f"network {net.shapes} does not fit a ({n}, {sph.joint_count}) window")
     start = time.perf_counter()
-    keys = KeyframeSet.endpoints(n)
-    if w > 2:
-        fast = _FastQ(net, state_features(sph))
-        fast.add_keyframe(0)
-        fast.add_keyframe(n - 1)
-        for _ in range(w - 2):
-            q = fast.q_values()
-            q[list(keys.indices)] = -np.inf
-            frame = int(np.argmax(q))
-            keys = keys.add(frame)
-            fast.add_keyframe(frame)
-    return keys, time.perf_counter() - start
+    mask = np.zeros(n, dtype=bool)
+    greedy = _CertifiedQ(net, assemble_state(state_features(sph), mask)[None])
+    mask[[0, -1]] = True
+    for _ in range(w - 2):
+        mask[greedy.best(0, mask, np.flatnonzero(~mask))] = True
+    return KeyframeSet.from_mask(mask), time.perf_counter() - start
 
 
 # ---------------------------------------------------------------------------

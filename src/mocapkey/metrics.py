@@ -40,9 +40,19 @@ def section_errors(sph: SphericalSequence, a, b) -> np.ndarray:
     if a.shape != b.shape or np.any(a < 0) or np.any(b <= a) \
             or np.any(b >= sph.frame_count):
         raise DegenerateInterval(f"bad sections for N={sph.frame_count}")
-    angle = np.hstack((sph.theta, sph.phi))
-    rate = np.hstack((sph.theta_dot, sph.phi_dot))
-    owner, frames, recon = _interior_cubics(a, b, sph.dt, angle, rate)
+    return section_kernel(*stacked_angles(sph), sph.dt, a, b)
+
+
+def stacked_angles(sph: SphericalSequence) -> tuple[np.ndarray, np.ndarray]:
+    """theta|phi, (N, 2M), and their rates: :func:`section_kernel`'s input."""
+    return (np.hstack((sph.theta, sph.phi)),
+            np.hstack((sph.theta_dot, sph.phi_dot)))
+
+
+def section_kernel(angle, rate, dt, a, b) -> np.ndarray:
+    """``section_errors`` on prepared arrays and valid section ends; each
+    entry sums its own section's frames alone, whatever else is passed."""
+    owner, frames, recon = _interior_cubics(a, b, dt, angle, rate)
     err = angle_distance(recon, angle[frames]).sum(axis=1)
     return np.bincount(owner, err, minlength=a.size)
 

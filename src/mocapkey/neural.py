@@ -136,6 +136,8 @@ class AdamState:
     step: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
+    # two work arrays per parameter for adam_step; never saved
+    scratch: list[np.ndarray] = field(default_factory=list, repr=False, compare=False)
 
     @classmethod
     def for_network(cls, net: QNetwork, learning_rate: float) -> "AdamState":
@@ -149,15 +151,23 @@ class AdamState:
 
 
 def adam_step(net: QNetwork, adam: AdamState, grads: list[np.ndarray]) -> None:
+    """p -= lr (m / c1) / (sqrt(v / c2) + eps) after m = b1 m + (1 - b1) g and
+    v = b2 v + (1 - b2) g g, each step rounded as written, in ``adam.scratch``."""
     adam.step += 1
     c1 = 1.0 - ADAM_BETA1 ** adam.step
     c2 = 1.0 - ADAM_BETA2 ** adam.step
-    for p, g, m, v in zip(net.parameters(), grads, adam.m, adam.v):
+    params = net.parameters()
+    if len(adam.scratch) != 2 * len(params):
+        adam.scratch = [np.empty_like(p) for p in params for _ in range(2)]
+    for p, g, m, v, s, t in zip(params, grads, adam.m, adam.v,
+                                adam.scratch[::2], adam.scratch[1::2]):
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=s)
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        p -= adam.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        v += np.multiply(np.multiply(g, 1.0 - ADAM_BETA2, out=s), g, out=s)
+        np.multiply(np.divide(m, c1, out=s), adam.learning_rate, out=s)
+        s /= np.add(np.sqrt(np.divide(v, c2, out=t), out=t), ADAM_EPS, out=t)
+        p -= s
 
 
 def gradients(net: QNetwork, xs, actions, targets) -> tuple[list[np.ndarray], float]:
@@ -276,10 +286,15 @@ def checkpoint_load(path) -> tuple[QNetwork, AdamState, dict]:
             raise VersionMismatch(f"{path}: checkpoint format {version}, "
                                   f"expected {CHECKPOINT_VERSION}")
         try:
-            layers = _layers(header["shapes"])
+            shapes, ah = header["shapes"], header["adam"]
+            learning_rate, step = ah["learning_rate"], ah["step"]
+            # what checkpoint_save writes: int sizes, a step count, a rate > 0
+            if not (isinstance(shapes, list) and all(type(d) is int for d in shapes)
+                    and type(step) is int and step >= 0
+                    and type(learning_rate) in (int, float) and 0 < learning_rate < math.inf):
+                raise ValueError(f"shapes {shapes!r}, adam {ah!r}")
+            layers = _layers(shapes)
             seed = int(header.get("seed", 0))
-            ah = header["adam"]
-            learning_rate, step = float(ah["learning_rate"]), int(ah["step"])
             for key, fixed in (("beta1", ADAM_BETA1), ("beta2", ADAM_BETA2),
                                ("eps", ADAM_EPS)):
                 if float(ah[key]) != fixed:
@@ -292,5 +307,5 @@ def checkpoint_load(path) -> tuple[QNetwork, AdamState, dict]:
         blocks = read_blocks(fh, params * 3, CorruptCheckpoint)
     k = len(params)
     net = QNetwork(weights=blocks[0:k:2], biases=blocks[1:k:2], seed=seed)
-    adam = AdamState(learning_rate, step, m=blocks[k:2 * k], v=blocks[2 * k:])
+    adam = AdamState(float(learning_rate), step, m=blocks[k:2 * k], v=blocks[2 * k:])
     return net, adam, header.get("extra", {})

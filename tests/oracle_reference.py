@@ -3,7 +3,9 @@
 Everything here is deliberately written the slow, obvious way in pure
 Python (lists, Gaussian elimination, nested loops) and shares no code
 with the package. Tests compare the fast vectorized implementations
-against these.
+against these. The one exception is :func:`train_reference`, the training
+loop without its shortcuts: it is built from the package's own float
+primitives, so that the fast loop can be required to match it bit for bit.
 """
 
 from __future__ import annotations
@@ -140,3 +142,130 @@ def td_target_reference(reward, next_state, terminal, weights, biases,
         return reward
     q = mlp_forward_reference(weights, biases, next_state)
     return reward + discount * max(q[f] for f in valid)
+
+
+def train_reference(dataset, cfg, initial=None):
+    """``agent.train`` the direct way: every step's reward from a full
+    ``q_error``, every greedy step and every evaluated policy a full
+    ``neural.forward`` with a masked argmax, replay rows kept as tuples and
+    assembled whole (next states too) when sampled, and Adam written out
+    with fresh temporaries. Same random draws, same log rows."""
+    import numpy as np
+
+    from mocapkey import agent, neural
+    from mocapkey.errors import DegenerateSequence
+    from mocapkey.keyframes import KeyframeSet
+    from mocapkey.metrics import q_baseline, q_error
+
+    pool = []
+    for di, sph in enumerate(dataset):
+        try:
+            pool.append((sph, q_baseline(sph), di))
+        except DegenerateSequence:
+            pass
+    n, m, w = pool[0][0].frame_count, pool[0][0].joint_count, cfg.keyframe_count
+    if initial is None:
+        net = neural.init([n * (4 * m + 1), cfg.hidden1, cfg.hidden2, n], cfg.seed)
+        adam = neural.AdamState.for_network(net, cfg.learning_rate)
+        global_step = episode_base = updates = 0
+    else:
+        net, adam = initial.net, initial.adam
+        adam.learning_rate = cfg.learning_rate
+        global_step, episode_base, updates = (
+            initial.global_step, initial.episodes_done, initial.updates)
+    target = net.copy()
+    rng = np.random.default_rng(cfg.seed + episode_base)
+    features = [agent.state_features(sph) for sph, _, _ in pool]
+    replay, inserted = [], 0      # (window, mask, action, reward, terminal)
+    log = []
+    total_steps = global_step + cfg.episodes * (w - 2)
+    eval_pool, best = [], (np.inf, None, None)    # score, episode, network
+    if cfg.eval_interval > 0:
+        eval_pool = sorted(rng.choice(len(pool), size=min(cfg.eval_sample, len(pool)),
+                                      replace=False))
+
+    def greedy(window, keys):
+        q = neural.forward(net, agent.assemble_state(features[window], keys.mask))
+        masked = np.full_like(q, -np.inf)
+        masked[~keys.mask] = q[~keys.mask]
+        return int(np.argmax(masked))
+
+    def adam_step(grads):
+        adam.step += 1
+        c1 = 1.0 - neural.ADAM_BETA1 ** adam.step
+        c2 = 1.0 - neural.ADAM_BETA2 ** adam.step
+        for p, g, m1, v in zip(net.parameters(), grads, adam.m, adam.v):
+            m1 *= neural.ADAM_BETA1
+            m1 += (1.0 - neural.ADAM_BETA1) * g
+            v *= neural.ADAM_BETA2
+            v += (1.0 - neural.ADAM_BETA2) * g * g
+            p -= adam.learning_rate * (m1 / c1) / (np.sqrt(v / c2) + neural.ADAM_EPS)
+
+    for ep in range(cfg.episodes):
+        episode = episode_base + ep
+        window = rng.integers(len(pool))
+        sph, q0, _ = pool[window]
+        keys = KeyframeSet.endpoints(n)
+        q_prev, episode_reward = q0, 0.0
+        epsilon = agent._epsilon_at(global_step, total_steps)
+        for _ in range(w - 2):
+            epsilon = agent._epsilon_at(global_step, total_steps)
+            if rng.random() < epsilon:
+                action = int(rng.choice(keys.complement()))
+            else:
+                action = greedy(window, keys)
+            next_keys = keys.add(action)
+            q_new = q_error(sph, next_keys)
+            reward = (q_prev - q_new) / q0
+            row = (window, keys.mask, action, reward, len(next_keys) == w)
+            if inserted < cfg.memory_capacity:
+                replay.append(row)
+            else:
+                replay[inserted % cfg.memory_capacity] = row
+            inserted += 1
+            episode_reward += reward
+            keys, q_prev = next_keys, q_new
+            global_step += 1
+            if global_step % cfg.train_interval or len(replay) < cfg.batch_size:
+                continue
+            rows = [replay[i] for i in rng.integers(0, len(replay), size=cfg.batch_size)]
+            states = np.array([agent.assemble_state(features[r[0]], r[1]) for r in rows])
+            actions = np.array([r[2] for r in rows])
+            next_masks = np.array([r[1] for r in rows])
+            next_masks[np.arange(len(rows)), actions] = True
+            next_states = np.array([agent.assemble_state(features[r[0]], nm)
+                                    for r, nm in zip(rows, next_masks)])
+            targets = np.array([r[3] for r in rows])
+            open_rows = np.flatnonzero([not r[4] for r in rows])
+            if open_rows.size:
+                q = neural.forward(target, next_states[open_rows])
+                q[next_masks[open_rows]] = -np.inf
+                top = q.max(axis=1)
+                live = np.isfinite(top)
+                targets[open_rows[live]] += cfg.discount * top[live]
+            grads, loss = neural.gradients(net, states, actions, targets)
+            adam_step(grads)
+            updates += 1
+            log.append(agent.LogRow(global_step, episode, epsilon, loss=loss))
+            if updates % cfg.target_interval == 0:
+                target.load_from(net)
+        log.append(agent.LogRow(global_step, episode, epsilon,
+                                episode_reward=episode_reward))
+        if eval_pool and ((ep + 1) % cfg.eval_interval == 0 or ep + 1 == cfg.episodes):
+            total = 0.0
+            for i in eval_pool:
+                keys = KeyframeSet.endpoints(n)
+                while len(keys) < w:
+                    keys = keys.add(greedy(i, keys))
+                total += q_error(pool[i][0], keys) / pool[i][1]
+            score = total / len(eval_pool)
+            log.append(agent.LogRow(global_step, episode, epsilon, eval_q=score))
+            if score < best[0]:
+                best = (score, episode, net.copy())
+    if best[2] is not None:
+        net.load_from(best[2])
+    return agent.TrainResult(
+        net=net, adam=adam, log=log, global_step=global_step,
+        episodes_done=episode_base + cfg.episodes, updates=updates,
+        best_eval_q=None if best[2] is None else best[0], best_episode=best[1],
+        eval_indices=tuple(pool[i][2] for i in eval_pool) if eval_pool else None)

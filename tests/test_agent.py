@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -148,6 +149,60 @@ def test_act_exploration_stays_valid(monkeypatch):
     assert picks == expected
 
 
+def _certified(net, sph):
+    """A _CertifiedQ of ``net`` over the one window ``sph``."""
+    zero = np.zeros(sph.frame_count, dtype=bool)
+    return agent._CertifiedQ(
+        net, agent.assemble_state(agent.state_features(sph), zero)[None])
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**16), n=st.integers(3, 12), m=st.integers(1, 3),
+       hidden=st.tuples(st.integers(1, 24), st.integers(1, 12)),
+       scale=st.sampled_from([1e-3, 1.0, 30.0]), tie=st.booleans(),
+       keyframes=st.integers(0, 12))
+def test_certified_action_equals_forward_argmax(seed, n, m, hidden, scale, tie,
+                                                keyframes):
+    sph = conftest.random_spherical(seed, n, m, smooth=bool(seed % 2))
+    net = neural.init([n * (4 * m + 1), *hidden, n], seed)
+    rng = np.random.default_rng(seed)
+    for p in net.parameters():
+        p += scale * rng.normal(size=p.shape) * (rng.random() < 0.5)
+    if tie:   # two outputs that are equal in every computation order
+        net.weights[2][:, -1] = net.weights[2][:, 0]
+        net.biases[2][-1] = net.biases[2][0]
+    mask = np.zeros(n, dtype=bool)
+    mask[rng.choice(n, size=min(keyframes, n - 1), replace=False)] = True
+    valid = np.flatnonzero(~mask)
+    full = neural.forward(net, agent.assemble_state(agent.state_features(sph), mask))
+    certified = _certified(net, sph)
+    running, bound = certified.q_bound(0, mask)
+    assert np.all(np.abs(running - full) <= bound)
+    assert certified.best(0, mask, valid) == valid[np.argmax(full[valid])]
+    assert agent.act(net, agent.state_features(sph), mask, 0.0,
+                     np.random.default_rng(0),
+                     lambda mk, vd: certified.best(0, mk, vd)) \
+        == valid[np.argmax(full[valid])]
+
+
+def test_certified_tie_falls_back_to_the_lower_frame():
+    sph = conftest.random_spherical(13, 8, 2)
+    net = neural.init([8 * 9, 12, 8, 8], seed=5)
+    net.weights[2][:, 6] = net.weights[2][:, 2]
+    net.biases[2][[2, 6]] = 100.0      # frames 2 and 6 lead, exactly tied
+    certified = _certified(net, sph)
+    mask = KeyframeSet.endpoints(8).mask
+    running, bound = certified.q_bound(0, mask)
+    assert running[2] == running[6] and bound > 0.0
+    with mock.patch.object(neural, "forward", wraps=neural.forward) as spy:
+        assert certified.best(0, mask, np.flatnonzero(~mask)) == 2
+    assert spy.call_count == 1         # the certificate failed: one forward
+    with mock.patch.object(neural, "forward", wraps=neural.forward) as spy:
+        mask[2] = True
+        assert certified.best(0, mask, np.flatnonzero(~mask)) == 6
+    assert spy.call_count == 0         # a clear winner needs no forward
+
+
 def test_act_raises_when_no_frame_left():
     sph = conftest.random_spherical(9, 4, 2)
     keys = KeyframeSet.from_indices([0, 1, 2, 3], 4)
@@ -163,23 +218,19 @@ def test_act_raises_when_no_frame_left():
 
 
 def _target_batch(sph, rows):
-    """(rewards, next_states, next_masks, terminal) arrays for (keys,
-    action, reward, terminal) rows on one window."""
-    rewards = np.array([r[2] for r in rows])
-    next_keys = [keys.add(action) for keys, action, _, _ in rows]
-    next_states = np.array([encoded(sph, keys) for keys in next_keys])
-    next_masks = np.array([keys.mask for keys in next_keys])
-    terminal = np.array([r[3] for r in rows])
-    return rewards, next_states, next_masks, terminal
+    """(states, actions, rewards, terminal) arrays for (keys, action,
+    reward, terminal) rows on one window."""
+    return (np.array([encoded(sph, r[0]) for r in rows]),
+            np.array([r[1] for r in rows]), np.array([r[2] for r in rows]),
+            np.array([r[3] for r in rows]))
 
 
-def _reference_targets(net, rewards, next_states, next_masks, terminal,
-                       discount):
+def _reference_targets(net, sph, rows, discount):
     weights = [w.tolist() for w in net.weights]
     biases = [b.tolist() for b in net.biases]
-    return [ref.td_target_reference(float(r), x.tolist(), bool(t), weights,
-                                    biases, discount)
-            for r, x, t in zip(rewards, next_states, terminal)]
+    return [ref.td_target_reference(reward, encoded(sph, keys.add(action)).tolist(),
+                                    terminal, weights, biases, discount)
+            for keys, action, reward, terminal in rows]
 
 
 def test_td_target_terminal_and_bootstrap():
@@ -187,15 +238,17 @@ def test_td_target_terminal_and_bootstrap():
     net = neural.init([6 * 9, 10, 8, 6], seed=3)
     ends = KeyframeSet.endpoints(6)
     all_but_3 = KeyframeSet.from_indices([0, 1, 2, 4, 5], 6)
-    batch = _target_batch(sph, [(ends, 2, 0.7, True), (ends, 2, 0.7, False),
-                                (all_but_3, 3, -0.2, False)])
-    rewards = batch[0].copy()
+    rows = [(ends, 2, 0.7, True), (ends, 2, 0.7, False),
+            (all_but_3, 3, -0.2, False)]
+    batch = _target_batch(sph, rows)
+    before = [a.copy() for a in batch]
     got = agent._batch_targets(*batch, net, 0.5)
-    assert np.array_equal(batch[0], rewards)  # inputs are left alone
+    # inputs are left alone
+    assert all(np.array_equal(a, b) for a, b in zip(batch, before))
     assert got[0] == 0.7     # terminal: the reward alone
     assert got[2] == -0.2    # next state has no valid action: the reward alone
     assert got[1] != 0.7     # open: bootstraps from the target network
-    want = _reference_targets(net, *batch, 0.5)
+    want = _reference_targets(net, sph, rows, 0.5)
     assert got.tolist() == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
@@ -214,11 +267,11 @@ def test_batch_targets_match_td_target_loop():
     rows.append((full, 6, float(rng.normal()), False))
     batch = _target_batch(sph, rows)
     got = agent._batch_targets(*batch, net, 0.5)
-    want = _reference_targets(net, *batch, 0.5)
+    want = _reference_targets(net, sph, rows, 0.5)
     assert got.tolist() == pytest.approx(want, rel=1e-12, abs=1e-12)
     assert got[-1] == rows[-1][2]
     assert agent._batch_targets(*batch[:3], np.ones(13, bool),
-                                net, 0.5).tolist() == batch[0].tolist()
+                                net, 0.5).tolist() == batch[2].tolist()
 
 
 def test_replay_memory_ring_eviction():
@@ -230,13 +283,11 @@ def test_replay_memory_ring_eviction():
     # 0 and 1 were evicted first, into the ring slots they had held
     assert mem.action.tolist() == [1, 2, 2, 0]
     assert mem.reward.tolist() == [4.0, 5.0, 2.0, 3.0]
-    states, actions, rewards, next_states, terminal, next_masks = mem.sample(
-        np.random.default_rng(0), 10)
+    states, actions, rewards, terminal = mem.sample(np.random.default_rng(0), 10)
     assert set(rewards.tolist()) <= {2.0, 3.0, 4.0, 5.0}
     assert np.array_equal(actions, rewards.astype(int) % 3)
-    assert states.shape == next_states.shape == (10, 3 * 9)
-    # the next mask is the stored mask plus the action's frame
-    assert np.array_equal(next_masks, np.eye(3, dtype=bool)[actions])
+    assert states.shape == (10, 3 * 9)
+    assert not states.any()   # zero features and the stored empty masks
     assert not terminal.any()
     with pytest.raises(ValueError):
         agent.ReplayMemory(np.zeros((1, 3, 8)), 0)
@@ -252,7 +303,7 @@ def test_replay_memory_snapshots_masks():
     mask[0] = 1.0  # caller mutates after insertion
     batch = mem.sample(np.random.default_rng(0), 1)
     assert batch[0][0, np.arange(3) * 9 + 8].sum() == 0.0
-    assert batch[5].tolist() == [[False, True, False]]
+    assert batch[1].tolist() == [1]
 
 
 @settings(max_examples=60, deadline=None)
@@ -270,19 +321,26 @@ def test_replay_sample_equals_per_row_states(seed, capacity, adds, batch):
         mem.add(*row)
         ring[i % capacity] = row
     assert len(mem) == min(adds, capacity)
-    states, actions, rewards, next_states, terminal, next_masks = mem.sample(
-        np.random.default_rng(seed), batch)
+    states, actions, rewards, terminal = mem.sample(np.random.default_rng(seed), batch)
     picks = np.random.default_rng(seed).integers(0, len(mem), size=batch)
+    want_next = []
     for b, pick in enumerate(picks):
         window, mask, action, reward, term = ring[pick]
         next_mask = mask.copy()
         next_mask[action] = True
         want = agent.assemble_state(features[window], mask)
-        want_next = agent.assemble_state(features[window], next_mask)
         assert states[b].tobytes() == want.tobytes()
-        assert next_states[b].tobytes() == want_next.tobytes()
-        assert np.array_equal(next_masks[b], next_mask)
         assert (actions[b], rewards[b], terminal[b]) == (action, reward, term)
+        if not term:
+            want_next.append(agent.assemble_state(features[window], next_mask))
+    # the target network sees exactly the open rows' assembled next states
+    net = neural.init([25, 6, 4, 5], seed=seed)
+    with mock.patch.object(neural, "forward", wraps=neural.forward) as spy:
+        agent._batch_targets(states, actions, rewards, terminal, net, 0.5)
+    if want_next:
+        assert spy.call_args.args[1].tobytes() == np.array(want_next).tobytes()
+    else:
+        assert not spy.called
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +415,60 @@ def test_train_resume_continues_counters():
     assert second.episodes_done == 20
     assert second.global_step == 20 * (cfg.keyframe_count - 2)
     assert second.updates >= first.updates
+
+
+def _assert_same_run(got, want):
+    for a, b in zip(got.net.parameters() + got.adam.m + got.adam.v,
+                    want.net.parameters() + want.adam.m + want.adam.v):
+        assert a.tobytes() == b.tobytes()
+    assert (got.adam.step, got.adam.learning_rate) == (want.adam.step,
+                                                       want.adam.learning_rate)
+    assert list(map(repr, got.log)) == list(map(repr, want.log))
+    assert got.counters() == want.counters()
+    assert (got.best_eval_q, got.best_episode, got.eval_indices) == (
+        want.best_eval_q, want.best_episode, want.eval_indices)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_train_matches_the_reference_loop_bitwise(seed):
+    windows = tiny_windows(4, n=10, m=2)
+    cfg = tiny_config(seed=seed, episodes=40, eval_interval=15, eval_sample=3)
+    _assert_same_run(agent.train(windows, cfg), ref.train_reference(windows, cfg))
+
+
+def test_train_matches_the_reference_loop_past_eight_sections():
+    # 12 keyframes: the reward sums 9 to 11 sections, numpy's pairwise path
+    windows = tiny_windows(3, n=16, m=2)
+    cfg = tiny_config(keyframe_count=12, episodes=12, eval_interval=6)
+    _assert_same_run(agent.train(windows, cfg), ref.train_reference(windows, cfg))
+
+
+def test_resumed_train_matches_the_reference_loop_bitwise():
+    windows = tiny_windows()
+    cfg = tiny_config(episodes=10)
+    first, first_ref = agent.train(windows, cfg), ref.train_reference(windows, cfg)
+    _assert_same_run(first, first_ref)
+    more = tiny_config(episodes=15, learning_rate=0.05, eval_interval=5)
+    _assert_same_run(agent.train(windows, more, initial=first),
+                     ref.train_reference(windows, more, initial=first_ref))
+
+
+def test_train_resume_takes_the_config_learning_rate(tmp_path):
+    windows = tiny_windows()
+    first = agent.train(windows, tiny_config(episodes=10))
+    path = tmp_path / "first.ckpt"
+    agent.save_agent(path, first, tiny_config(episodes=10))
+    weights = []
+    for rate in (0.01, 0.5):
+        cfg = tiny_config(episodes=10, learning_rate=rate)
+        loaded, _ = agent.load_agent(path)
+        result = agent.train(windows, cfg, initial=loaded)
+        agent.save_agent(tmp_path / "more.ckpt", result, cfg)
+        header = json.loads((tmp_path / "more.ckpt").read_bytes().split(b"\n")[0])
+        assert header["adam"]["learning_rate"] == rate
+        assert header["extra"]["config"]["learning_rate"] == rate
+        weights.append(result.net.weights[0].copy())
+    assert not np.array_equal(*weights)
 
 
 def test_train_validates_inputs():

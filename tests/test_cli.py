@@ -268,6 +268,23 @@ def test_data_errors_exit_two(tmp_path, capsys):
         assert cli.main(["eval", "--data", str(empty), "--methods", "sidql",
                          "--model", str(ckpt),
                          "--out", str(tmp_path / "r.csv")]) == cli.EXIT_DATA
+    # header values no run writes, in front of well-formed blocks
+    neural.checkpoint_save(net, adam, tmp_path / "good.ckpt", extra={"config": {}})
+    head, blocks = (tmp_path / "good.ckpt").read_bytes().split(b"\n", 1)
+    for key, value in (("shapes", "2222"), ("shapes", [2.0, 2, 2, 2]),
+                       ("shapes", [True, 2, 2, 2]), ("step", -1), ("step", 1.0),
+                       ("learning_rate", 0), ("learning_rate", -1.0),
+                       ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+                       ("learning_rate", "0.01"), ("learning_rate", True)):
+        header = json.loads(head)
+        (header if key == "shapes" else header["adam"])[key] = value
+        ckpt = tmp_path / "header.ckpt"
+        ckpt.write_bytes(json.dumps(header).encode() + b"\n" + blocks)
+        capsys.readouterr()
+        assert cli.main(["eval", "--data", str(empty), "--methods", "sidql",
+                         "--model", str(ckpt),
+                         "--out", str(tmp_path / "r.csv")]) == cli.EXIT_DATA
+        assert "malformed header" in capsys.readouterr().err, (key, value)
     config = tmp_path / "cfg.json"
     for bad in ({"episodes": "ten"}, {"epsilon_end": 0.1}):
         config.write_text(json.dumps(bad))
