@@ -20,7 +20,7 @@ import numpy as np
 
 from . import neural
 from .errors import (CorruptCheckpoint, DegenerateSequence, EmptyDataset,
-                     NoValidAction, ShapeMismatch)
+                     NoValidAction, ShapeMismatch, checked)
 from .keyframes import KeyframeSet, check_keyframe_count
 from .metrics import q_baseline, q_error, section_kernel, stacked_angles
 from .spherical import SphericalSequence, wrap_angle
@@ -37,6 +37,11 @@ _RETIRED = {"epsilon_start": EPSILON_START, "epsilon_end": EPSILON_END,
             "huber_delta": neural.HUBER_DELTA,
             "adam_beta1": neural.ADAM_BETA1,
             "adam_beta2": neural.ADAM_BETA2, "adam_eps": neural.ADAM_EPS}
+
+# TrainConfig's limits per field; every other field is at least 1
+_LIMITS = {"keyframe_count": {"low": 2}, "learning_rate": {"above": 0},
+           "discount": {"low": 0, "high": 1}, "eval_interval": {"low": 0},
+           "seed": {"low": 0}}
 
 
 @dataclass(frozen=True)
@@ -59,41 +64,24 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.keyframe_count < 2:
-            raise ValueError("keyframe_count must be at least 2")
-        for name in ("episodes", "batch_size", "memory_capacity",
-                     "train_interval", "target_interval", "hidden1", "hidden2"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if not 0.0 <= self.discount <= 1.0:
-            raise ValueError("discount must be in [0, 1]")
-        if self.eval_interval < 0 or self.eval_sample < 1:
-            raise ValueError("eval_interval must be >= 0 and eval_sample >= 1")
+        for f in fields(self):    # an int passes where a float is expected
+            checked(getattr(self, f.name), f.name, type(f.default), ValueError,
+                    **_LIMITS.get(f.name, {"low": 1}))
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
-        if not isinstance(data, dict):
-            raise ValueError("config must be a JSON object")
-        data = dict(data)
+        data = dict(checked(data, "config", dict, ValueError))
         for key in _RETIRED.keys() & data.keys():
             value = data.pop(key)
             if isinstance(value, bool) or value != _RETIRED[key]:
                 raise ValueError(f"config key '{key}' is fixed at "
                                  f"{_RETIRED[key]!r}, got {value!r}")
-        kinds = {f.name: type(f.default) for f in fields(cls)}
-        unknown = set(data) - set(kinds)
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        # an int passes where a float is expected, never the other way
-        mistyped = sorted(k for k, v in data.items() if isinstance(v, bool)
-                          or not isinstance(v, (int, kinds[k])))
-        if mistyped:
-            raise ValueError(f"config values of the wrong type: {mistyped}")
         return cls(**data)
 
     @classmethod
@@ -502,14 +490,10 @@ def save_agent(path, result: TrainResult, cfg: TrainConfig) -> None:
 
 def load_agent(path) -> tuple[TrainResult, TrainConfig]:
     net, adam, extra = neural.checkpoint_load(path)
-    counters = extra.get("counters", {}) if isinstance(extra, dict) else None
-    if not isinstance(counters, dict):
-        raise CorruptCheckpoint(
-            f"{path}: 'extra' and its 'counters' must be JSON objects")
-    try:
-        counts = {name: int(counters.get(name, 0))
-                  for name in ("global_step", "episodes_done", "updates")}
-    except (TypeError, ValueError) as exc:
-        raise CorruptCheckpoint(f"{path}: malformed counters: {exc}") from None
+    counters = checked(checked(extra, "extra", dict, CorruptCheckpoint).get("counters", {}),
+                       "counters", dict, CorruptCheckpoint)
+    counts = {name: checked(counters.get(name, 0), f"counters {name}", int,
+                            CorruptCheckpoint, low=0)
+              for name in ("global_step", "episodes_done", "updates")}
     cfg = TrainConfig.from_dict(extra.get("config", {}))
     return TrainResult(net=net, adam=adam, log=[], **counts), cfg

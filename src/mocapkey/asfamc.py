@@ -23,9 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MalformedAsf, MalformedAmc, UnreachablePose
+from .errors import MalformedAsf, MalformedAmc, UnreachablePose, checked
 
 _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
+_AXIS_ORDERS = frozenset({"XYZ", "XZY", "YXZ", "YZX", "ZXY", "ZYX"})
 _ROTATION_DOF = ("rx", "ry", "rz")
 # every known dof channel, with its column in the export's per-joint rows
 _CHANNEL_COLUMN = {"tx": 0, "ty": 1, "tz": 2, "rx": 3, "ry": 4, "rz": 5, "l": 6}
@@ -121,14 +122,15 @@ class Skeleton:
     def __post_init__(self):
         if not self.joints or self.joints[0].parent is not None:
             raise MalformedAsf("skeleton must start with a parentless root")
-        for idx, joint in enumerate(self.joints[1:], start=1):
-            if joint.parent is None or not 0 <= joint.parent < idx:
-                raise MalformedAsf(
-                    f"joint '{joint.name}' is not in topological order")
-            if joint.length <= 0.0:
-                raise MalformedAsf(f"joint '{joint.name}' has non-positive length")
-            if abs(np.linalg.norm(joint.direction) - 1.0) > 1e-6:
-                raise MalformedAsf(f"joint '{joint.name}' direction is not unit")
+        for idx, joint in enumerate(self.joints):
+            where = f"joint '{joint.name}'"
+            _axis_order(joint.axis_order, where)
+            _dof(list(joint.dof), where)
+            if idx:     # a bone: its parent comes first (topological order)
+                checked(joint.parent, f"{where} parent", int, MalformedAsf, low=0, high=idx - 1)
+                checked(joint.length, f"{where} length", float, MalformedAsf, above=0)
+                if abs(np.linalg.norm(joint.direction) - 1.0) > 1e-6:
+                    raise MalformedAsf(f"{where} direction is not unit")
 
     @property
     def root(self) -> Joint:
@@ -138,11 +140,10 @@ class Skeleton:
     def bone_names(self) -> tuple[str, ...]:
         return tuple(j.name for j in self.joints[1:])
 
-    def index(self, name: str) -> int:
-        for i, j in enumerate(self.joints):
-            if j.name == name:
-                return i
-        raise KeyError(name)
+    @property
+    def bone_parents(self) -> tuple[int, ...]:
+        """Each bone's parent bone as an index into ``bone_names``; -1 is the root."""
+        return tuple(j.parent - 1 for j in self.joints[1:])
 
     def axis_matrix(self, joint: Joint) -> np.ndarray:
         return euler_matrix(joint.axis, joint.axis_order)
@@ -170,25 +171,35 @@ class Skeleton:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Skeleton":
-        joints = tuple(
-            Joint(
-                name=j["name"],
-                parent=j["parent"],
-                direction=np.array(j["direction"], dtype=np.float64),
-                length=float(j["length"]),
-                axis=np.array(j["axis"], dtype=np.float64),
-                axis_order=j["axis_order"],
-                dof=tuple(j["dof"]),
-                limits=tuple(tuple(pair) for pair in j["limits"]),
-            )
-            for j in data["joints"]
-        )
+        """The skeleton that :meth:`to_dict` gave as ``data``; raises
+        MalformedAsf naming the first field that holds anything else
+        (:meth:`__post_init__` checks the parents, axis orders and dof)."""
+        def get(obj, key, kind, where="", default=None, **limits):  # number lists: arrays
+            value = checked(obj.get(key, default), where + key, kind, MalformedAsf, **limits)
+            return np.array(value, dtype=np.float64) if kind == list[float] else value
+
+        joints = []
+        for i, j in enumerate(get(checked(data, "skeleton", dict, MalformedAsf), "joints",
+                                  list[dict])):
+            at = f"joints[{i}] "
+            joints.append(Joint(
+                name=get(j, "name", str, at),
+                parent=j.get("parent"),
+                direction=get(j, "direction", list[float], at, size=3),
+                length=get(j, "length", float, at),
+                axis=get(j, "axis", list[float], at, size=3),
+                axis_order=j.get("axis_order"),
+                dof=tuple(get(j, "dof", list, at)),
+                limits=tuple(tuple(checked(pair, f"{at}limits[{k}]", list[float],
+                                           MalformedAsf, size=2, finite=False))
+                             for k, pair in enumerate(get(j, "limits", list, at))),
+            ))
         return cls(
-            joints=joints,
-            name=data.get("name", ""),
-            length_scale=float(data.get("length_scale", 1.0)),
-            angle_in_degrees=bool(data.get("angle_in_degrees", True)),
-            root_position=np.array(data.get("root_position", [0, 0, 0]), dtype=np.float64),
+            joints=tuple(joints),
+            name=get(data, "name", str, default=""),
+            length_scale=get(data, "length_scale", float, default=1.0, above=0),
+            angle_in_degrees=get(data, "angle_in_degrees", bool, default=True),
+            root_position=get(data, "root_position", list[float], default=[0, 0, 0], size=3),
         )
 
 
@@ -280,16 +291,9 @@ def parse_asf(source) -> Skeleton:
         parts = line.split()
         key = parts[0].lower()
         if key == "order":
-            tokens = tuple(t.lower() for t in parts[1:])
-            for t in tokens:
-                if t not in _CHANNEL_COLUMN:
-                    raise MalformedAsf(f"line {no}: unknown root channel '{t}'")
-            root_order = tokens
+            root_order = _dof([t.lower() for t in parts[1:]], f"line {no}:")
         elif key == "axis":
-            root_axis_order = _word(parts, no).upper()
-            if sorted(root_axis_order.lower()) != ["x", "y", "z"]:
-                raise MalformedAsf(f"line {no}: root axis order "
-                                   f"'{root_axis_order}' is not a permutation of XYZ")
+            root_axis_order = _axis_order(_word(parts, no).upper(), f"line {no}:")
         elif key == "orientation":
             root_orientation = to_rad(_numbers(parts, 3, no))
         elif key == "position":
@@ -332,15 +336,9 @@ def parse_asf(source) -> Skeleton:
         elif key == "axis":
             bone.axis = to_rad(_numbers(parts, 3, no))
             if len(parts) > 4:
-                bone.axis_order = parts[4].upper()
-                if sorted(bone.axis_order.lower()) != ["x", "y", "z"]:
-                    raise MalformedAsf(f"line {no}: bad axis order '{parts[4]}'")
+                bone.axis_order = _axis_order(parts[4].upper(), f"line {no}:")
         elif key == "dof":
-            tokens = tuple(t.lower() for t in parts[1:])
-            for t in tokens:
-                if t not in _CHANNEL_COLUMN:
-                    raise MalformedAsf(f"line {no}: unknown dof token '{t}'")
-            bone.dof = tokens
+            bone.dof = _dof([t.lower() for t in parts[1:]], f"line {no}:")
         elif key == "limits":
             pending_limits = len(bone.dof)
             rest = line[len(parts[0]):].strip()
@@ -435,6 +433,15 @@ def parse_asf(source) -> Skeleton:
         angle_in_degrees=degrees,
         root_position=root_position * 1.0,
     )
+
+
+def _axis_order(order: str, where: str) -> str:    # a permutation of XYZ
+    return checked(order, f"{where} axis_order", str, MalformedAsf, among=_AXIS_ORDERS)
+
+
+def _dof(tokens: list[str], where: str) -> tuple[str, ...]:    # known channels
+    return tuple(checked(tokens, f"{where} dof", list[str], MalformedAsf,
+                         among=_CHANNEL_COLUMN))
 
 
 def _word(parts: list[str], line_no: int) -> str:

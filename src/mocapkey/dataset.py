@@ -1,15 +1,14 @@
 """On-disk window datasets.
 
 A dataset directory holds one record per preprocessed window plus a
-manifest. A record is a single header line (magic, then JSON with shapes,
-timing, the joint names, which must be the embedded tracked-joint
-skeleton's bones in order, and that skeleton) followed by raw
-little-endian float64 blocks in C order: positions (N, M, 3), then root
-positions (N, 3). Records of the first format (``MKWIN1``) also carry
-joint and root velocity blocks; they are still read, and the velocities
-skipped. The manifest carries the preprocessing parameters and the
-train/test split, assigned per source file. Records and manifest are
-written atomically.
+manifest. A record is a single header line, the magic ``MKWIN2`` and then
+a JSON object with ``frame_count`` N, ``dt``, ``source``, ``start_frame``
+and ``skeleton``, the tracked-joint skeleton whose bones name the window's
+M joints in order. Raw little-endian float64 blocks in C order follow:
+positions (N, M, 3), then root positions (N, 3). The manifest carries the
+preprocessing parameters and the train/test split, assigned per source
+file. Records and manifest are written atomically; every stored value is
+checked on load, never converted.
 """
 
 from __future__ import annotations
@@ -22,12 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from .asfamc import Skeleton
-from .errors import MalformedDataset
+from .errors import MalformedAsf, MalformedDataset, checked
 from .motion import MotionSequence
-from .neural import atomic_open, read_blocks, write_blocks
+from .neural import atomic_open, read_blocks, read_header, write_blocks
 
 MAGIC = b"MKWIN2 "
-MAGIC_V1 = b"MKWIN1 "
 MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = 1
 TRAIN_FRACTION = 0.8     # share of sources in the training split
@@ -45,12 +43,13 @@ class WindowRecord:
 
 def write_window(path, skeleton: Skeleton, seq: MotionSequence,
                  start_frame: int) -> None:
+    """Write ``seq`` as one record; its joints must be ``skeleton``'s bones."""
+    if (seq.joint_names, seq.parents) != (skeleton.bone_names, skeleton.bone_parents):
+        raise ValueError(f"window joints {list(seq.joint_names)} with parents "
+                         f"{list(seq.parents)} are not the skeleton's bone tree")
     header = {
         "frame_count": seq.frame_count,
-        "joint_count": seq.joint_count,
         "dt": seq.dt,
-        "joint_names": list(seq.joint_names),
-        "parents": list(seq.parents),
         "source": seq.source,
         "start_frame": int(start_frame),
         "skeleton": skeleton.to_dict(),
@@ -61,36 +60,23 @@ def write_window(path, skeleton: Skeleton, seq: MotionSequence,
 
 def read_window(path) -> tuple[Skeleton, MotionSequence, int]:
     with open(path, "rb") as fh:
-        line = fh.readline()
-        magic = line[:len(MAGIC)]
-        if magic not in (MAGIC, MAGIC_V1):
+        if fh.read(len(MAGIC)) != MAGIC:
             raise MalformedDataset(f"{path}: not a window record")
+        header = read_header(fh, MalformedDataset)
         try:
-            header = json.loads(line[len(magic):].decode("utf-8"))
-            n = int(header["frame_count"])
-            m = int(header["joint_count"])
-            dt = float(header["dt"])
-            names = tuple(header["joint_names"])
-            parents = tuple(int(p) for p in header["parents"])
-            skeleton = Skeleton.from_dict(header["skeleton"])
-            start = int(header.get("start_frame", 0))
-        except (KeyError, ValueError, TypeError) as exc:
+            skeleton = Skeleton.from_dict(header.get("skeleton"))
+            n = checked(header.get("frame_count"), "frame_count", int, MalformedDataset, low=0)
+            dt = checked(header.get("dt"), "dt", float, MalformedDataset, above=0)
+            start = checked(header.get("start_frame", 0), "start_frame", int,
+                            MalformedDataset, low=0)
+            source = checked(header.get("source", ""), "source", str, MalformedDataset)
+        except (MalformedAsf, MalformedDataset) as exc:
             raise MalformedDataset(f"{path}: bad window header: {exc}") from None
-        if names != skeleton.bone_names:
-            raise MalformedDataset(f"{path}: joint names {list(names)} are not "
-                                   f"the skeleton's bones {list(skeleton.bone_names)}")
-        if parents != tuple(j.parent - 1 for j in skeleton.joints[1:]):
-            raise MalformedDataset(f"{path}: parents {list(parents)} are not "
-                                   "the skeleton's bone tree")
-        if magic == MAGIC_V1:   # MKWIN1 follows each block with its velocities, unused
-            positions, _, root_positions, _ = read_blocks(
-                fh, [(n, m, 3), (n, m, 3), (n, 3), (n, 3)], MalformedDataset)
-        else:
-            positions, root_positions = read_blocks(fh, [(n, m, 3), (n, 3)], MalformedDataset)
+        m = len(skeleton.bone_names)
+        positions, root_positions = read_blocks(fh, [(n, m, 3), (n, 3)], MalformedDataset)
     seq = MotionSequence(
         dt=dt, positions=positions, root_positions=root_positions,
-        joint_names=names, parents=parents,
-        source=header.get("source", ""),
+        joint_names=skeleton.bone_names, parents=skeleton.bone_parents, source=source,
     )
     return skeleton, seq, start
 
@@ -160,18 +146,17 @@ def load_manifest(dataset_dir) -> dict:
         raise MalformedDataset(f"{path}: manifest not found") from None
     except json.JSONDecodeError as exc:
         raise MalformedDataset(f"{path}: bad manifest: {exc}") from None
-    if not isinstance(manifest, dict):
-        raise MalformedDataset(f"{path}: manifest is not a JSON object")
-    if manifest.get("format") != MANIFEST_FORMAT:
-        raise MalformedDataset(
-            f"{path}: manifest format {manifest.get('format')}, "
-            f"expected {MANIFEST_FORMAT}")
-    rows = manifest.get("windows")
-    if not isinstance(rows, list) or not all(
-            isinstance(row, dict) and isinstance(row.get("file"), str)
-            and {"source", "split"} <= row.keys() for row in rows):
-        raise MalformedDataset(f"{path}: manifest windows must be a list of "
-                               "objects with a file, source and split")
+    checked(manifest, f"{path}: manifest", dict, MalformedDataset)
+    checked(manifest.get("format"), f"{path}: format", int, MalformedDataset,
+            among={MANIFEST_FORMAT})
+    rows = checked(manifest.get("windows"), f"{path}: windows", list[dict], MalformedDataset)
+    for i, row in enumerate(rows):
+        at = f"{path}: windows[{i}] "
+        file = checked(row.get("file"), at + "file", str, MalformedDataset)
+        checked(file, at + "file", str, MalformedDataset,      # a bare file name
+                among={Path(file).name} - {"", ".", ".."})
+        checked(row.get("source"), at + "source", str, MalformedDataset)
+        checked(row.get("split"), at + "split", str, MalformedDataset, among={"train", "test"})
     return manifest
 
 

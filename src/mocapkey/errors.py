@@ -1,9 +1,11 @@
-"""Exception types raised across the package.
+"""Exception types raised across the package, and the stored-field check.
 
 Every error that callers are expected to catch derives from MocapKeyError,
 grouped loosely by pipeline stage (parsing, geometry, metrics, training);
 numeric failures derive from NumericError.
 """
+
+import math
 
 
 class MocapKeyError(Exception):
@@ -96,3 +98,38 @@ class NoValidAction(NumericError):
 
 class EmptyDataset(MocapKeyError):
     """No usable sequences remain after filtering."""
+
+
+_KINDS = {int: "an integer", float: "a finite number", str: "a string",
+          bool: "true or false", list: "a list", dict: "an object"}
+
+
+def checked(value, name: str, kind, error, low=None, high=None, *,
+            above=None, among=None, size=None, finite=True):
+    """``value`` itself, unconverted, when it is of JSON kind ``kind`` and
+    within the limits; otherwise raises ``error(message)`` naming ``name``
+    and the value. Kinds: int (not a bool), float (an int or float, finite
+    unless ``finite`` is false), str, bool, dict, list (of ``size`` elements)
+    and ``list[item]``, each element checked as ``item``. Limits: ``low`` and
+    ``high`` inclusive, ``above`` exclusive, ``among`` the allowed values."""
+    if hasattr(kind, "__args__"):       # list[item]
+        for i, element in enumerate(checked(value, name, list, error, size=size)):
+            checked(element, f"{name}[{i}]", kind.__args__[0], error, low, high,
+                    above=above, among=among, finite=finite)
+        return value
+    if kind is float:
+        fits = type(value) in (int, float) and (math.isfinite(value) or not finite)
+    else:
+        fits = type(value) is kind and (size is None or len(value) == size)
+    if not (fits and (low is None or value >= low) and (high is None or value <= high)
+            and (above is None or value > above)):
+        what = (_KINDS[kind] if finite else "a number") + (
+            "" if size is None else f" of {size} elements")
+        limits = [f"{op} {bound!r}" for op, bound in ((">=", low), ("<=", high), (">", above))
+                  if bound is not None]
+        raise error(f"{name} is {value!r}, expected {', '.join([what, *limits])}")
+    if among is not None and value not in among:
+        raise error(f"{name} is {value!r}, " + (
+            f"fixed at {next(iter(among))!r}" if len(among) == 1
+            else f"expected one of {sorted(among)}"))
+    return value

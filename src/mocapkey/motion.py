@@ -39,8 +39,8 @@ class MotionSequence:
             raise ValueError("root_positions must be (N, 3)")
         if len(self.joint_names) != m or len(self.parents) != m:
             raise ValueError("joint_names and parents must have length M")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < np.inf:
+            raise ValueError(f"dt must be finite and positive, got {self.dt!r}")
 
     @property
     def frame_count(self) -> int:
@@ -71,8 +71,8 @@ def forward_kinematics(skeleton: Skeleton, raw: RawMotion, dt: float,
         dt=dt,
         positions=np.moveaxis(positions[1:], 0, 1),   # (N, M, 3)
         root_positions=positions[0],
-        joint_names=tuple(j.name for j in joints[1:]),
-        parents=tuple(j.parent - 1 for j in joints[1:]),
+        joint_names=skeleton.bone_names,
+        parents=skeleton.bone_parents,
         source=source,
     )
 

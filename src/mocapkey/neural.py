@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CorruptCheckpoint, NonFiniteGradient, ShapeMismatch, VersionMismatch
+from .errors import (CorruptCheckpoint, NonFiniteGradient, ShapeMismatch, VersionMismatch,
+                     checked)
 
 CHECKPOINT_VERSION = 1
 HUBER_DELTA = 1.0    # |error| where the loss turns from quadratic to linear
@@ -63,23 +64,14 @@ def init(shapes, seed: int) -> QNetwork:
 
     ``shapes`` is [D_in, H1, H2, D_out]; exactly two hidden layers.
     """
+    checked(list(shapes), "shapes", list[int], ValueError, low=1, size=4)
     rng = np.random.default_rng(seed)
     weights, biases = [], []
-    for fan_in, fan_out in _layers(shapes):
+    for fan_in, fan_out in zip(shapes, shapes[1:]):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
     return QNetwork(weights=weights, biases=biases, seed=seed)
-
-
-def _layers(shapes) -> list[tuple[int, int]]:
-    """(fan_in, fan_out) of each layer of a [D_in, H1, H2, D_out] network."""
-    shapes = [int(s) for s in shapes]
-    if len(shapes) != 4:
-        raise ValueError(f"expected [D_in, H1, H2, D_out], got {shapes}")
-    if any(s < 1 for s in shapes):
-        raise ValueError(f"layer sizes must be positive: {shapes}")
-    return list(zip(shapes, shapes[1:]))
 
 
 def _check_input(net: QNetwork, x: np.ndarray) -> np.ndarray:
@@ -234,12 +226,20 @@ def write_blocks(path, header: bytes, blocks) -> None:
             fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
 
 
+def read_header(fh, error) -> dict:
+    """The JSON object on the rest of the current line of the binary file
+    ``fh``; raises ``error`` naming the file when it is not one."""
+    try:
+        header = json.loads(fh.readline())
+    except ValueError as exc:     # bad UTF-8 or bad JSON
+        raise error(f"{fh.name}: unreadable header: {exc}") from None
+    return checked(header, f"{fh.name}: header", dict, error)
+
+
 def read_blocks(fh, shapes, error) -> list[np.ndarray]:
     """The float64 arrays of ``shapes``, in order, from the rest of the
     binary file ``fh`` past its header line; raises ``error``, before
     allocating any of them, when the file holds fewer or more bytes."""
-    if any(d < 0 for shape in shapes for d in shape):
-        raise error(f"{fh.name}: negative block size in {list(shapes)}")
     sizes = [8 * math.prod(shape) for shape in shapes]
     left = os.fstat(fh.fileno()).st_size - fh.tell()
     if left != sum(sizes):
@@ -274,38 +274,23 @@ def checkpoint_save(net: QNetwork, adam: AdamState, path, extra: dict | None = N
 
 def checkpoint_load(path) -> tuple[QNetwork, AdamState, dict]:
     with open(path, "rb") as fh:
-        header_line = fh.readline()
-        try:
-            header = json.loads(header_line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CorruptCheckpoint(f"{path}: unreadable header: {exc}") from None
-        if not isinstance(header, dict):
-            raise CorruptCheckpoint(f"{path}: header is not a JSON object")
-        version = header.get("format_version")
-        if version != CHECKPOINT_VERSION:
-            raise VersionMismatch(f"{path}: checkpoint format {version}, "
-                                  f"expected {CHECKPOINT_VERSION}")
-        try:
-            shapes, ah = header["shapes"], header["adam"]
-            learning_rate, step = ah["learning_rate"], ah["step"]
-            # what checkpoint_save writes: int sizes, a step count, a rate > 0
-            if not (isinstance(shapes, list) and all(type(d) is int for d in shapes)
-                    and type(step) is int and step >= 0
-                    and type(learning_rate) in (int, float) and 0 < learning_rate < math.inf):
-                raise ValueError(f"shapes {shapes!r}, adam {ah!r}")
-            layers = _layers(shapes)
-            seed = int(header.get("seed", 0))
-            for key, fixed in (("beta1", ADAM_BETA1), ("beta2", ADAM_BETA2),
-                               ("eps", ADAM_EPS)):
-                if float(ah[key]) != fixed:
-                    raise CorruptCheckpoint(f"{path}: adam {key} is {ah[key]!r}, "
-                                            f"fixed at {fixed!r}")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorruptCheckpoint(f"{path}: malformed header: {exc}") from None
+        header = read_header(fh, CorruptCheckpoint)
+        checked(header.get("format_version"), f"{path}: format_version", int,
+                VersionMismatch, among={CHECKPOINT_VERSION})
+        at = f"{path}: malformed header: "     # what checkpoint_save writes
+        shapes = checked(header.get("shapes"), at + "shapes", list[int], CorruptCheckpoint,
+                         low=1, size=4)
+        seed = checked(header.get("seed", 0), at + "seed", int, CorruptCheckpoint, low=0)
+        ah = checked(header.get("adam"), at + "adam", dict, CorruptCheckpoint)
+        learning_rate = checked(ah.get("learning_rate"), at + "adam learning_rate", float,
+                                CorruptCheckpoint, above=0)
+        step = checked(ah.get("step"), at + "adam step", int, CorruptCheckpoint, low=0)
+        for key, fixed in (("beta1", ADAM_BETA1), ("beta2", ADAM_BETA2), ("eps", ADAM_EPS)):
+            checked(ah.get(key), f"{at}adam {key}", float, CorruptCheckpoint, among={fixed})
         # each layer's weight and bias, for the network, Adam's m and its v
-        params = [shape for a, b in layers for shape in ((a, b), (b,))]
+        params = [shape for a, b in zip(shapes, shapes[1:]) for shape in ((a, b), (b,))]
         blocks = read_blocks(fh, params * 3, CorruptCheckpoint)
     k = len(params)
     net = QNetwork(weights=blocks[0:k:2], biases=blocks[1:k:2], seed=seed)
-    adam = AdamState(float(learning_rate), step, m=blocks[k:2 * k], v=blocks[2 * k:])
+    adam = AdamState(learning_rate, step, m=blocks[k:2 * k], v=blocks[2 * k:])
     return net, adam, header.get("extra", {})

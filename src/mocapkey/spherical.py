@@ -141,8 +141,8 @@ class SphericalSequence:
             raise ValueError("root tracks must be (N, 3)")
         if len(self.joint_names) != m or len(self.parents) != m:
             raise ValueError("joint_names and parents must have length M")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be finite and positive, got {self.dt!r}")
 
     @property
     def frame_count(self) -> int:

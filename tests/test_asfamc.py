@@ -77,13 +77,13 @@ def test_parse_asf_reads_corpus_skeleton(skeleton):
     assert len(skeleton.joints) == 31
     assert skeleton.root.name == "root"
     assert skeleton.length_scale == pytest.approx(0.45)
-    lfemur = skeleton.joints[skeleton.index("lfemur")]
+    joints = {j.name: j for j in skeleton.joints}
+    lfemur = joints["lfemur"]
     assert lfemur.dof == ("rx", "ry", "rz")
     assert lfemur.length == pytest.approx(7.0 * 0.45)
     assert np.linalg.norm(lfemur.direction) == pytest.approx(1.0)
     assert len(lfemur.limits) == 3
-    hip = skeleton.joints[skeleton.index("lhipjoint")]
-    assert hip.dof == ()
+    assert joints["lhipjoint"].dof == ()
 
 
 def test_parse_asf_hierarchy_parent_links(skeleton):
@@ -320,8 +320,7 @@ def test_parse_amc_radians_mode(skeleton):
             rad_lines.append(":RADIANS")
         elif ln and not ln.startswith((":", "#")) and not ln.strip().isdigit():
             name, *vals = ln.split()
-            dof = (skeleton.root.dof if name == "root"
-                   else skeleton.joints[skeleton.index(name)].dof)
+            dof = {j.name: j for j in skeleton.joints}[name].dof
             conv = [str(math.radians(float(v))) if d.startswith("r") else v
                     for d, v in zip(dof, vals)]
             rad_lines.append(name + " " + " ".join(conv))
@@ -481,7 +480,7 @@ def _disturbed(skeleton, seed, frames):
     seq = forward_kinematics(skeleton, synthcorpus.make_raw_motion(skeleton, seed, frames),
                              dt=1.0 / 120.0)
     positions = seq.positions.copy()
-    positions[:, skeleton.index("ltibia") - 1] += [0.4, 0.0, 0.0]
+    positions[:, skeleton.bone_names.index("ltibia")] += [0.4, 0.0, 0.0]
     rel = spherical.relative_vectors(positions, seq.root_positions, seq.parents)
     return rel, seq.root_positions
 
@@ -524,7 +523,7 @@ def test_export_amc_bend_is_the_reparsed_pose_error(skeleton, small_windows, pos
         # to land their targets in the written pose
         targets, root = _fk(skeleton, synthcorpus.make_raw_motion(skeleton, 25, 2))
         targets, root = targets[:1], root[:1]
-        targets[:, skeleton.index("lwrist") - 1] += [0.0, 0.3, 0.3]
+        targets[:, skeleton.bone_names.index("lwrist")] += [0.0, 0.3, 0.3]
         targets = targets / np.linalg.norm(targets, axis=-1, keepdims=True)
     elif pose == "noisy":
         targets, root = _noisy(skeleton)
@@ -658,7 +657,7 @@ def test_export_amc_rejects_bad_directions(skeleton):
         asfamc.export_amc(skeleton, dirs[:, 1:], root)
     with pytest.raises(ValueError, match="directions"):
         asfamc.export_amc(skeleton, dirs, root[1:])
-    bi = skeleton.index("ltibia") - 1
+    bi = skeleton.bone_names.index("ltibia")
     zero = dirs.copy()
     zero[2, bi] = 0.0
     with pytest.raises(UnreachablePose, match="joint 'ltibia' frame 2"):

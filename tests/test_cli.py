@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import resource
 import shutil
@@ -14,8 +15,8 @@ import synthcorpus
 from mocapkey import cli, neural
 from mocapkey.agent import TrainConfig, load_agent
 from mocapkey.asfamc import RawMotion, parse_amc, parse_asf
-from mocapkey.dataset import load_manifest, read_window
-from mocapkey.motion import CMU_EXCLUDED_JOINTS, finite_difference
+from mocapkey.dataset import load_manifest
+from mocapkey.motion import CMU_EXCLUDED_JOINTS
 
 TINY_TRAIN_CONFIG = {
     "keyframe_count": 4,
@@ -374,33 +375,92 @@ def test_reconstruct_reads_only_the_requested_window(tmp_path, prepped):
                      "--out", str(tmp_path / "o.amc")]) == cli.EXIT_DATA
 
 
-def test_older_records_give_the_same_outputs(tmp_path, prepped, trained):
-    # Rewrite every record in the first format, which also stores joint and
-    # root velocity blocks; eval and reconstruct must not notice.
-    old = tmp_path / "old"
-    shutil.copytree(prepped, old)
-    for path in old.glob("*.mkw"):
-        _, seq, _ = read_window(path)
-        header = path.read_bytes().partition(b"\n")[0]
-        assert header.startswith(b"MKWIN2 ")
-        blocks = (seq.positions, finite_difference(seq.positions, seq.dt),
-                  seq.root_positions, finite_difference(seq.root_positions, seq.dt))
-        path.write_bytes(b"MKWIN1 " + header[7:] + b"\n"
-                         + b"".join(b.astype("<f8").tobytes() for b in blocks))
-    outputs = []
-    for data in (prepped, old):
-        out = tmp_path / data.name
-        out.mkdir(exist_ok=True)
-        assert cli.main(["eval", "--data", str(data), "--model", str(trained),
-                         "--k", "4,6", "--out", str(out / "r.csv")]) == cli.EXIT_OK
-        assert cli.main(["reconstruct", "--data", str(data), "--seq", "w00001",
-                         "--method", "greedy", "--k", "5",
-                         "--out", str(out / "r.amc")]) == cli.EXIT_OK
-        with open(out / "r.csv", newline="") as fh:
-            rows = [{k: v for k, v in r.items() if k != "decision_time_s"}
-                    for r in csv.DictReader(fh)]
-        outputs.append((rows, (out / "r.amc").read_bytes()))
-    assert outputs[0] == outputs[1]
+# A string, a float where an int belongs, a bool, NaN, inf and a negative
+# value, each kept where the field's kind and range forbid it
+_BAD = {"int": ["7", 7.5, True, math.nan, math.inf, -7],
+        "positive": ["0.5", True, math.nan, math.inf, -0.5],
+        "number": ["0.5", True, math.nan, math.inf],
+        "limit": ["0.5", True],                 # ASF limits may be infinite
+        "str": [7.5, True, math.nan, math.inf, -7],
+        "bool": ["false", 0.5, 1, math.nan, math.inf, -1]}
+
+
+def _set(obj, path, value):
+    """A deep copy of the JSON ``obj`` with ``value`` at ``path``."""
+    obj = json.loads(json.dumps(obj))
+    inner = obj
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    return obj
+
+
+def test_bad_stored_values_exit_two_and_name_the_field(tmp_path, prepped, trained, capsys):
+    # each stored field of a record, a manifest row, a checkpoint header and a
+    # config, given each bad value of its kind in turn (and some of its own)
+    data = tmp_path / "ds"
+    shutil.copytree(prepped, data)
+    record = data / "w00000.mkw"
+    head, _, body = record.read_bytes().partition(b"\n")
+    header = json.loads(head[7:])
+    k = next(i for i, j in enumerate(header["skeleton"]["joints"])
+             if j["dof"] and j["limits"])
+    joint = ("skeleton", "joints", k)
+    record_fields = [
+        (("frame_count",), "int"), (("dt",), "positive"), (("start_frame",), "int"),
+        (("source",), "str"), (("skeleton", "name"), "str"),
+        (("skeleton", "length_scale"), "positive"),
+        (("skeleton", "angle_in_degrees"), "bool"),
+        (("skeleton", "root_position", 0), "number"),
+        ((*joint, "name"), "str"), ((*joint, "parent"), "int"),
+        ((*joint, "direction", 0), "number"), ((*joint, "length"), "positive"),
+        ((*joint, "axis", 0), "number"), ((*joint, "axis_order"), "str", "XQZ", "xyz"),
+        ((*joint, "dof", 0), "str", "rq"), ((*joint, "limits", 0, 1), "limit")]
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest_fields = [
+        (("format",), "int"),
+        (("windows", 0, "file"), "str", "../w00000.mkw", "sub/w00000.mkw", ".."),
+        (("windows", 0, "source"), "str"), (("windows", 0, "split"), "str", "dev")]
+    ckpt_head, _, ckpt_body = trained.read_bytes().partition(b"\n")
+    checkpoint_fields = [
+        (("format_version",), "int"), (("shapes", 1), "int"), (("seed",), "int"),
+        (("adam", "learning_rate"), "positive"), (("adam", "step"), "int"),
+        (("adam", "beta1"), "positive"), (("adam", "beta2"), "positive"),
+        (("adam", "eps"), "positive"), (("extra", "counters", "global_step"), "int"),
+        (("extra", "counters", "episodes_done"), "int"),
+        (("extra", "counters", "updates"), "int")]
+    config = TrainConfig(**TINY_TRAIN_CONFIG).to_dict()
+    config_fields = [((key,), "positive" if type(value) is float else "int")
+                     for key, value in config.items()]
+    out = ["--out", str(tmp_path / "out")]
+    reconstruct = ["reconstruct", "--data", str(data), "--seq", "w00000",
+                   "--keyframes", "0,29,59", *out]
+    targets = [
+        (header, record_fields, reconstruct, lambda h: record.write_bytes(
+            b"MKWIN2 " + json.dumps(h).encode() + b"\n" + body)),
+        (manifest, manifest_fields, reconstruct,
+         lambda m: (data / "manifest.json").write_text(json.dumps(m))),
+        (json.loads(ckpt_head), checkpoint_fields,
+         ["eval", "--data", str(prepped), "--methods", "sidql",
+          "--model", str(tmp_path / "c.ckpt"), *out],
+         lambda c: (tmp_path / "c.ckpt").write_bytes(
+             json.dumps(c).encode() + b"\n" + ckpt_body)),
+        (config, config_fields,
+         ["train", "--data", str(prepped), "--config", str(tmp_path / "c.json"), *out],
+         lambda c: (tmp_path / "c.json").write_text(json.dumps(c)))]
+    failures = []
+    for original, fields, argv, write in targets:
+        for path, kind, *own in fields:
+            for value in _BAD[kind] + own:
+                write(_set(original, path, value))
+                capsys.readouterr()
+                code = cli.main(argv)
+                err = capsys.readouterr().err
+                name = [key for key in path if isinstance(key, str)][-1]
+                if code != cli.EXIT_DATA or name not in err or "Traceback" in err:
+                    failures.append((path, value, code, err))
+        write(original)
+    assert not failures, failures
 
 
 def test_prep_skips_unmatched_amc(tmp_path, corpus_dir, capsys):

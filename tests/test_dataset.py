@@ -19,25 +19,9 @@ def _random_sequence(seed, n=12, source="clip.amc"):
         positions=rng.normal(size=(n, len(skel.bone_names), 3)),
         root_positions=rng.normal(size=(n, 3)),
         joint_names=skel.bone_names,
-        parents=tuple(j.parent - 1 for j in skel.joints[1:]),
+        parents=skel.bone_parents,
         source=source,
     )
-
-
-def _write_mkwin1(path, skeleton, seq, start_frame):
-    """A first-format record, written by hand: the header line, then
-    positions, joint velocities, root positions and root velocities."""
-    rng = np.random.default_rng(99)
-    header = {
-        "frame_count": seq.frame_count, "joint_count": seq.joint_count,
-        "dt": seq.dt, "joint_names": list(seq.joint_names),
-        "parents": list(seq.parents), "source": seq.source,
-        "start_frame": start_frame, "skeleton": skeleton.to_dict(),
-    }
-    blocks = (seq.positions, rng.normal(size=seq.positions.shape),
-              seq.root_positions, rng.normal(size=seq.root_positions.shape))
-    path.write_bytes(b"MKWIN1 " + json.dumps(header).encode("utf-8") + b"\n"
-                     + b"".join(b.astype("<f8").tobytes() for b in blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -48,41 +32,51 @@ def _write_mkwin1(path, skeleton, seq, start_frame):
 def test_window_record_bitwise_round_trip(tmp_path, skeleton):
     seq = _random_sequence(0)
     n, m = seq.positions.shape[:2]
-    dataset.write_window(tmp_path / "v2.mkw", skeleton, seq, start_frame=240)
-    header, _, body = (tmp_path / "v2.mkw").read_bytes().partition(b"\n")
+    path = tmp_path / "w.mkw"
+    dataset.write_window(path, skeleton, seq, start_frame=240)
+    header, _, body = path.read_bytes().partition(b"\n")
     assert header.startswith(b"MKWIN2 ")
+    # each fact once: names, parents and M come from the embedded skeleton
+    assert sorted(json.loads(header[7:])) == ["dt", "frame_count", "skeleton",
+                                              "source", "start_frame"]
     assert len(body) == 8 * (n * m * 3 + n * 3)   # positions, root positions
-    _write_mkwin1(tmp_path / "v1.mkw", skeleton, seq, start_frame=240)
-    for name in ("v2.mkw", "v1.mkw"):
-        skel2, seq2, start = dataset.read_window(tmp_path / name)
-        assert start == 240
-        assert seq2.dt == seq.dt
-        assert seq2.joint_names == seq.joint_names
-        assert seq2.parents == seq.parents
-        assert seq2.source == "clip.amc"
-        # exact, not approximate
-        assert np.array_equal(seq.positions, seq2.positions)
-        assert np.array_equal(seq.root_positions, seq2.root_positions)
-        assert skel2.to_dict() == skeleton.to_dict()
+    # records written with the keys that repeated the skeleton still load
+    older = tmp_path / "older.mkw"
+    older.write_bytes(header[:7] + json.dumps({
+        **json.loads(header[7:]), "joint_count": m, "joint_names": list(seq.joint_names),
+        "parents": list(seq.parents)}).encode() + b"\n" + body)
+    old_seq = dataset.read_window(older)[1]
+    assert np.array_equal(old_seq.positions, seq.positions)
+    assert old_seq.parents == seq.parents
+    skel2, seq2, start = dataset.read_window(path)
+    assert start == 240
+    assert seq2.dt == seq.dt
+    assert seq2.joint_names == seq.joint_names
+    assert seq2.parents == seq.parents
+    assert seq2.source == "clip.amc"
+    # exact, not approximate
+    assert np.array_equal(seq.positions, seq2.positions)
+    assert np.array_equal(seq.root_positions, seq2.root_positions)
+    assert skel2.to_dict() == skeleton.to_dict()
 
 
 def test_read_window_rejects_trailing_bytes(tmp_path, skeleton):
-    seq = _random_sequence(3)
-    dataset.write_window(tmp_path / "v2.mkw", skeleton, seq, 0)
-    _write_mkwin1(tmp_path / "v1.mkw", skeleton, seq, 0)
-    for name in ("v2.mkw", "v1.mkw"):
-        path = tmp_path / name
-        dataset.read_window(path)
-        path.write_bytes(path.read_bytes() + b"\0")
-        with pytest.raises(MalformedDataset, match="trailing bytes"):
-            dataset.read_window(path)
-
-
-def test_read_window_rejects_wrong_magic(tmp_path):
     path = tmp_path / "w.mkw"
-    path.write_bytes(b"NOTMKW {}\n")
-    with pytest.raises(MalformedDataset, match="not a window record"):
+    dataset.write_window(path, skeleton, _random_sequence(3), 0)
+    dataset.read_window(path)
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(MalformedDataset, match="trailing bytes"):
         dataset.read_window(path)
+
+
+def test_read_window_rejects_wrong_magic(tmp_path, skeleton):
+    path = tmp_path / "w.mkw"
+    dataset.write_window(path, skeleton, _random_sequence(5), 0)
+    # the first record format, MKWIN1, is no longer read
+    for data in (b"NOTMKW {}\n", b"MKWIN1 " + path.read_bytes()[7:]):
+        path.write_bytes(data)
+        with pytest.raises(MalformedDataset, match="not a window record"):
+            dataset.read_window(path)
 
 
 def test_read_window_rejects_bad_header(tmp_path, skeleton):
@@ -97,33 +91,25 @@ def test_read_window_rejects_bad_header(tmp_path, skeleton):
         dataset.read_window(bad)
 
 
-def test_read_window_rejects_names_other_than_the_bones(tmp_path, skeleton):
+def test_write_window_rejects_names_other_than_the_bones(tmp_path, skeleton):
     seq = _random_sequence(4)
     renamed = dict(zip(seq.joint_names, reversed(seq.joint_names)))
-    dataset.write_window(tmp_path / "v2.mkw", skeleton, seq, 0)
-    _write_mkwin1(tmp_path / "v1.mkw", skeleton, seq, 0)
-    for name in ("v2.mkw", "v1.mkw"):
-        path = tmp_path / name
-        header, _, body = path.read_bytes().partition(b"\n")
-        magic, blob = header[:7], json.loads(header[7:])
-        for key, value in (("joint_names", seq.joint_names[:-1]),
-                           ("joint_names", [renamed[n] for n in seq.joint_names]),
-                           ("parents", [-1, *seq.parents[1:-1], 0])):
-            edited = {**blob, key: list(value)}
-            path.write_bytes(magic + json.dumps(edited).encode("utf-8") + b"\n" + body)
-            with pytest.raises(MalformedDataset, match="the skeleton's bone"):
-                dataset.read_window(path)
+    for key, value in (("joint_names", seq.joint_names[:-1]),
+                       ("joint_names", [renamed[n] for n in seq.joint_names]),
+                       ("parents", [-1, *seq.parents[1:-1], 0])):
+        edited = _random_sequence(4)
+        object.__setattr__(edited, key, tuple(value))
+        with pytest.raises(ValueError, match="the skeleton's bone tree"):
+            dataset.write_window(tmp_path / "w.mkw", skeleton, edited, 0)
+    assert not (tmp_path / "w.mkw").exists()
 
 
 def test_read_window_rejects_truncation(tmp_path, skeleton):
-    seq = _random_sequence(2)
-    dataset.write_window(tmp_path / "v2.mkw", skeleton, seq, 0)
-    _write_mkwin1(tmp_path / "v1.mkw", skeleton, seq, 0)
-    for name in ("v2.mkw", "v1.mkw"):
-        data = (tmp_path / name).read_bytes()
-        (tmp_path / "short.mkw").write_bytes(data[:-16])
-        with pytest.raises(MalformedDataset, match="truncated"):
-            dataset.read_window(tmp_path / "short.mkw")
+    dataset.write_window(tmp_path / "w.mkw", skeleton, _random_sequence(2), 0)
+    data = (tmp_path / "w.mkw").read_bytes()
+    (tmp_path / "short.mkw").write_bytes(data[:-16])
+    with pytest.raises(MalformedDataset, match="truncated"):
+        dataset.read_window(tmp_path / "short.mkw")
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +189,7 @@ def test_load_manifest_failures(tmp_path):
     with pytest.raises(MalformedDataset, match="bad manifest"):
         dataset.load_manifest(tmp_path)
     (tmp_path / dataset.MANIFEST_NAME).write_text(json.dumps({"format": 99}))
-    with pytest.raises(MalformedDataset, match="format 99"):
+    with pytest.raises(MalformedDataset, match="format is 99"):
         dataset.load_manifest(tmp_path)
 
 

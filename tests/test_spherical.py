@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -168,3 +169,14 @@ def test_spherical_sequence_validates_shapes():
             bone_lengths=good.bone_lengths, joint_names=good.joint_names,
             parents=good.parents, root_positions=good.root_positions,
             root_velocities=good.root_velocities)
+
+
+def test_sequences_require_a_finite_positive_dt():
+    good = random_spherical(0, 8, 2)
+    for dt in (math.nan, math.inf, 0.0, -0.1):
+        with pytest.raises(ValueError, match="dt"):
+            MotionSequence(dt=dt, positions=np.zeros((3, 1, 3)),
+                           root_positions=np.zeros((3, 3)),
+                           joint_names=("a",), parents=(-1,))
+        with pytest.raises(ValueError, match="dt"):
+            dataclasses.replace(good, dt=dt)
