@@ -25,8 +25,8 @@ from .errors import (CheckpointError, CorruptCheckpoint, DegenerateInterval,
 from .keyframes import KeyframeSet
 from .metrics import (angle_distance, q_baseline, q_error, root_rmse,
                       section_error_table, section_errors)
-from .motion import (CMU_EXCLUDED_JOINTS, MotionSequence, PreprocessConfig,
-                     filter_joints, forward_kinematics, preprocess)
+from .motion import (CMU_EXCLUDED_JOINTS, MotionSequence, filter_joints,
+                     forward_kinematics, preprocess)
 from .neural import (AdamState, QNetwork, backward_and_step, checkpoint_load,
                      checkpoint_save, forward, huber, init)
 from .reconstruct import reconstruct_full
@@ -42,8 +42,7 @@ __all__ = [
     "InvalidKeyframeSet", "InvalidW", "Joint", "KeyframeSet", "MalformedAmc",
     "MalformedAsf", "MalformedDataset", "MeridianSingularity", "MocapKeyError",
     "MotionSequence", "NoValidAction", "NonFiniteGradient", "NumericError",
-    "PoleSingularity",
-    "PreprocessConfig", "QNetwork", "RawMotion", "ReplayMemory",
+    "PoleSingularity", "QNetwork", "RawMotion", "ReplayMemory",
     "ShapeMismatch", "Skeleton", "SphericalSequence", "TooShort",
     "TrainConfig", "TrainResult", "UnreachablePose", "VersionMismatch",
     "WindowRecord", "ZeroVector", "act", "angle_distance", "backward_and_step",

@@ -30,14 +30,6 @@ EPSILON_START = 1.0  # exploration rate at the first environment step
 EPSILON_END = 0.05   # exploration rate once the decay is over
 EPSILON_FRACTION = 0.6   # share of env steps spent decaying
 
-# Settings that configs once carried, each with the one value in use;
-# configs stored with them load when they hold exactly that value.
-_RETIRED = {"epsilon_start": EPSILON_START, "epsilon_end": EPSILON_END,
-            "epsilon_fraction": EPSILON_FRACTION,
-            "huber_delta": neural.HUBER_DELTA,
-            "adam_beta1": neural.ADAM_BETA1,
-            "adam_beta2": neural.ADAM_BETA2, "adam_eps": neural.ADAM_EPS}
-
 # TrainConfig's limits per field; every other field is at least 1
 _LIMITS = {"keyframe_count": {"low": 2}, "learning_rate": {"above": 0},
            "discount": {"low": 0, "high": 1}, "eval_interval": {"low": 0},
@@ -73,12 +65,7 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
-        data = dict(checked(data, "config", dict, ValueError))
-        for key in _RETIRED.keys() & data.keys():
-            value = data.pop(key)
-            if isinstance(value, bool) or value != _RETIRED[key]:
-                raise ValueError(f"config key '{key}' is fixed at "
-                                 f"{_RETIRED[key]!r}, got {value!r}")
+        checked(data, "config", dict, ValueError)
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")

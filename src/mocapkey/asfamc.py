@@ -472,6 +472,8 @@ def _parse_limit_pair(text: str, line_no: int) -> tuple[float, float]:
         lo, hi = (float(v) for v in parts)
     except ValueError:
         raise MalformedAsf(f"line {line_no}: malformed limits '{text}'") from None
+    if math.isnan(lo) or math.isnan(hi):     # an infinite limit is allowed
+        raise MalformedAsf(f"line {line_no}: NaN in limits '{text}'")
     return lo, hi
 
 

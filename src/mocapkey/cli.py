@@ -30,8 +30,8 @@ from .errors import (DegenerateSequence, EmptyDataset, MocapKeyError,
                      NumericError)
 from .keyframes import KeyframeSet
 from .metrics import REPORT_COLUMNS, q_baseline, q_error, root_rmse
-from .motion import (CMU_EXCLUDED_JOINTS, PreprocessConfig, filter_joints,
-                     forward_kinematics, preprocess)
+from .motion import (CMU_EXCLUDED_JOINTS, SOURCE_FPS, STRIDE, TARGET_FPS,
+                     WINDOW_LEN, filter_joints, forward_kinematics, preprocess)
 from .reconstruct import reconstruct_full
 from .spherical import sequence_to_spherical, sph_to_cart
 
@@ -51,11 +51,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _listed(item, choices=None):
-    """argparse type: a non-empty comma-separated list of ``item`` values,
-    each one of ``choices`` when given."""
+    """argparse type: a non-empty comma-separated list of distinct ``item``
+    values, each one of ``choices`` when given."""
     def parse(text: str) -> tuple:
         values = tuple(item(t) for t in text.split(",") if t)
-        if not values or (choices and not set(values) <= set(choices)):
+        if (not values or len(set(values)) < len(values)
+                or (choices and not set(values) <= set(choices))):
             raise ValueError(text)
         return values
     parse.__name__ = "comma-separated"     # argparse names it in its error
@@ -86,14 +87,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--amc", required=True,
                    help="motion file or directory searched for *.amc")
     p.add_argument("--out", required=True, help="dataset output directory")
-    p.add_argument("--fps", type=float, default=30.0, help="target frame rate")
-    p.add_argument("--source-fps", type=float, default=120.0,
-                   help="capture frame rate of the AMC files")
-    p.add_argument("--window", type=int, default=60, help="frames per window")
     p.add_argument("--seed", type=int, default=0, help="split assignment seed")
-    p.add_argument("--exclude", default=",".join(CMU_EXCLUDED_JOINTS),
-                   help="comma-separated joints to drop (default: distal "
-                        "hand and toe segments)")
 
     p = sub.add_parser("train", help="train the keyframe agent")
     p.add_argument("--data", required=True, help="dataset directory")
@@ -174,13 +168,14 @@ def _find_skeleton(amc_path: Path, asf_by_stem: dict[str, Path]) -> Path | None:
     return None
 
 
-def _read_skeleton(asf_path: Path, excluded: tuple[str, ...]):
-    """(skeleton, skeleton without the excluded joints) from one ASF file,
-    or the error that reading it raised."""
+def _read_skeleton(asf_path: Path):
+    """(skeleton, skeleton without the CMU_EXCLUDED_JOINTS it has) from one
+    ASF file, or the error that reading it raised."""
     try:
         with open(asf_path, "r", encoding="utf-8", errors="replace") as fh:
             skeleton = parse_asf(fh)
-        present = tuple(n for n in excluded if n in {j.name for j in skeleton.joints})
+        present = tuple(n for n in CMU_EXCLUDED_JOINTS
+                        if n in {j.name for j in skeleton.joints})
         return skeleton, filter_joints(skeleton, present)
     except (MocapKeyError, OSError, ValueError) as exc:
         return exc
@@ -195,9 +190,6 @@ def cmd_prep(args) -> int:
         print("prep: no ASF/AMC files found under the given paths", file=sys.stderr)
         return EXIT_DATA
     asf_by_stem = {p.stem: p for p in asf_files}
-    excluded = tuple(t for t in args.exclude.split(",") if t)
-    cfg = PreprocessConfig(source_fps=args.source_fps, target_fps=args.fps,
-                           window_len=args.window)
 
     skeletons: dict[Path, tuple | Exception] = {}   # each ASF file read once
     per_source: dict[str, list] = {}
@@ -211,7 +203,7 @@ def cmd_prep(args) -> int:
             failures += 1
             continue
         if asf_path not in skeletons:
-            skeletons[asf_path] = _read_skeleton(asf_path, excluded)
+            skeletons[asf_path] = _read_skeleton(asf_path)
         loaded = skeletons[asf_path]
         try:
             if isinstance(loaded, Exception):
@@ -219,18 +211,15 @@ def cmd_prep(args) -> int:
             skeleton, sub_skeleton = loaded
             with open(amc_path, "r", encoding="utf-8", errors="replace") as fh:
                 raw = parse_amc(fh, skeleton)
-            seq = forward_kinematics(sub_skeleton, raw, dt=1.0 / args.source_fps,
+            seq = forward_kinematics(sub_skeleton, raw, dt=1.0 / SOURCE_FPS,
                                      source=source)
-            windows = preprocess(seq, cfg)
+            windows = preprocess(seq)
         except (MocapKeyError, OSError, ValueError) as exc:
             print(f"prep: warning: {source}: {exc}", file=sys.stderr)
             failures += 1
             continue
-        stride = cfg.stride
-        per_source[source] = [
-            (sub_skeleton, win, i * args.window * stride)
-            for i, win in enumerate(windows)
-        ]
+        per_source[source] = [(sub_skeleton, win, i * WINDOW_LEN * STRIDE)
+                              for i, win in enumerate(windows)]
 
     if not per_source:
         print("prep: no usable sources", file=sys.stderr)
@@ -238,10 +227,10 @@ def cmd_prep(args) -> int:
     manifest = dataset.write_dataset(
         args.out, per_source,
         preprocessing={
-            "source_fps": args.source_fps,
-            "target_fps": args.fps,
-            "window_len": args.window,
-            "excluded_joints": list(excluded),
+            "source_fps": SOURCE_FPS,
+            "target_fps": TARGET_FPS,
+            "window_len": WINDOW_LEN,
+            "excluded_joints": list(CMU_EXCLUDED_JOINTS),
             "velocity_scheme": "central",
         },
         seed=args.seed)

@@ -109,21 +109,23 @@ def checked(value, name: str, kind, error, low=None, high=None, *,
     """``value`` itself, unconverted, when it is of JSON kind ``kind`` and
     within the limits; otherwise raises ``error(message)`` naming ``name``
     and the value. Kinds: int (not a bool), float (an int or float, finite
-    unless ``finite`` is false), str, bool, dict, list (of ``size`` elements)
-    and ``list[item]``, each element checked as ``item``. Limits: ``low`` and
-    ``high`` inclusive, ``above`` exclusive, ``among`` the allowed values."""
+    unless ``finite`` is false, never NaN), str, bool, dict, list (of
+    ``size`` elements) and ``list[item]``, each element checked as ``item``.
+    Limits: ``low`` and ``high`` inclusive, ``above`` exclusive, ``among``
+    the allowed values."""
     if hasattr(kind, "__args__"):       # list[item]
         for i, element in enumerate(checked(value, name, list, error, size=size)):
             checked(element, f"{name}[{i}]", kind.__args__[0], error, low, high,
                     above=above, among=among, finite=finite)
         return value
     if kind is float:
-        fits = type(value) in (int, float) and (math.isfinite(value) or not finite)
+        fits = type(value) in (int, float) and (
+            math.isfinite(value) if finite else not math.isnan(value))
     else:
         fits = type(value) is kind and (size is None or len(value) == size)
     if not (fits and (low is None or value >= low) and (high is None or value <= high)
             and (above is None or value > above)):
-        what = (_KINDS[kind] if finite else "a number") + (
+        what = (_KINDS[kind] if finite else "a number other than NaN") + (
             "" if size is None else f" of {size} elements")
         limits = [f"{op} {bound!r}" for op, bound in ((">=", low), ("<=", high), (">", above))
                   if bound is not None]

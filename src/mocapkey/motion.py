@@ -9,6 +9,14 @@ import numpy as np
 from .asfamc import Joint, RawMotion, Skeleton, root_track, world_rotations
 from .errors import TooShort
 
+# The one window shape: CMU capture at 120 Hz, kept every STRIDE-th frame
+# (30 Hz) and cut into WINDOW_LEN-frame windows. The rates are floats
+# because the manifest stores them as written here.
+SOURCE_FPS = 120.0
+TARGET_FPS = 30.0
+STRIDE = round(SOURCE_FPS / TARGET_FPS)
+WINDOW_LEN = 60
+
 # Distal extremities removed from the skeleton (filter_joints) before
 # forward kinematics. With these removed the standard CMU skeleton keeps 22
 # bones whose ends, together with the root, are the usual 23 tracked body
@@ -113,47 +121,25 @@ def filter_joints(skeleton: Skeleton, excluded: tuple[str, ...]) -> Skeleton:
     return replace(skeleton, joints=tuple(keep))
 
 
-@dataclass(frozen=True)
-class PreprocessConfig:
-    source_fps: float = 120.0
-    target_fps: float = 30.0
-    window_len: int = 60
-
-    def __post_init__(self):
-        if self.source_fps <= 0 or self.target_fps <= 0:
-            raise ValueError("frame rates must be positive")
-        ratio = self.source_fps / self.target_fps
-        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-            raise ValueError(
-                f"source fps {self.source_fps} is not an integer multiple "
-                f"of target fps {self.target_fps}")
-        if self.window_len < 2:
-            raise ValueError("window_len must be at least 2")
-
-    @property
-    def stride(self) -> int:
-        return round(self.source_fps / self.target_fps)
-
-
-def preprocess(seq: MotionSequence, config: PreprocessConfig) -> list[MotionSequence]:
-    """Downsample and cut fixed-length windows.
+def preprocess(seq: MotionSequence) -> list[MotionSequence]:
+    """Downsample a SOURCE_FPS clip to TARGET_FPS and cut WINDOW_LEN-frame
+    windows.
 
     Windows are consecutive and non-overlapping; a trailing remainder
     shorter than the window length is discarded. Raises TooShort when the
     clip yields no complete window.
     """
-    stride = config.stride
-    pos = seq.positions[::stride]
-    root = seq.root_positions[::stride]
-    n_windows = len(pos) // config.window_len
+    pos = seq.positions[::STRIDE]
+    root = seq.root_positions[::STRIDE]
+    n_windows = len(pos) // WINDOW_LEN
     if n_windows == 0:
         raise TooShort(
-            f"{len(pos)} downsampled frames < window length {config.window_len}")
+            f"{len(pos)} downsampled frames < window length {WINDOW_LEN}")
     windows = []
     for w in range(n_windows):
-        lo = w * config.window_len
-        hi = lo + config.window_len
+        lo = w * WINDOW_LEN
+        hi = lo + WINDOW_LEN
         windows.append(replace(
-            seq, dt=stride * seq.dt, positions=pos[lo:hi], root_positions=root[lo:hi],
-            source=f"{seq.source}[{lo * stride}:{hi * stride}]" if seq.source else ""))
+            seq, dt=STRIDE * seq.dt, positions=pos[lo:hi], root_positions=root[lo:hi],
+            source=f"{seq.source}[{lo * STRIDE}:{hi * STRIDE}]" if seq.source else ""))
     return windows

@@ -15,8 +15,9 @@ import numpy as np
 
 from mocapkey.asfamc import RawMotion, Skeleton, parse_amc, parse_asf
 from mocapkey.dataset import write_dataset
-from mocapkey.motion import (CMU_EXCLUDED_JOINTS, PreprocessConfig, filter_joints,
-                             forward_kinematics, preprocess)
+from mocapkey.motion import (CMU_EXCLUDED_JOINTS, SOURCE_FPS, STRIDE, TARGET_FPS,
+                             WINDOW_LEN, filter_joints, forward_kinematics,
+                             preprocess)
 
 # name, parent, direction, asf length, axis degrees, dof tokens
 _BONES = (
@@ -51,8 +52,6 @@ _BONES = (
     ("rfingers",   "rhand",     (-1.00, 0.00, 0.00), 0.90, (0, 0, 0),      ("rx",)),
     ("rthumb",     "rwrist",    (-0.70, 0.00, 0.70), 1.00, (0, 0, -45),    ("rx", "rz")),
 )
-
-SOURCE_FPS = 120.0
 
 
 def skeleton_text() -> str:
@@ -198,22 +197,17 @@ def amc_text(skel: Skeleton, raw: RawMotion) -> str:
     return "\n".join(out) + "\n"
 
 
-def make_windows(skel: Skeleton, raw: RawMotion, source: str,
-                 config: PreprocessConfig | None = None):
+def make_windows(skel: Skeleton, raw: RawMotion, source: str):
     """FK on the tracked-joint skeleton plus windowing for one synthetic
     take; returns the triples that dataset.write_dataset expects."""
-    cfg = config or PreprocessConfig()
     sub = filter_joints(skel, CMU_EXCLUDED_JOINTS)
     seq = forward_kinematics(sub, raw, dt=1.0 / SOURCE_FPS, source=source)
-    windows = preprocess(seq, cfg)
-    stride = cfg.stride
-    return [(sub, win, i * cfg.window_len * stride)
-            for i, win in enumerate(windows)]
+    return [(sub, win, i * WINDOW_LEN * STRIDE)
+            for i, win in enumerate(preprocess(seq))]
 
 
 def build_dataset(out_dir, n_sources: int, frames_per_source: int,
-                  seed: int = 0, text_round_trip: int = 2,
-                  config: PreprocessConfig | None = None) -> dict:
+                  seed: int = 0, text_round_trip: int = 2) -> dict:
     """Write a full synthetic dataset; returns the manifest.
 
     The first ``text_round_trip`` sources pass through AMC text and the
@@ -226,9 +220,9 @@ def build_dataset(out_dir, n_sources: int, frames_per_source: int,
         if i < text_round_trip:
             raw = parse_amc(io.StringIO(amc_text(skel, raw)), skel)
         source = f"take{i:03d}.amc"
-        per_source[source] = make_windows(skel, raw, source, config)
+        per_source[source] = make_windows(skel, raw, source)
     return write_dataset(
         out_dir, per_source,
-        preprocessing={"source_fps": SOURCE_FPS, "target_fps": 30.0,
-                       "window_len": 60, "synthetic": True},
+        preprocessing={"source_fps": SOURCE_FPS, "target_fps": TARGET_FPS,
+                       "window_len": WINDOW_LEN, "synthetic": True},
         seed=seed)

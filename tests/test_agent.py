@@ -44,8 +44,10 @@ def test_train_config_round_trip(tmp_path):
     path.write_text(json.dumps(cfg.to_dict()))
     assert agent.TrainConfig.from_file(path) == cfg
     assert cfg.digest() != tiny_config(learning_rate=0.004).digest()
-    with pytest.raises(ValueError, match="unknown config keys"):
-        agent.TrainConfig.from_dict({"keyframe_count": 5, "momentum": 0.9})
+    # epsilon_start was a setting once; configs that hold it no longer load
+    for extra in ({"momentum": 0.9}, {"epsilon_start": 1.0}):
+        with pytest.raises(ValueError, match="unknown config keys"):
+            agent.TrainConfig.from_dict({**cfg.to_dict(), **extra})
 
 
 def test_train_config_validation():
@@ -53,23 +55,6 @@ def test_train_config_validation():
                 dict(learning_rate=0.0), dict(episodes=0)]:
         with pytest.raises(ValueError):
             tiny_config(**bad)
-
-
-# every config and checkpoint written while these were settings holds them
-# at these values
-RETIRED_DEFAULTS = {"epsilon_start": 1.0, "epsilon_end": 0.05,
-                    "epsilon_fraction": 0.6, "huber_delta": 1.0,
-                    "adam_beta1": 0.9, "adam_beta2": 0.999, "adam_eps": 1e-8}
-
-
-def test_train_config_accepts_retired_keys_only_at_their_fixed_values():
-    cfg = tiny_config()
-    stored = {**cfg.to_dict(), **RETIRED_DEFAULTS}
-    assert agent.TrainConfig.from_dict(stored) == cfg
-    for key, value in RETIRED_DEFAULTS.items():
-        for bad in (value / 2, True, str(value)):
-            with pytest.raises(ValueError, match=key):
-                agent.TrainConfig.from_dict({**stored, key: bad})
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
+import argparse
 import importlib.util
 import re
 from pathlib import Path
 
 import mocapkey
 import synthcorpus
+from mocapkey import cli
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_public_names_resolve_and_are_listed_once():
@@ -13,8 +17,7 @@ def test_public_names_resolve_and_are_listed_once():
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    block = re.search(r"```python\n(.*?)```", README.read_text(), re.S).group(1)
     skel = synthcorpus.skeleton()
     raw = synthcorpus.make_raw_motion(skel, 3, 250)
     (tmp_path / "subject.asf").write_text(synthcorpus.skeleton_text())
@@ -38,3 +41,19 @@ def test_bench_span_targets_exist():
     missing = [(module, func) for module, func, _ in spans.TARGETS
                if not hasattr(importlib.import_module(f"mocapkey.{module}"), func)]
     assert len(spans.TARGETS) > 0 and missing == []
+
+
+def test_readme_commands_name_only_existing_flags():
+    # a flag removed from the CLI must not linger in the documented commands
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    used = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            match = re.match(r"\s*mocapkey (\S+)(.*)", line)
+            if match:
+                used += [(match[1], flag) for flag in re.findall(r"--[\w-]+", match[2])]
+    assert {command for command, _ in used} == set(commands)
+    assert [(command, flag) for command, flag in used
+            if flag not in commands[command]._option_string_actions] == []

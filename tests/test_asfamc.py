@@ -154,6 +154,21 @@ def test_parse_asf_rejects_keyword_lines_without_values(line, broken):
         asfamc.parse_asf(io.StringIO(text))
 
 
+def test_parse_asf_rejects_nan_limits_naming_the_line():
+    lines = synthcorpus.skeleton_text().splitlines()
+    first = lines.index("    limits (-180.0 180.0)")    # lfemur, 3 dof
+    for no, broken in ((first, "    limits (nan 180.0)"),
+                       (first + 1, "           (-180.0 NaN)")):
+        edited = lines[:no] + [broken] + lines[no + 1:]
+        with pytest.raises(MalformedAsf, match=rf"^line {no + 1}: NaN in limits"):
+            asfamc.parse_asf(io.StringIO("\n".join(edited) + "\n"))
+    # an infinite limit stays readable
+    lines[first] = "    limits (-inf 180.0)"
+    skel = asfamc.parse_asf(io.StringIO("\n".join(lines) + "\n"))
+    lfemur = next(j for j in skel.joints if j.name == "lfemur")
+    assert lfemur.limits[0] == (-np.inf, np.pi)
+
+
 def test_skeleton_dict_round_trip(skeleton):
     clone = asfamc.Skeleton.from_dict(skeleton.to_dict())
     assert clone.bone_names == skeleton.bone_names

@@ -15,7 +15,7 @@ import synthcorpus
 from mocapkey import cli, neural
 from mocapkey.agent import TrainConfig, load_agent
 from mocapkey.asfamc import RawMotion, parse_amc, parse_asf
-from mocapkey.dataset import load_manifest
+from mocapkey.dataset import load_dataset, load_manifest
 from mocapkey.motion import CMU_EXCLUDED_JOINTS
 
 TINY_TRAIN_CONFIG = {
@@ -75,8 +75,17 @@ def test_prep_builds_dataset(prepped):
     # 500 source frames -> 125 at 30 fps -> 2 windows per take
     assert len(rows) == 6
     assert {r["split"] for r in rows} == {"train", "test"}
-    assert manifest["preprocessing"]["excluded_joints"] == list(CMU_EXCLUDED_JOINTS)
     assert all((prepped / r["file"]).exists() for r in rows)
+    # the one window shape, with the value types the manifest digest covers
+    block = manifest["preprocessing"]
+    assert block == {"source_fps": 120.0, "target_fps": 30.0, "window_len": 60,
+                     "excluded_joints": list(CMU_EXCLUDED_JOINTS),
+                     "velocity_scheme": "central"}
+    assert [type(block[k]) for k in ("source_fps", "target_fps", "window_len")] == [
+        float, float, int]
+    assert sorted(r["start_frame"] for r in rows) == [0, 0, 0, 240, 240, 240]
+    record = load_dataset(prepped, window_id=Path(rows[0]["file"]).stem)[0]
+    assert record.seq.dt == 4 * (1 / 120) == 1 / 30
 
 
 def test_train_writes_checkpoint_and_log(trained):
@@ -211,24 +220,35 @@ def test_train_resume_without_config_keeps_the_checkpoint_config(tmp_path, prepp
 # ---------------------------------------------------------------------------
 
 
-def test_usage_errors_exit_one(tmp_path, prepped):
+def test_usage_errors_exit_one(tmp_path, corpus_dir, prepped):
     assert cli.main([]) == cli.EXIT_USAGE
     assert cli.main(["prep", "--asf", "x"]) == cli.EXIT_USAGE  # missing args
+    # the window shape is fixed: prep has no flags for it
+    for flag, value in (("--window", "30"), ("--fps", "60")):
+        assert cli.main(["prep", "--asf", str(corpus_dir), "--amc", str(corpus_dir),
+                         "--out", str(tmp_path / "ds"), flag, value]) == cli.EXIT_USAGE
+    assert not (tmp_path / "ds").exists()
     assert cli.main(["eval", "--data", str(prepped), "--methods", "psychic",
                      "--out", str(tmp_path / "r.csv")]) == cli.EXIT_USAGE
     assert cli.main(["eval", "--data", str(prepped), "--methods", "sidql",
                      "--out", str(tmp_path / "r.csv")]) == cli.EXIT_USAGE
     assert cli.main(["eval", "--data", str(prepped), "--k", "five",
                      "--out", str(tmp_path / "r.csv")]) == cli.EXIT_USAGE
+    # a value listed twice would evaluate, or pick, the same thing twice
+    for repeated in (["--methods", "uc,uc"], ["--k", "5,5"],
+                     ["--methods", "uc", "--k", "5,10,5"]):
+        assert cli.main(["eval", "--data", str(prepped), *repeated,
+                         "--out", str(tmp_path / "r.csv")]) == cli.EXIT_USAGE
     for jobs in ("0", "-2"):
         assert cli.main(["eval", "--data", str(prepped), "--methods", "rc",
                          "--jobs", jobs, "--out", str(tmp_path / "r.csv")]) == cli.EXIT_USAGE
     assert not (tmp_path / "r.csv").exists()
     assert cli.main(["reconstruct", "--data", str(prepped), "--seq", "w00000",
                      "--out", str(tmp_path / "o.amc")]) == cli.EXIT_USAGE
-    assert cli.main(["reconstruct", "--data", str(prepped), "--seq", "w00000",
-                     "--keyframes", "0,x,59",
-                     "--out", str(tmp_path / "o.amc")]) == cli.EXIT_USAGE
+    for keyframes in ("0,x,59", "0,29,29,59"):
+        assert cli.main(["reconstruct", "--data", str(prepped), "--seq", "w00000",
+                         "--keyframes", keyframes,
+                         "--out", str(tmp_path / "o.amc")]) == cli.EXIT_USAGE
 
 
 def test_data_errors_exit_two(tmp_path, capsys):
@@ -380,7 +400,7 @@ def test_reconstruct_reads_only_the_requested_window(tmp_path, prepped):
 _BAD = {"int": ["7", 7.5, True, math.nan, math.inf, -7],
         "positive": ["0.5", True, math.nan, math.inf, -0.5],
         "number": ["0.5", True, math.nan, math.inf],
-        "limit": ["0.5", True],                 # ASF limits may be infinite
+        "limit": ["0.5", True, math.nan],       # ASF limits may be infinite
         "str": [7.5, True, math.nan, math.inf, -7],
         "bool": ["false", 0.5, 1, math.nan, math.inf, -1]}
 

@@ -9,7 +9,6 @@ from mocapkey.errors import TooShort
 from mocapkey.motion import (
     CMU_EXCLUDED_JOINTS,
     MotionSequence,
-    PreprocessConfig,
     filter_joints,
     finite_difference,
     forward_kinematics,
@@ -208,21 +207,11 @@ def test_motion_sequence_shape_validation():
 # ---------------------------------------------------------------------------
 
 
-def test_preprocess_config_validates_rates():
-    assert PreprocessConfig().stride == 4
-    with pytest.raises(ValueError, match="integer multiple"):
-        PreprocessConfig(source_fps=120.0, target_fps=35.0)
-    with pytest.raises(ValueError, match="window_len"):
-        PreprocessConfig(window_len=1)
-    with pytest.raises(ValueError, match="positive"):
-        PreprocessConfig(source_fps=-1.0)
-
-
 def test_preprocess_windows_downsampled_frames(skeleton):
     raw = synthcorpus.make_raw_motion(skeleton, 7, 750)
     sub = filter_joints(skeleton, CMU_EXCLUDED_JOINTS)
     seq = forward_kinematics(sub, raw, dt=1.0 / 120.0, source="take.amc")
-    windows = preprocess(seq, PreprocessConfig())
+    windows = preprocess(seq)
     # 750 frames / stride 4 = 187 downsampled, 3 full windows, 7 discarded
     assert len(windows) == 3
     for w, win in enumerate(windows):
@@ -240,4 +229,4 @@ def test_preprocess_rejects_short_clips(skeleton):
     raw = synthcorpus.make_raw_motion(skeleton, 8, 230)
     seq = forward_kinematics(skeleton, raw, dt=1.0 / 120.0)
     with pytest.raises(TooShort):
-        preprocess(seq, PreprocessConfig())
+        preprocess(seq)
