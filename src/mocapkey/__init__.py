@@ -8,8 +8,8 @@ selectors range from random and uniform baselines over a greedy optimizer
 to a trained deep-Q agent.
 """
 
-from .agent import (ReplayMemory, TrainConfig, TrainResult, act,
-                    infer_keyframes, load_agent, save_agent, train)
+from .agent import (ReplayMemory, TrainConfig, TrainResult, infer_keyframes,
+                    load_agent, save_agent, train)
 from .asfamc import (Joint, RawMotion, Skeleton, export_amc, parse_amc,
                      parse_asf)
 from .baselines import select_greedy, select_random, select_uniform
@@ -45,7 +45,7 @@ __all__ = [
     "PoleSingularity", "QNetwork", "RawMotion", "ReplayMemory",
     "ShapeMismatch", "Skeleton", "SphericalSequence", "TooShort",
     "TrainConfig", "TrainResult", "UnreachablePose", "VersionMismatch",
-    "WindowRecord", "ZeroVector", "act", "angle_distance", "backward_and_step",
+    "WindowRecord", "ZeroVector", "angle_distance", "backward_and_step",
     "cart_to_sph", "checkpoint_load", "checkpoint_save", "export_amc",
     "filter_joints", "forward", "forward_kinematics", "huber",
     "infer_keyframes", "init", "load_agent", "load_dataset", "load_manifest",

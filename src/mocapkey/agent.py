@@ -9,7 +9,6 @@ episode return telescopes to the total fraction removed.
 from __future__ import annotations
 
 import bisect
-import functools
 import hashlib
 import json
 import math
@@ -109,30 +108,23 @@ def assemble_state(features: np.ndarray, mask: np.ndarray) -> np.ndarray:
 # Policy and targets
 # ---------------------------------------------------------------------------
 
-def act(net: neural.QNetwork, features: np.ndarray, mask: np.ndarray,
-        epsilon: float, rng: np.random.Generator, greedy=None) -> int:
-    """Epsilon-greedy action for one window's (N, F) features and boolean
-    keyframe mask: a random frame not in the mask (no state is assembled),
-    or :func:`_forward_argmax` of the assembled state, which ``greedy(mask,
-    valid)``, a :meth:`_CertifiedQ.best` of ``net``, returns when given."""
+def act(policy: "_CertifiedQ", window: int, mask: np.ndarray, epsilon: float,
+        rng: np.random.Generator) -> int:
+    """Epsilon-greedy action on the policy's window ``window`` with boolean
+    keyframe mask ``mask``: a random frame not in the mask, or the policy's
+    :meth:`_CertifiedQ.best` frame."""
     valid = np.flatnonzero(~mask)
     if valid.size == 0:
         raise NoValidAction("every frame is already a keyframe")
     if rng.random() < epsilon:
         return int(rng.choice(valid))
-    if greedy is not None:
-        return greedy(mask, valid)
-    return _forward_argmax(net, assemble_state(features, mask), valid)
-
-
-def _forward_argmax(net: neural.QNetwork, state: np.ndarray, valid: np.ndarray) -> int:
-    """The valid frame of largest ``neural.forward`` value, ties to the lowest."""
-    return int(valid[np.argmax(neural.forward(net, state)[valid])])
+    return policy.best(window, mask, valid)
 
 
 class _CertifiedQ:
     """Greedy actions of ``net`` on windows given as (P, D) zero-mask
-    states, certified equal to :func:`_forward_argmax` of the full state.
+    states, certified equal to the valid frame of largest ``neural.forward``
+    value of the full state, ties to the lowest.
 
     The first pre-activation is the window's zero-mask one, cached until
     :meth:`refresh`, plus the first-layer rows of the keyframes. That sums
@@ -177,7 +169,7 @@ class _CertifiedQ:
         return h, err
 
     def best(self, window: int, mask: np.ndarray, valid: np.ndarray) -> int:
-        """:func:`act`'s greedy frame; ``valid`` is the frames not in ``mask``."""
+        """The policy's frame; ``valid`` is the frames not in ``mask``."""
         q, err = self.q_bound(window, mask)
         top = int(np.argmax(q[valid]))
         # both values may move by err; doubled for the bound's own rounding
@@ -185,7 +177,16 @@ class _CertifiedQ:
             return int(valid[top])
         state = self.states[window].copy()
         state[self.stride - 1::self.stride] = mask
-        return _forward_argmax(self.net, state, valid)
+        return int(valid[np.argmax(neural.forward(self.net, state)[valid])])
+
+    def rollout(self, window: int, w: int) -> KeyframeSet:
+        """The greedy policy's ``w`` keyframes on ``window``: the endpoints,
+        then w - 2 :meth:`best` picks."""
+        mask = np.zeros(self.net.output_dim, dtype=bool)
+        mask[[0, -1]] = True
+        for _ in range(w - 2):
+            mask[self.best(window, mask, np.flatnonzero(~mask))] = True
+        return KeyframeSet.from_mask(mask)
 
 
 class ReplayMemory:
@@ -317,10 +318,9 @@ def train(dataset: list[SphericalSequence], cfg: TrainConfig,
                 f"({sph.frame_count}, {sph.joint_count}), expected ({n}, {m})")
     w = cfg.keyframe_count
     check_keyframe_count(n, w)
-    state_dim = n * (4 * m + 1)
 
     if initial is None:
-        net = neural.init([state_dim, cfg.hidden1, cfg.hidden2, n], cfg.seed)
+        net = neural.init([n * (4 * m + 1), cfg.hidden1, cfg.hidden2, n], cfg.seed)
         adam = neural.AdamState.for_network(net, cfg.learning_rate)
         global_step = 0
         episode_base = 0
@@ -329,10 +329,7 @@ def train(dataset: list[SphericalSequence], cfg: TrainConfig,
         net = initial.net
         adam = initial.adam
         adam.learning_rate = cfg.learning_rate
-        if net.input_dim != state_dim or net.output_dim != n:
-            raise ShapeMismatch(
-                f"checkpoint network {net.shapes} does not fit data "
-                f"dimensions ({state_dim} -> {n})")
+        _check_fits(net, n, m)
         global_step = initial.global_step
         episode_base = initial.episodes_done
         updates = initial.updates
@@ -340,7 +337,6 @@ def train(dataset: list[SphericalSequence], cfg: TrainConfig,
     rng = np.random.default_rng(cfg.seed + episode_base)
     memory = ReplayMemory(np.stack([state_features(sph) for sph, *_ in pool]),
                           cfg.memory_capacity)
-    features = memory.states.reshape(len(pool), n, -1)[..., :-1]
     certified = _CertifiedQ(net, memory.states)
     log: list[LogRow] = []
     total_steps = global_step + cfg.episodes * (w - 2)
@@ -360,13 +356,12 @@ def train(dataset: list[SphericalSequence], cfg: TrainConfig,
         keys = [0, n - 1]
         mask = np.zeros(n, dtype=bool)
         mask[keys] = True
-        greedy = functools.partial(certified.best, window)
         q_prev = q0
         episode_reward = 0.0
         epsilon = _epsilon_at(global_step, total_steps)
         for step in range(w - 2):
             epsilon = _epsilon_at(global_step, total_steps)
-            action = act(net, features[window], mask, epsilon, rng, greedy)
+            action = act(certified, window, mask, epsilon, rng)
             # the new keyframe splits one section; q_error sums each
             # section on its own, so only that one's errors are recomputed
             at = bisect.bisect(keys, action)
@@ -397,8 +392,8 @@ def train(dataset: list[SphericalSequence], cfg: TrainConfig,
         if eval_pool and ((ep + 1) % cfg.eval_interval == 0
                           or ep + 1 == cfg.episodes):
             # the greedy policy's mean remaining error share on the sample
-            score = sum(q_error(pool[i][0], infer_keyframes(net, pool[i][0], w)[0])
-                        / pool[i][1] for i in eval_pool) / len(eval_pool)
+            score = sum(q_error(pool[i][0], certified.rollout(i, w)) / pool[i][1]
+                        for i in eval_pool) / len(eval_pool)
             log.append(LogRow(global_step, episode, epsilon, eval_q=score))
             if score < best_q:
                 best_q = score
@@ -444,24 +439,22 @@ def _batch_targets(states: np.ndarray, actions: np.ndarray,
 
 def infer_keyframes(net: neural.QNetwork, sph: SphericalSequence,
                     w: int) -> tuple[KeyframeSet, float]:
-    """Greedy (epsilon = 0) rollout of the trained network.
+    """Greedy (epsilon = 0) rollout of the trained network on one window.
 
     Returns the keyframe set and the wall-clock selection time in seconds.
-    Identical in outcome to repeated :func:`act` with epsilon 0: each step
-    is a :meth:`_CertifiedQ.best`.
     """
     n = sph.frame_count
     check_keyframe_count(n, w)
-    if net.output_dim != n or net.input_dim != n * (4 * sph.joint_count + 1):
-        raise ShapeMismatch(
-            f"network {net.shapes} does not fit a ({n}, {sph.joint_count}) window")
+    _check_fits(net, n, sph.joint_count)
     start = time.perf_counter()
-    mask = np.zeros(n, dtype=bool)
-    greedy = _CertifiedQ(net, assemble_state(state_features(sph), mask)[None])
-    mask[[0, -1]] = True
-    for _ in range(w - 2):
-        mask[greedy.best(0, mask, np.flatnonzero(~mask))] = True
-    return KeyframeSet.from_mask(mask), time.perf_counter() - start
+    policy = _CertifiedQ(net, assemble_state(state_features(sph), np.zeros(n, bool))[None])
+    return policy.rollout(0, w), time.perf_counter() - start
+
+
+def _check_fits(net: neural.QNetwork, n: int, m: int) -> None:
+    """Raise ShapeMismatch unless ``net`` takes the state of an (n, m) window."""
+    if net.output_dim != n or net.input_dim != n * (4 * m + 1):
+        raise ShapeMismatch(f"network {net.shapes} does not fit a ({n}, {m}) window")
 
 
 # ---------------------------------------------------------------------------

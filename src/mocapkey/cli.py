@@ -63,15 +63,15 @@ def _listed(item, choices=None):
     return parse
 
 
-def _positive(text: str) -> int:
-    """argparse type: an integer of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise ValueError(text)
-    return value
-
-
-_positive.__name__ = "positive integer"     # argparse names it in its error
+def _at_least(low: int):
+    """argparse type: an integer of at least ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(text)
+        return value
+    parse.__name__ = f"integer >= {low}"     # argparse names it in its error
+    return parse
 
 
 def _build_parser() -> _Parser:
@@ -87,18 +87,18 @@ def _build_parser() -> _Parser:
     p.add_argument("--amc", required=True,
                    help="motion file or directory searched for *.amc")
     p.add_argument("--out", required=True, help="dataset output directory")
-    p.add_argument("--seed", type=int, default=0, help="split assignment seed")
+    p.add_argument("--seed", type=_at_least(0), default=0, help="split assignment seed")
 
     p = sub.add_parser("train", help="train the keyframe agent")
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.add_argument("--config", default=None, help="training config JSON")
     p.add_argument("--resume", default=None, help="checkpoint to continue from")
-    p.add_argument("--episodes", type=int, default=None,
+    p.add_argument("--episodes", type=_at_least(1), default=None,
                    help="override the configured episode count")
-    p.add_argument("--keyframes", type=int, default=None,
+    p.add_argument("--keyframes", type=_at_least(2), default=None,
                    help="override the configured keyframe budget")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_at_least(0), default=None,
                    help="override the configured seed")
 
     p = sub.add_parser("eval", help="compare selectors on a dataset split")
@@ -107,25 +107,28 @@ def _build_parser() -> _Parser:
     p.add_argument("--methods", type=_listed(str, METHODS),
                    default="rc,uc,greedy,sidql",
                    help=f"comma-separated subset of {','.join(METHODS)}")
-    p.add_argument("--k", type=_listed(int), default="5,10,15",
+    p.add_argument("--k", type=_listed(_at_least(2)), default="5,10,15",
                    help="comma-separated keyframe budgets")
     p.add_argument("--out", required=True, help="report CSV path")
     p.add_argument("--split", default="test", choices=("train", "test"))
-    p.add_argument("--seed", type=int, default=0, help="seed for the random selector")
-    p.add_argument("--jobs", type=_positive, default=1,
+    p.add_argument("--seed", type=_at_least(0), default=0,
+                   help="seed for the random selector")
+    p.add_argument("--jobs", type=_at_least(1), default=1,
                    help="worker processes for evaluation (at least 1)")
 
     p = sub.add_parser("reconstruct", help="rebuild one window as AMC")
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--seq", required=True, help="window id, e.g. w00003")
-    p.add_argument("--keyframes", type=_listed(int), default=None,
-                   help="explicit comma-separated frame indices")
-    p.add_argument("--method", default=None, choices=METHODS,
-                   help="selector to choose keyframes")
-    p.add_argument("--k", type=int, default=None,
+    how = p.add_mutually_exclusive_group(required=True)
+    how.add_argument("--keyframes", type=_listed(_at_least(0)), default=None,
+                     help="explicit comma-separated frame indices")
+    how.add_argument("--method", default=None, choices=METHODS,
+                     help="selector to choose keyframes")
+    p.add_argument("--k", type=_at_least(2), default=None,
                    help="keyframe budget for --method")
     p.add_argument("--model", default=None, help="checkpoint for sidql")
-    p.add_argument("--seed", type=int, default=0, help="seed for the random selector")
+    p.add_argument("--seed", type=_at_least(0), default=0,
+                   help="seed for the random selector")
     p.add_argument("--out", required=True, help="AMC output path")
     return parser
 
@@ -458,7 +461,7 @@ def cmd_reconstruct(args) -> int:
     sph = sequence_to_spherical(rec.seq)
     if args.keyframes:
         keys = KeyframeSet.from_indices(args.keyframes, sph.frame_count)
-    elif args.method:
+    else:
         if args.k is None:
             print("reconstruct: --method requires --k", file=sys.stderr)
             return EXIT_USAGE
@@ -470,9 +473,6 @@ def cmd_reconstruct(args) -> int:
             state, _ = agent.load_agent(args.model)
             net = state.net
         keys, _ = _run_selector(args.method, sph, args.k, net, args.seed)
-    else:
-        print("reconstruct: need --keyframes or --method", file=sys.stderr)
-        return EXIT_USAGE
 
     recon = reconstruct_full(sph, keys)
     text, bend = export_amc(

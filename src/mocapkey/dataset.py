@@ -74,10 +74,13 @@ def read_window(path) -> tuple[Skeleton, MotionSequence, int]:
             raise MalformedDataset(f"{path}: bad window header: {exc}") from None
         m = len(skeleton.bone_names)
         positions, root_positions = read_blocks(fh, [(n, m, 3), (n, 3)], MalformedDataset)
-    seq = MotionSequence(
-        dt=dt, positions=positions, root_positions=root_positions,
-        joint_names=skeleton.bone_names, parents=skeleton.bone_parents, source=source,
-    )
+    try:
+        seq = MotionSequence(
+            dt=dt, positions=positions, root_positions=root_positions,
+            joint_names=skeleton.bone_names, parents=skeleton.bone_parents, source=source,
+        )
+    except ValueError as exc:
+        raise MalformedDataset(f"{path}: {exc}") from None
     return skeleton, seq, start
 
 

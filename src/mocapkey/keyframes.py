@@ -30,6 +30,7 @@ class KeyframeSet:
             raise InvalidKeyframeSet("need at least the first and last frame")
         if any(int(i) != i for i in idx):
             raise InvalidKeyframeSet("indices must be integers")
+        object.__setattr__(self, "indices", tuple(map(int, idx)))   # plain ints
         if any(b <= a for a, b in zip(idx, idx[1:])):
             raise InvalidKeyframeSet(f"indices must be strictly increasing: {idx}")
         if idx[0] != 0 or idx[-1] != self.frame_count - 1:
@@ -39,7 +40,7 @@ class KeyframeSet:
     @classmethod
     def from_indices(cls, indices, frame_count: int) -> "KeyframeSet":
         """Build from any iterable; duplicates collapse, order is ignored."""
-        return cls(tuple(sorted({int(i) for i in indices})), frame_count)
+        return cls(tuple(sorted(set(indices))), frame_count)
 
     @classmethod
     def endpoints(cls, frame_count: int) -> "KeyframeSet":
@@ -48,12 +49,12 @@ class KeyframeSet:
     @classmethod
     def from_mask(cls, mask) -> "KeyframeSet":
         mask = np.asarray(mask, dtype=bool)
-        return cls(tuple(int(i) for i in np.flatnonzero(mask)), len(mask))
+        return cls(tuple(np.flatnonzero(mask)), len(mask))
 
     def add(self, frame: int) -> "KeyframeSet":
         if frame in self.indices:
             raise InvalidKeyframeSet(f"frame {frame} is already a keyframe")
-        return KeyframeSet.from_indices(self.indices + (int(frame),), self.frame_count)
+        return KeyframeSet.from_indices(self.indices + (frame,), self.frame_count)
 
     @property
     def mask(self) -> np.ndarray:

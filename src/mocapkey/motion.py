@@ -43,6 +43,8 @@ class MotionSequence:
         n, m = self.positions.shape[:2]
         if self.positions.shape != (n, m, 3):
             raise ValueError("positions must be (N, M, 3)")
+        if m == 0:
+            raise ValueError("no tracked joints: the skeleton has no bones to track")
         if self.root_positions.shape != (n, 3):
             raise ValueError("root_positions must be (N, 3)")
         if len(self.joint_names) != m or len(self.parents) != m:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import conftest
 import oracle_reference as ref
 from mocapkey import agent, neural
+from mocapkey.baselines import select_greedy
 from mocapkey.errors import EmptyDataset, InvalidW, NoValidAction, ShapeMismatch
 from mocapkey.keyframes import KeyframeSet
 from mocapkey.metrics import q_baseline, q_error
@@ -22,6 +23,13 @@ def tiny_windows(count=3, n=8, m=2):
 def encoded(sph, keys):
     """The network input for one window and keyframe set, as train builds it."""
     return agent.assemble_state(agent.state_features(sph), keys.mask)
+
+
+def _certified(net, sph):
+    """A _CertifiedQ of ``net`` over the one window ``sph``."""
+    zero = np.zeros(sph.frame_count, dtype=bool)
+    return agent._CertifiedQ(
+        net, agent.assemble_state(agent.state_features(sph), zero)[None])
 
 
 def tiny_config(**overrides):
@@ -95,8 +103,7 @@ def test_act_greedy_masks_taken_frames():
     state = encoded(sph, keys)
     net = neural.init([state.size, 12, 8, 8], seed=5)
     rng = np.random.default_rng(0)
-    action = agent.act(net, agent.state_features(sph), keys.mask,
-                       epsilon=0.0, rng=rng)
+    action = agent.act(_certified(net, sph), 0, keys.mask, epsilon=0.0, rng=rng)
     q = neural.forward(net, state)
     valid = np.setdiff1d(np.arange(8), [0, 3, 7])
     assert action == valid[np.argmax(q[valid])]
@@ -108,22 +115,22 @@ def test_act_ties_resolve_to_lowest_frame():
     net = neural.init([encoded(sph, keys).size, 12, 8, 8], seed=5)
     net.weights[2][:] = 0.0
     net.biases[2][:] = 0.0
-    assert agent.act(net, agent.state_features(sph), keys.mask, 0.0,
+    assert agent.act(_certified(net, sph), 0, keys.mask, 0.0,
                      np.random.default_rng(0)) == 1
 
 
 def test_act_exploration_stays_valid(monkeypatch):
     sph = conftest.random_spherical(8, 8, 2)
     keys = KeyframeSet.from_indices([0, 1, 2, 3, 4, 7], 8)
-    feats = agent.state_features(sph)
     net = neural.init([encoded(sph, keys).size, 12, 8, 8], seed=5)
+    policy = _certified(net, sph)
 
-    def no_state(*_):
-        raise AssertionError("a random step must not assemble the state")
+    def no_pick(*_):
+        raise AssertionError("a random step must not ask the policy")
 
-    monkeypatch.setattr(agent, "assemble_state", no_state)
+    monkeypatch.setattr(policy, "best", no_pick)
     rng = np.random.default_rng(2)
-    picks = [agent.act(net, feats, keys.mask, 1.0, rng) for _ in range(50)]
+    picks = [agent.act(policy, 0, keys.mask, 1.0, rng) for _ in range(50)]
     assert set(picks) == {5, 6}
     # one uniform draw for the epsilon test, then one choice per step
     draws = np.random.default_rng(2)
@@ -132,13 +139,6 @@ def test_act_exploration_stays_valid(monkeypatch):
         draws.random()
         expected.append(int(draws.choice([5, 6])))
     assert picks == expected
-
-
-def _certified(net, sph):
-    """A _CertifiedQ of ``net`` over the one window ``sph``."""
-    zero = np.zeros(sph.frame_count, dtype=bool)
-    return agent._CertifiedQ(
-        net, agent.assemble_state(agent.state_features(sph), zero)[None])
 
 
 @settings(max_examples=80, deadline=None)
@@ -164,9 +164,7 @@ def test_certified_action_equals_forward_argmax(seed, n, m, hidden, scale, tie,
     running, bound = certified.q_bound(0, mask)
     assert np.all(np.abs(running - full) <= bound)
     assert certified.best(0, mask, valid) == valid[np.argmax(full[valid])]
-    assert agent.act(net, agent.state_features(sph), mask, 0.0,
-                     np.random.default_rng(0),
-                     lambda mk, vd: certified.best(0, mk, vd)) \
+    assert agent.act(certified, 0, mask, 0.0, np.random.default_rng(0)) \
         == valid[np.argmax(full[valid])]
 
 
@@ -193,8 +191,7 @@ def test_act_raises_when_no_frame_left():
     keys = KeyframeSet.from_indices([0, 1, 2, 3], 4)
     net = neural.init([encoded(sph, keys).size, 8, 8, 4], seed=0)
     with pytest.raises(NoValidAction):
-        agent.act(net, agent.state_features(sph), keys.mask, 0.0,
-                  np.random.default_rng(0))
+        agent.act(_certified(net, sph), 0, keys.mask, 0.0, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -474,16 +471,30 @@ def test_train_validates_inputs():
 def test_infer_matches_literal_greedy_rollout():
     windows = tiny_windows(2, n=10, m=2)
     result = agent.train(windows, tiny_config(episodes=15, keyframe_count=5))
-    rng = np.random.default_rng(0)
     for sph in windows:
         keys, seconds = agent.infer_keyframes(result.net, sph, 5)
         assert seconds >= 0.0
         literal = KeyframeSet.endpoints(10)
-        feats = agent.state_features(sph)
-        for _ in range(3):
-            literal = literal.add(agent.act(result.net, feats, literal.mask, 0.0, rng))
+        for _ in range(3):     # the valid frame of largest forward value
+            q = neural.forward(result.net, encoded(sph, literal))
+            valid = literal.complement()
+            literal = literal.add(int(valid[np.argmax(q[valid])]))
         assert keys.indices == literal.indices
         assert len(keys) == 5 and 0 in keys and 9 in keys
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16), n=st.integers(3, 12), m=st.integers(1, 3),
+       hidden=st.tuples(st.integers(1, 16), st.integers(1, 8)), data=st.data())
+def test_greedy_rollouts_nest_across_budgets(seed, n, m, hidden, data):
+    # each rollout to a larger budget passes through the smaller budget's set
+    w1 = data.draw(st.integers(2, n - 1), label="w1")
+    w2 = data.draw(st.integers(w1 + 1, n), label="w2")
+    sph = conftest.random_spherical(seed, n, m, smooth=bool(seed % 2))
+    net = neural.init([n * (4 * m + 1), *hidden, n], seed)
+    small, large = (set(agent.infer_keyframes(net, sph, w)[0]) for w in (w1, w2))
+    assert small < large
+    assert set(select_greedy(sph, w1)) < set(select_greedy(sph, w2))
 
 
 def test_infer_validates_arguments():

@@ -220,7 +220,7 @@ def test_train_resume_without_config_keeps_the_checkpoint_config(tmp_path, prepp
 # ---------------------------------------------------------------------------
 
 
-def test_usage_errors_exit_one(tmp_path, corpus_dir, prepped):
+def test_usage_errors_exit_one(tmp_path, corpus_dir, prepped, capsys):
     assert cli.main([]) == cli.EXIT_USAGE
     assert cli.main(["prep", "--asf", "x"]) == cli.EXIT_USAGE  # missing args
     # the window shape is fixed: prep has no flags for it
@@ -245,10 +245,37 @@ def test_usage_errors_exit_one(tmp_path, corpus_dir, prepped):
     assert not (tmp_path / "r.csv").exists()
     assert cli.main(["reconstruct", "--data", str(prepped), "--seq", "w00000",
                      "--out", str(tmp_path / "o.amc")]) == cli.EXIT_USAGE
-    for keyframes in ("0,x,59", "0,29,29,59"):
+    for keyframes in ("0,x,59", "0,29,29,59", "-1,29,59"):
         assert cli.main(["reconstruct", "--data", str(prepped), "--seq", "w00000",
                          "--keyframes", keyframes,
                          "--out", str(tmp_path / "o.amc")]) == cli.EXIT_USAGE
+    # a flag value that no data makes valid fails before any is read, naming the flag
+    prep = ["prep", "--asf", str(corpus_dir), "--amc", str(corpus_dir),
+            "--out", str(tmp_path / "ds")]
+    train = ["train", "--data", str(prepped), "--out", str(tmp_path / "a.ckpt")]
+    evaluate = ["eval", "--data", str(prepped), "--methods", "rc",
+                "--out", str(tmp_path / "r.csv")]
+    rebuild = ["reconstruct", "--data", str(prepped), "--seq", "w00000",
+               "--out", str(tmp_path / "o.amc")]
+    for argv in ([*prep, "--seed", "-1"], [*train, "--keyframes", "1"],
+                 [*train, "--episodes", "0"], [*train, "--seed", "-1"],
+                 [*evaluate, "--k", "1"], [*evaluate, "--k", "0,5"],
+                 [*evaluate, "--seed", "-1"], [*rebuild, "--method", "uc", "--k", "1"],
+                 [*rebuild, "--method", "rc", "--k", "5", "--seed", "-1"]):
+        capsys.readouterr()
+        assert cli.main(argv) == cli.EXIT_USAGE, argv
+        assert f"argument {argv[-2]}: invalid" in capsys.readouterr().err, argv
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_reconstruct_takes_keyframes_or_a_method_not_both(tmp_path, prepped, capsys):
+    # neither is silently ignored: giving both is a usage error
+    capsys.readouterr()
+    assert cli.main(["reconstruct", "--data", str(prepped), "--seq", "w00000",
+                     "--keyframes", "0,59", "--method", "greedy", "--k", "5",
+                     "--out", str(tmp_path / "o.amc")]) == cli.EXIT_USAGE
+    assert "not allowed with" in capsys.readouterr().err
+    assert not (tmp_path / "o.amc").exists()
 
 
 def test_data_errors_exit_two(tmp_path, capsys):
@@ -379,6 +406,7 @@ def test_oversize_headers_exit_two_without_allocating(tmp_path, prepped):
 
 def test_reconstruct_unknown_window_exits_two(tmp_path, prepped):
     assert cli.main(["reconstruct", "--data", str(prepped), "--seq", "w99999",
+                     "--keyframes", "0,59",
                      "--out", str(tmp_path / "o.amc")]) == cli.EXIT_DATA
 
 
@@ -481,6 +509,45 @@ def test_bad_stored_values_exit_two_and_name_the_field(tmp_path, prepped, traine
                     failures.append((path, value, code, err))
         write(original)
     assert not failures, failures
+
+
+def test_skeleton_without_tracked_bones_fails_cleanly(tmp_path, corpus_dir, prepped,
+                                                      capsys):
+    # a root-only skeleton tracks no joint: prep skips its takes with a warning
+    text = synthcorpus.skeleton_text()
+    text = text[:text.index(":bonedata")] + ":bonedata\n:hierarchy\n  begin\n  end\n"
+    tree = tmp_path / "rootonly"
+    tree.mkdir()
+    (tree / "rootonly.asf").write_text(text)
+    skel = parse_asf(text)
+    (tree / "rootonly.amc").write_text(
+        synthcorpus.amc_text(skel, synthcorpus.make_raw_motion(skel, 1, 500)))
+    (tree / "synth.asf").write_text(synthcorpus.skeleton_text())
+    shutil.copy(corpus_dir / "synth_00.amc", tree / "synth_00.amc")
+    capsys.readouterr()
+    assert cli.main(["prep", "--asf", str(tree), "--amc", str(tree),
+                     "--out", str(tmp_path / "ds")]) == cli.EXIT_OK
+    out, err = capsys.readouterr()
+    assert "1 sources (1 skipped)" in out
+    assert "prep: warning: rootonly.amc: no tracked joints" in err
+    # stored records without bones fail to load, naming the record
+    data = tmp_path / "boneless"
+    shutil.copytree(prepped, data)
+    for record in data.glob("*.mkw"):
+        head, _, body = record.read_bytes().partition(b"\n")
+        header = json.loads(head[7:])
+        header["skeleton"]["joints"] = header["skeleton"]["joints"][:1]
+        record.write_bytes(b"MKWIN2 " + json.dumps(header).encode() + b"\n"
+                           + body[-24 * header["frame_count"]:])
+    out = ["--out", str(tmp_path / "out")]
+    for argv in (["train", "--data", str(data), *out],
+                 ["eval", "--data", str(data), "--methods", "rc", *out],
+                 ["reconstruct", "--data", str(data), "--seq", "w00000",
+                  "--keyframes", "0,29,59", *out]):
+        assert cli.main(argv) == cli.EXIT_DATA, argv
+        err = capsys.readouterr().err
+        assert "w0" in err and "no tracked joints" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_prep_skips_unmatched_amc(tmp_path, corpus_dir, capsys):

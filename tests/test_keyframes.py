@@ -34,6 +34,19 @@ def test_validation_rejects_non_integer():
         KeyframeSet(indices=(0, 12.5, 59), frame_count=60)
 
 
+def test_builders_reject_non_integers_and_store_plain_ints():
+    # from_indices and add apply the constructor's rule, not a truncation
+    with pytest.raises(InvalidKeyframeSet, match="integers"):
+        KeyframeSet.from_indices([0, 2.5, 4], 5)
+    with pytest.raises(InvalidKeyframeSet, match="integers"):
+        KeyframeSet.endpoints(5).add(2.5)
+    for keys in (KeyframeSet.from_indices([0, np.int64(2), 4.0], 5),
+                 KeyframeSet.endpoints(5).add(np.int64(2)),
+                 KeyframeSet.endpoints(5).add(2.0)):
+        assert keys.indices == (0, 2, 4)
+        assert [type(i) for i in keys.indices] == [int, int, int]
+
+
 def test_add_returns_new_set_and_rejects_duplicates():
     keys = KeyframeSet.endpoints(10)
     more = keys.add(4)
