@@ -17,11 +17,10 @@ from .dataset import (WindowRecord, load_dataset, load_manifest,
                       manifest_digest, write_dataset)
 from .errors import (CheckpointError, CorruptCheckpoint, DegenerateInterval,
                      DegenerateSequence, EmptyDataset, InvalidKeyframeSet,
-                     InvalidW, MalformedAmc, MalformedAsf, MalformedDataset,
-                     MeridianSingularity, MocapKeyError, NonFiniteGradient,
-                     NoValidAction, NumericError, PoleSingularity,
-                     ShapeMismatch, TooShort, UnreachablePose, VersionMismatch,
-                     ZeroVector)
+                     InvalidW, MalformedAmc, MalformedAsf, MalformedConfig,
+                     MalformedDataset, MeridianSingularity, MocapKeyError,
+                     NonFiniteGradient, NoValidAction, NumericError, PoleSingularity,
+                     ShapeMismatch, TooShort, UnreachablePose, VersionMismatch, ZeroVector)
 from .keyframes import KeyframeSet
 from .metrics import (angle_distance, q_baseline, q_error, root_rmse,
                       section_error_table, section_errors)
@@ -40,8 +39,8 @@ __all__ = [
     "AdamState", "CMU_EXCLUDED_JOINTS", "CheckpointError", "CorruptCheckpoint",
     "DegenerateInterval", "DegenerateSequence", "EmptyDataset",
     "InvalidKeyframeSet", "InvalidW", "Joint", "KeyframeSet", "MalformedAmc",
-    "MalformedAsf", "MalformedDataset", "MeridianSingularity", "MocapKeyError",
-    "MotionSequence", "NoValidAction", "NonFiniteGradient", "NumericError",
+    "MalformedAsf", "MalformedConfig", "MalformedDataset", "MeridianSingularity",
+    "MocapKeyError", "MotionSequence", "NoValidAction", "NonFiniteGradient", "NumericError",
     "PoleSingularity", "QNetwork", "RawMotion", "ReplayMemory",
     "ShapeMismatch", "Skeleton", "SphericalSequence", "TooShort",
     "TrainConfig", "TrainResult", "UnreachablePose", "VersionMismatch",

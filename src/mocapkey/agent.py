@@ -19,7 +19,7 @@ import numpy as np
 
 from . import neural
 from .errors import (CorruptCheckpoint, DegenerateSequence, EmptyDataset,
-                     NoValidAction, ShapeMismatch, checked)
+                     MalformedConfig, NoValidAction, ShapeMismatch, checked)
 from .keyframes import KeyframeSet, check_keyframe_count
 from .metrics import q_baseline, q_error, section_kernel, stacked_angles
 from .spherical import SphericalSequence, wrap_angle
@@ -56,7 +56,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for f in fields(self):    # an int passes where a float is expected
-            checked(getattr(self, f.name), f.name, type(f.default), ValueError,
+            checked(getattr(self, f.name), f.name, type(f.default), MalformedConfig,
                     **_LIMITS.get(f.name, {"low": 1}))
 
     def to_dict(self) -> dict:
@@ -64,16 +64,20 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
-        checked(data, "config", dict, ValueError)
+        checked(data, "config", dict, MalformedConfig)
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise MalformedConfig(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
 
     @classmethod
     def from_file(cls, path) -> "TrainConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        """The config in the JSON file ``path``; MalformedConfig naming it."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                return cls.from_dict(json.load(fh))
+        except (UnicodeDecodeError, json.JSONDecodeError, MalformedConfig) as exc:
+            raise MalformedConfig(f"{path}: {exc}") from None
 
     def digest(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")
@@ -470,10 +474,14 @@ def save_agent(path, result: TrainResult, cfg: TrainConfig) -> None:
 
 def load_agent(path) -> tuple[TrainResult, TrainConfig]:
     net, adam, extra = neural.checkpoint_load(path)
-    counters = checked(checked(extra, "extra", dict, CorruptCheckpoint).get("counters", {}),
-                       "counters", dict, CorruptCheckpoint)
-    counts = {name: checked(counters.get(name, 0), f"counters {name}", int,
+    at = f"{path}: "
+    extra = checked(extra, at + "extra", dict, CorruptCheckpoint)
+    counters = checked(extra.get("counters", {}), at + "counters", dict, CorruptCheckpoint)
+    counts = {name: checked(counters.get(name, 0), f"{at}counters {name}", int,
                             CorruptCheckpoint, low=0)
               for name in ("global_step", "episodes_done", "updates")}
-    cfg = TrainConfig.from_dict(extra.get("config", {}))
+    try:
+        cfg = TrainConfig.from_dict(extra.get("config", {}))
+    except MalformedConfig as exc:
+        raise MalformedConfig(at + str(exc)) from None
     return TrainResult(net=net, adam=adam, log=[], **counts), cfg

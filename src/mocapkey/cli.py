@@ -4,9 +4,11 @@ Subcommands: ``prep`` (ASF/AMC tree -> window dataset), ``train`` (DQN
 agent on the train split), ``eval`` (selector comparison table on a
 split), ``reconstruct`` (one window back to AMC from chosen keyframes).
 
-Exit codes: 0 success, 1 usage error, 2 data error (parsing, missing or
-inconsistent inputs, bad config), 3 numeric failure (any ``NumericError``:
-degenerate metrics, singularities, non-finite gradients, unreachable poses).
+Exit codes, set by ``main`` alone: 0 success, 1 usage error (found before any
+file is read), 2 data error (a ``MocapKeyError`` or ``OSError`` naming the file
+at fault), 3 numeric failure (any ``NumericError``: degenerate metrics,
+singularities, non-finite gradients, unreachable poses). Any other exception,
+a ``ValueError`` too, is a bug and keeps its traceback.
 
 ``train`` reads its config from ``--config`` (JSON), else from the
 ``--resume`` checkpoint, else uses the defaults; its ``--episodes``,
@@ -26,12 +28,12 @@ import numpy as np
 
 from . import agent, baselines, dataset, neural
 from .asfamc import export_amc, parse_amc, parse_asf
-from .errors import (DegenerateSequence, EmptyDataset, MocapKeyError,
+from .errors import (DegenerateSequence, EmptyDataset, MalformedAsf, MocapKeyError,
                      NumericError)
 from .keyframes import KeyframeSet
 from .metrics import REPORT_COLUMNS, q_baseline, q_error, root_rmse
-from .motion import (CMU_EXCLUDED_JOINTS, SOURCE_FPS, STRIDE, TARGET_FPS,
-                     WINDOW_LEN, filter_joints, forward_kinematics, preprocess)
+from .motion import (CMU_EXCLUDED_JOINTS, SOURCE_FPS, STRIDE, WINDOW_LEN,
+                     filter_joints, forward_kinematics, preprocess)
 from .reconstruct import reconstruct_full
 from .spherical import sequence_to_spherical, sph_to_cart
 
@@ -137,20 +139,23 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        # the flags that only other flags make valid, checked before any file is read
+        if args.command == "reconstruct" and args.method and args.k is None:
+            parser.error("reconstruct: --method requires --k")
+        sidql = ("sidql" in args.methods if args.command == "eval"
+                 else args.command == "reconstruct" and args.method == "sidql")
+        if sidql and not args.model:
+            parser.error(f"{args.command}: sidql requires --model")
     except SystemExit as exc:
         return int(exc.code or 0)
-    handler = {
-        "prep": cmd_prep,
-        "train": cmd_train,
-        "eval": cmd_eval,
-        "reconstruct": cmd_reconstruct,
-    }[args.command]
+    handler = {"prep": cmd_prep, "train": cmd_train, "eval": cmd_eval,
+               "reconstruct": cmd_reconstruct}[args.command]
     try:
         return handler(args)
     except NumericError as exc:
         print(f"mocapkey {args.command}: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (MocapKeyError, OSError, ValueError) as exc:
+    except (MocapKeyError, OSError) as exc:
         print(f"mocapkey {args.command}: {exc}", file=sys.stderr)
         return EXIT_DATA
 
@@ -173,15 +178,15 @@ def _find_skeleton(amc_path: Path, asf_by_stem: dict[str, Path]) -> Path | None:
 
 def _read_skeleton(asf_path: Path):
     """(skeleton, skeleton without the CMU_EXCLUDED_JOINTS it has) from one
-    ASF file, or the error that reading it raised."""
-    try:
-        with open(asf_path, "r", encoding="utf-8", errors="replace") as fh:
-            skeleton = parse_asf(fh)
-        present = tuple(n for n in CMU_EXCLUDED_JOINTS
-                        if n in {j.name for j in skeleton.joints})
-        return skeleton, filter_joints(skeleton, present)
-    except (MocapKeyError, OSError, ValueError) as exc:
-        return exc
+    ASF file; MalformedAsf when the second has no bone left to track."""
+    with open(asf_path, "r", encoding="utf-8", errors="replace") as fh:
+        skeleton = parse_asf(fh)
+    present = tuple(n for n in CMU_EXCLUDED_JOINTS
+                    if n in {j.name for j in skeleton.joints})
+    tracked = filter_joints(skeleton, present)
+    if not tracked.bone_names:
+        raise MalformedAsf("no tracked joints: the skeleton has no bones to track")
+    return skeleton, tracked
 
 
 def cmd_prep(args) -> int:
@@ -190,53 +195,44 @@ def cmd_prep(args) -> int:
     asf_files = [asf_root] if asf_root.is_file() else sorted(asf_root.rglob("*.asf"))
     amc_files = [amc_root] if amc_root.is_file() else sorted(amc_root.rglob("*.amc"))
     if not asf_files or not amc_files:
-        print("prep: no ASF/AMC files found under the given paths", file=sys.stderr)
-        return EXIT_DATA
+        raise EmptyDataset(f"no ASF/AMC files found under {args.asf} and {args.amc}")
     asf_by_stem = {p.stem: p for p in asf_files}
 
-    skeletons: dict[Path, tuple | Exception] = {}   # each ASF file read once
+    skeletons: dict[Path, tuple | None] = {}   # each ASF file read once; None if bad
     per_source: dict[str, list] = {}
     failures = 0
     for amc_path in amc_files:
         source = (amc_path.name if amc_root.is_file()
                   else amc_path.relative_to(amc_root).as_posix())
         asf_path = _find_skeleton(amc_path, asf_by_stem)
-        if asf_path is None:
-            print(f"prep: warning: no skeleton for {source}, skipped", file=sys.stderr)
+        if asf_path is not None and asf_path not in skeletons:
+            try:
+                skeletons[asf_path] = _read_skeleton(asf_path)
+            except (MocapKeyError, OSError) as exc:
+                print(f"prep: warning: {asf_path}: {exc}", file=sys.stderr)
+                skeletons[asf_path] = None
+        if skeletons.get(asf_path) is None:
+            why = "no skeleton" if asf_path is None else f"skeleton {asf_path.name} unusable"
+            print(f"prep: warning: {source}: {why}, skipped", file=sys.stderr)
             failures += 1
             continue
-        if asf_path not in skeletons:
-            skeletons[asf_path] = _read_skeleton(asf_path)
-        loaded = skeletons[asf_path]
+        skeleton, tracked = skeletons[asf_path]
         try:
-            if isinstance(loaded, Exception):
-                raise loaded
-            skeleton, sub_skeleton = loaded
             with open(amc_path, "r", encoding="utf-8", errors="replace") as fh:
                 raw = parse_amc(fh, skeleton)
-            seq = forward_kinematics(sub_skeleton, raw, dt=1.0 / SOURCE_FPS,
-                                     source=source)
+            seq = forward_kinematics(tracked, raw, dt=1.0 / SOURCE_FPS, source=source)
             windows = preprocess(seq)
-        except (MocapKeyError, OSError, ValueError) as exc:
-            print(f"prep: warning: {source}: {exc}", file=sys.stderr)
+        except (MocapKeyError, OSError) as exc:     # the take, or how it fits its ASF
+            print(f"prep: warning: {source} (skeleton {asf_path.name}): {exc}",
+                  file=sys.stderr)
             failures += 1
             continue
-        per_source[source] = [(sub_skeleton, win, i * WINDOW_LEN * STRIDE)
+        per_source[source] = [(tracked, win, i * WINDOW_LEN * STRIDE)
                               for i, win in enumerate(windows)]
 
     if not per_source:
-        print("prep: no usable sources", file=sys.stderr)
-        return EXIT_DATA
-    manifest = dataset.write_dataset(
-        args.out, per_source,
-        preprocessing={
-            "source_fps": SOURCE_FPS,
-            "target_fps": TARGET_FPS,
-            "window_len": WINDOW_LEN,
-            "excluded_joints": list(CMU_EXCLUDED_JOINTS),
-            "velocity_scheme": "central",
-        },
-        seed=args.seed)
+        raise EmptyDataset(f"{args.amc}: no usable takes")
+    manifest = dataset.write_dataset(args.out, per_source, seed=args.seed)
     windows = manifest["windows"]
     n_train = sum(1 for wdw in windows if wdw["split"] == "train")
     print(f"prep: {len(per_source)} sources ({failures} skipped), "
@@ -264,10 +260,10 @@ def _load_config(args, resumed: agent.TrainConfig | None) -> agent.TrainConfig:
 def cmd_train(args) -> int:
     initial, resumed = agent.load_agent(args.resume) if args.resume else (None, None)
     cfg = _load_config(args, resumed)
-    records = dataset.load_dataset(args.data, split="train")
+    manifest = dataset.load_manifest(args.data)
+    records = dataset.load_dataset(args.data, split="train", manifest=manifest)
     if not records:
         raise EmptyDataset(f"{args.data}: no training windows")
-    manifest = dataset.load_manifest(args.data)
     windows = [sequence_to_spherical(rec.seq) for rec in records]
 
     started = time.perf_counter()
@@ -325,10 +321,8 @@ def _run_selector(method: str, sph, w: int, net, seed: int):
         keys = baselines.select_random(sph.frame_count, w, seed)
     elif method == "uc":
         keys = baselines.select_uniform(sph.frame_count, w)
-    elif method == "greedy":
+    else:      # greedy: the parser's choices allow no other method
         keys = baselines.select_greedy(sph, w)
-    else:
-        raise ValueError(f"unknown method '{method}'")
     return keys, time.perf_counter() - t0
 
 
@@ -359,17 +353,14 @@ def cmd_eval(args) -> int:
     net = None
     model_digest = None
     if "sidql" in methods:
-        if not args.model:
-            print("eval: sidql requires --model", file=sys.stderr)
-            return EXIT_USAGE
         state, model_cfg = agent.load_agent(args.model)
         net = state.net
         model_digest = model_cfg.digest()
 
-    records = dataset.load_dataset(args.data, split=args.split)
+    manifest = dataset.load_manifest(args.data)
+    records = dataset.load_dataset(args.data, split=args.split, manifest=manifest)
     if not records:
         raise EmptyDataset(f"{args.data}: no '{args.split}' windows")
-    manifest = dataset.load_manifest(args.data)
     payloads = [
         (rec.window_id, sequence_to_spherical(rec.seq), methods, ks, net,
          args.seed + i)
@@ -454,24 +445,13 @@ def _summarize(rows, methods, ks) -> dict:
 def cmd_reconstruct(args) -> int:
     records = dataset.load_dataset(args.data, window_id=args.seq)
     if not records:
-        print(f"reconstruct: window '{args.seq}' not in dataset",
-              file=sys.stderr)
-        return EXIT_DATA
+        raise EmptyDataset(f"{args.data}: window '{args.seq}' not in the dataset")
     rec = records[0]
     sph = sequence_to_spherical(rec.seq)
     if args.keyframes:
         keys = KeyframeSet.from_indices(args.keyframes, sph.frame_count)
     else:
-        if args.k is None:
-            print("reconstruct: --method requires --k", file=sys.stderr)
-            return EXIT_USAGE
-        net = None
-        if args.method == "sidql":
-            if not args.model:
-                print("reconstruct: sidql requires --model", file=sys.stderr)
-                return EXIT_USAGE
-            state, _ = agent.load_agent(args.model)
-            net = state.net
+        net = agent.load_agent(args.model)[0].net if args.method == "sidql" else None
         keys, _ = _run_selector(args.method, sph, args.k, net, args.seed)
 
     recon = reconstruct_full(sph, keys)

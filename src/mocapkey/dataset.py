@@ -22,7 +22,8 @@ import numpy as np
 
 from .asfamc import Skeleton
 from .errors import MalformedAsf, MalformedDataset, checked
-from .motion import MotionSequence
+from .motion import (CMU_EXCLUDED_JOINTS, SOURCE_FPS, TARGET_FPS, WINDOW_LEN,
+                     MotionSequence)
 from .neural import atomic_open, read_blocks, read_header, write_blocks
 
 MAGIC = b"MKWIN2 "
@@ -104,11 +105,12 @@ def split_sources(sources: list[str], seed: int) -> dict[str, str]:
 
 
 def write_dataset(out_dir, per_source: dict[str, list[tuple[Skeleton, MotionSequence, int]]],
-                  preprocessing: dict, seed: int) -> dict:
+                  seed: int) -> dict:
     """Write all window records plus the manifest; returns the manifest.
 
     ``per_source`` maps a source id to that file's windows as
-    (filtered skeleton, window, start frame in source frames) triples.
+    (filtered skeleton, window, start frame in source frames) triples. The
+    manifest records ``motion``'s one window shape as its preprocessing.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -131,7 +133,9 @@ def write_dataset(out_dir, per_source: dict[str, list[tuple[Skeleton, MotionSequ
         "format": MANIFEST_FORMAT,
         "seed": int(seed),
         "train_fraction": TRAIN_FRACTION,
-        "preprocessing": preprocessing,
+        "preprocessing": {"source_fps": SOURCE_FPS, "target_fps": TARGET_FPS,
+                          "window_len": WINDOW_LEN, "velocity_scheme": "central",
+                          "excluded_joints": list(CMU_EXCLUDED_JOINTS)},
         "windows": rows,
     }
     with atomic_open(out_dir / MANIFEST_NAME, "w", encoding="utf-8") as fh:
@@ -147,7 +151,7 @@ def load_manifest(dataset_dir) -> dict:
             manifest = json.load(fh)
     except FileNotFoundError:
         raise MalformedDataset(f"{path}: manifest not found") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:     # bad UTF-8 or bad JSON
         raise MalformedDataset(f"{path}: bad manifest: {exc}") from None
     checked(manifest, f"{path}: manifest", dict, MalformedDataset)
     checked(manifest.get("format"), f"{path}: format", int, MalformedDataset,
@@ -168,12 +172,13 @@ def manifest_digest(manifest: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def load_dataset(dataset_dir, split: str | None = None,
-                 window_id: str | None = None) -> list[WindowRecord]:
-    """Read window records listed in the manifest, optionally one split or
-    only the window ``window_id`` (the other records are not opened)."""
+def load_dataset(dataset_dir, split: str | None = None, window_id: str | None = None,
+                 manifest: dict | None = None) -> list[WindowRecord]:
+    """Read window records listed in the manifest (``manifest``, when the
+    caller has loaded it), optionally one split or only the window
+    ``window_id`` (the other records are not opened)."""
     dataset_dir = Path(dataset_dir)
-    manifest = load_manifest(dataset_dir)
+    manifest = load_manifest(dataset_dir) if manifest is None else manifest
     records = []
     for row in manifest["windows"]:
         if split is not None and row["split"] != split:

@@ -100,6 +100,10 @@ class EmptyDataset(MocapKeyError):
     """No usable sequences remain after filtering."""
 
 
+class MalformedConfig(MocapKeyError):
+    """Training config holds an unknown key or a value of the wrong kind or range."""
+
+
 _KINDS = {int: "an integer", float: "a finite number", str: "a string",
           bool: "true or false", list: "a list", dict: "an object"}
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .asfamc import Joint, RawMotion, Skeleton, root_track, world_rotations
-from .errors import TooShort
+from .errors import MalformedAsf, TooShort
 
 # The one window shape: CMU capture at 120 Hz, kept every STRIDE-th frame
 # (30 Hz) and cut into WINDOW_LEN-frame windows. The rates are floats
@@ -102,7 +102,7 @@ def filter_joints(skeleton: Skeleton, excluded: tuple[str, ...]) -> Skeleton:
     """Skeleton with the named bones removed.
 
     Every excluded bone must be a leaf of the remaining tree (no retained
-    descendants), otherwise the hierarchy would be broken.
+    descendants), otherwise the hierarchy would be broken: MalformedAsf.
     """
     names = {j.name for j in skeleton.joints}
     unknown = [e for e in excluded if e not in names]
@@ -114,7 +114,7 @@ def filter_joints(skeleton: Skeleton, excluded: tuple[str, ...]) -> Skeleton:
         if joint.name in excluded:
             continue
         if joint.parent is not None and joint.parent not in new_index:
-            raise ValueError(
+            raise MalformedAsf(
                 f"cannot exclude '{skeleton.joints[joint.parent].name}': "
                 f"retained joint '{joint.name}' descends from it")
         parent = None if joint.parent is None else new_index[joint.parent]

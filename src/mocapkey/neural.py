@@ -238,15 +238,18 @@ def read_header(fh, error) -> dict:
 
 def read_blocks(fh, shapes, error) -> list[np.ndarray]:
     """The float64 arrays of ``shapes``, in order, from the rest of the
-    binary file ``fh`` past its header line; raises ``error``, before
-    allocating any of them, when the file holds fewer or more bytes."""
+    binary file ``fh`` past its header line; raises ``error`` naming the file
+    when it holds fewer or more bytes (before any allocation) or a NaN or inf."""
     sizes = [8 * math.prod(shape) for shape in shapes]
     left = os.fstat(fh.fileno()).st_size - fh.tell()
     if left != sum(sizes):
         raise error(f"{fh.name}: " + ("truncated float64 blocks" if left < sum(sizes)
                                       else "trailing bytes after the last block"))
-    return [np.frombuffer(fh.read(size), dtype="<f8").reshape(shape).astype(np.float64)
-            for size, shape in zip(sizes, shapes)]
+    blocks = [np.frombuffer(fh.read(size), dtype="<f8").reshape(shape).astype(np.float64)
+              for size, shape in zip(sizes, shapes)]
+    if not all(np.isfinite(block).all() for block in blocks):
+        raise error(f"{fh.name}: non-finite float64 value")
+    return blocks
 
 
 # ---------------------------------------------------------------------------

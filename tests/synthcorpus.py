@@ -15,9 +15,8 @@ import numpy as np
 
 from mocapkey.asfamc import RawMotion, Skeleton, parse_amc, parse_asf
 from mocapkey.dataset import write_dataset
-from mocapkey.motion import (CMU_EXCLUDED_JOINTS, SOURCE_FPS, STRIDE, TARGET_FPS,
-                             WINDOW_LEN, filter_joints, forward_kinematics,
-                             preprocess)
+from mocapkey.motion import (CMU_EXCLUDED_JOINTS, SOURCE_FPS, STRIDE, WINDOW_LEN,
+                             filter_joints, forward_kinematics, preprocess)
 
 # name, parent, direction, asf length, axis degrees, dof tokens
 _BONES = (
@@ -221,8 +220,4 @@ def build_dataset(out_dir, n_sources: int, frames_per_source: int,
             raw = parse_amc(io.StringIO(amc_text(skel, raw)), skel)
         source = f"take{i:03d}.amc"
         per_source[source] = make_windows(skel, raw, source)
-    return write_dataset(
-        out_dir, per_source,
-        preprocessing={"source_fps": SOURCE_FPS, "target_fps": TARGET_FPS,
-                       "window_len": WINDOW_LEN, "synthetic": True},
-        seed=seed)
+    return write_dataset(out_dir, per_source, seed=seed)

@@ -10,7 +10,8 @@ import conftest
 import oracle_reference as ref
 from mocapkey import agent, neural
 from mocapkey.baselines import select_greedy
-from mocapkey.errors import EmptyDataset, InvalidW, NoValidAction, ShapeMismatch
+from mocapkey.errors import (EmptyDataset, InvalidW, MalformedConfig, NoValidAction,
+                             ShapeMismatch)
 from mocapkey.keyframes import KeyframeSet
 from mocapkey.metrics import q_baseline, q_error
 from mocapkey.spherical import wrap_angle
@@ -54,14 +55,14 @@ def test_train_config_round_trip(tmp_path):
     assert cfg.digest() != tiny_config(learning_rate=0.004).digest()
     # epsilon_start was a setting once; configs that hold it no longer load
     for extra in ({"momentum": 0.9}, {"epsilon_start": 1.0}):
-        with pytest.raises(ValueError, match="unknown config keys"):
+        with pytest.raises(MalformedConfig, match="unknown config keys"):
             agent.TrainConfig.from_dict({**cfg.to_dict(), **extra})
 
 
 def test_train_config_validation():
     for bad in [dict(keyframe_count=1), dict(discount=1.5),
                 dict(learning_rate=0.0), dict(episodes=0)]:
-        with pytest.raises(ValueError):
+        with pytest.raises(MalformedConfig):
             tiny_config(**bad)
 
 

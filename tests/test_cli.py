@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -6,10 +8,13 @@ import resource
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import synthcorpus
 from mocapkey import cli, neural
@@ -265,6 +270,19 @@ def test_usage_errors_exit_one(tmp_path, corpus_dir, prepped, capsys):
         capsys.readouterr()
         assert cli.main(argv) == cli.EXIT_USAGE, argv
         assert f"argument {argv[-2]}: invalid" in capsys.readouterr().err, argv
+    # a flag that another flag needs is missing: the parser says so, and no
+    # data is read, so a missing dataset does not make it a data error
+    missing = str(tmp_path / "missing")
+    for argv, message in (
+            (["reconstruct", "--data", missing, "--seq", "w00000", "--method", "uc"],
+             "--method requires --k"),
+            (["reconstruct", "--data", missing, "--seq", "w00000", "--method", "sidql",
+              "--k", "5"], "sidql requires --model"),
+            (["eval", "--data", missing, "--methods", "sidql"], "sidql requires --model")):
+        capsys.readouterr()
+        assert cli.main([*argv, "--out", str(tmp_path / "o")]) == cli.EXIT_USAGE, argv
+        err = capsys.readouterr().err
+        assert err.startswith("usage: mocapkey") and message in err, argv
     assert list(tmp_path.iterdir()) == []
 
 
@@ -339,7 +357,20 @@ def test_data_errors_exit_two(tmp_path, capsys):
         capsys.readouterr()
         assert cli.main(["train", "--data", str(empty), "--config", str(config),
                          "--out", str(tmp_path / "a.ckpt")]) == cli.EXIT_DATA
-        assert next(iter(bad)) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert next(iter(bad)) in err and str(config) in err
+    # a config or a manifest that is not JSON, or not UTF-8, is named
+    data = tmp_path / "undecodable"
+    data.mkdir()
+    for blob in (b'{"episodes": 5', b'{"episodes": 5\xff}'):
+        config.write_bytes(blob)
+        (data / "manifest.json").write_bytes(blob)
+        for argv, named in (
+                (["train", "--data", str(empty), "--config", str(config)], config),
+                (["eval", "--data", str(data), "--methods", "rc"], data / "manifest.json")):
+            capsys.readouterr()
+            assert cli.main([*argv, "--out", str(tmp_path / "out")]) == cli.EXIT_DATA
+            assert str(named) in capsys.readouterr().err, (argv, blob)
 
 
 def test_numeric_failure_exits_three(tmp_path, capsys):
@@ -529,7 +560,10 @@ def test_skeleton_without_tracked_bones_fails_cleanly(tmp_path, corpus_dir, prep
                      "--out", str(tmp_path / "ds")]) == cli.EXIT_OK
     out, err = capsys.readouterr()
     assert "1 sources (1 skipped)" in out
-    assert "prep: warning: rootonly.amc: no tracked joints" in err
+    assert err.splitlines() == [
+        f"prep: warning: {tree / 'rootonly.asf'}: no tracked joints: "
+        "the skeleton has no bones to track",
+        "prep: warning: rootonly.amc: skeleton rootonly.asf unusable, skipped"]
     # stored records without bones fail to load, naming the record
     data = tmp_path / "boneless"
     shutil.copytree(prepped, data)
@@ -584,9 +618,152 @@ def test_prep_skips_source_with_malformed_skeleton(tmp_path, capsys, monkeypatch
     assert sorted(read) == [str(tree / "bad.asf"), str(tree / "good.asf")]
     out, err = capsys.readouterr()
     assert "Traceback" not in err
-    # the skeleton is read once, but each take on it is reported and skipped
-    assert [ln.split(": line")[0] for ln in err.splitlines()] \
-        == ["prep: warning: bad.amc", "prep: warning: bad_2.amc"]
+    # the skeleton is read and reported once, naming the ASF and its line;
+    # each take on it is reported and skipped
+    assert err.splitlines() == [
+        f"prep: warning: {tree / 'bad.asf'}: line 25: 'name' without a value",
+        "prep: warning: bad.amc: skeleton bad.asf unusable, skipped",
+        "prep: warning: bad_2.amc: skeleton bad.asf unusable, skipped"]
     assert "1 sources (2 skipped)" in out
     assert [w["source"] for w in load_manifest(tmp_path / "ds")["windows"]] \
         == ["good.amc", "good.amc"]
+
+
+def test_non_finite_stored_floats_exit_two_and_name_the_file(tmp_path, prepped, trained,
+                                                             capsys):
+    # the first float of a record, and of a checkpoint's weights, made NaN or inf
+    data = tmp_path / "ds"
+    shutil.copytree(prepped, data)
+    record = data / "w00000.mkw"
+    head, _, body = record.read_bytes().partition(b"\n")
+    split = load_manifest(data)["windows"][0]["split"]
+    ckpt = tmp_path / "agent.ckpt"
+    ckpt_head, _, ckpt_body = trained.read_bytes().partition(b"\n")
+    out = ["--out", str(tmp_path / "out")]
+    for value in (math.nan, math.inf):
+        first = np.array([value], "<f8").tobytes()
+        record.write_bytes(head + b"\n" + first + body[8:])
+        ckpt.write_bytes(ckpt_head + b"\n" + first + ckpt_body[8:])
+        for argv, named in (
+                (["eval", "--data", str(data), "--methods", "uc", "--k", "5",
+                  "--split", split, *out], record),
+                (["reconstruct", "--data", str(data), "--seq", "w00000",
+                  "--keyframes", "0,29,59", *out], record),
+                (["eval", "--data", str(prepped), "--methods", "sidql", "--k", "4",
+                  "--model", str(ckpt), *out], ckpt)):
+            capsys.readouterr()
+            assert cli.main(argv) == cli.EXIT_DATA, (value, argv)
+            err = capsys.readouterr().err
+            assert f"{named}: non-finite float64 value" in err, (value, argv)
+    assert not (tmp_path / "out").exists()
+
+
+def _raise_value_error(*args, **kwargs):
+    raise ValueError("operands could not be broadcast together")
+
+
+@pytest.mark.parametrize("name, command", [("q_error", "eval"),
+                                           ("forward_kinematics", "prep"),
+                                           ("parse_asf", "prep")])
+def test_a_value_error_is_a_bug_not_a_data_error(tmp_path, corpus_dir, prepped,
+                                                 monkeypatch, name, command):
+    # only typed errors become exit codes: a ValueError keeps its traceback
+    monkeypatch.setattr(cli, name, _raise_value_error)
+    argv = {"eval": ["eval", "--data", str(prepped), "--methods", "uc", "--k", "5"],
+            "prep": ["prep", "--asf", str(corpus_dir), "--amc", str(corpus_dir)]}[command]
+    with pytest.raises(ValueError, match="broadcast"):
+        cli.main([*argv, "--out", str(tmp_path / "out")])
+
+
+# Replacement tokens for ASF and AMC text, and replacement values for the
+# JSON header of a record or a checkpoint
+_TOKENS = ("", "x", "nan", "inf", "-inf", "-1", "0", "1e308", "(", ")", ":", "#",
+           "begin", "end", "root", "lfemur", "rx", "XQZ", "limits", "(-180.0 abc)")
+_VALUES = (None, True, "x", -1, 0, 0.5, 1e-300, 1e308, math.nan, math.inf, [], {},
+           10 ** 9, [0.0, 0.0, 0.0])
+
+
+def _mutate_text(text: str, draw) -> str:
+    """``text`` with one of its lines deleted, doubled, swapped with the
+    next, or with one of its tokens replaced."""
+    lines = text.splitlines(keepends=True)
+    i = draw(st.integers(0, len(lines) - 1))
+    how = draw(st.sampled_from(("token", "delete", "double", "swap")))
+    if how == "token":
+        tokens = lines[i].split() or [""]
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(_TOKENS))
+        lines[i] = " ".join(tokens) + "\n"
+    elif how == "delete":
+        del lines[i]
+    elif how == "double":
+        lines.insert(i, lines[i])
+    else:
+        lines[i:i + 2] = lines[i:i + 2][::-1]
+    return "".join(lines)
+
+
+def _paths(obj, path=()):
+    """The key paths of every value inside the JSON ``obj``."""
+    items = (obj.items() if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield (*path, key)
+        yield from _paths(value, (*path, key))
+
+
+def _mutate_json(obj, draw):
+    """A copy of the JSON ``obj`` with one value inside it replaced or removed."""
+    obj = json.loads(json.dumps(obj))
+    path = draw(st.sampled_from(list(_paths(obj))))
+    inner = obj
+    for key in path[:-1]:
+        inner = inner[key]
+    if draw(st.booleans()):
+        del inner[path[-1]]
+    else:
+        inner[path[-1]] = draw(st.sampled_from(_VALUES))
+    return obj
+
+
+@settings(derandomize=True, deadline=None, max_examples=100,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_inputs_exit_cleanly_and_name_the_file(corpus_dir, prepped, trained, data):
+    # one token or line of an ASF or AMC file, or one header value of a record
+    # or a checkpoint, is changed; the command that reads it either works or
+    # exits 2 naming that file (3 for a numeric failure), never with another
+    # exception
+    target = data.draw(st.sampled_from(("asf", "amc", "record", "checkpoint")))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        out = ["--out", str(tmp / "out")]
+        if target in ("asf", "amc"):
+            (tmp / "synth.asf").write_text(synthcorpus.skeleton_text())
+            shutil.copy(corpus_dir / "synth_00.amc", tmp / "synth_00.amc")
+            mutated = tmp / ("synth.asf" if target == "asf" else "synth_00.amc")
+            mutated.write_text(_mutate_text(mutated.read_text(), data.draw))
+            argv = ["prep", "--asf", str(tmp), "--amc", str(tmp), *out]
+        elif target == "record":
+            shutil.copytree(prepped, tmp / "ds")
+            mutated = tmp / "ds" / "w00000.mkw"
+            head, _, body = mutated.read_bytes().partition(b"\n")
+            header = _mutate_json(json.loads(head[7:]), data.draw)
+            mutated.write_bytes(head[:7] + json.dumps(header).encode() + b"\n" + body)
+            argv = ["reconstruct", "--data", str(tmp / "ds"), "--seq", "w00000",
+                    "--method", "uc", "--k", "5", *out]
+        else:
+            mutated = tmp / "agent.ckpt"
+            head, _, body = trained.read_bytes().partition(b"\n")
+            header = _mutate_json(json.loads(head), data.draw)
+            mutated.write_bytes(json.dumps(header).encode() + b"\n" + body)
+            argv = ["eval", "--data", str(prepped), "--methods", "sidql", "--k", "4",
+                    "--model", str(mutated), *out]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+    err = err.getvalue()
+    assert code in (cli.EXIT_OK, cli.EXIT_DATA, cli.EXIT_NUMERIC), (code, err)
+    if code == cli.EXIT_NUMERIC:
+        assert "numeric failure" in err, err
+    if code == cli.EXIT_DATA:
+        assert mutated.name in err, err

@@ -201,10 +201,10 @@ def test_manifest_digest_tracks_content(small_dataset):
     assert dataset.manifest_digest(changed) != d1
 
 
-def test_failed_write_dataset_keeps_earlier_files(tmp_path, skeleton):
+def test_failed_write_dataset_keeps_earlier_files(tmp_path, skeleton, monkeypatch):
     out = tmp_path / "ds"
     per_source = {"a.amc": [(skeleton, _random_sequence(i), 240 * i) for i in range(2)]}
-    dataset.write_dataset(out, per_source, preprocessing={}, seed=0)
+    dataset.write_dataset(out, per_source, seed=0)
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     assert sorted(before) == ["manifest.json", "w00000.mkw", "w00001.mkw"]
     # the second record's root block cannot become float64: its write fails
@@ -215,15 +215,18 @@ def test_failed_write_dataset_keeps_earlier_files(tmp_path, skeleton):
     per_source = {"a.amc": [(skeleton, _random_sequence(5), 0),
                             (skeleton, broken, 240)]}
     with pytest.raises(ValueError):
-        dataset.write_dataset(out, per_source, preprocessing={}, seed=0)
+        dataset.write_dataset(out, per_source, seed=0)
     after = {p.name: p.read_bytes() for p in out.iterdir()}
     assert sorted(after) == sorted(before)          # no temp file left
     assert after["w00001.mkw"] == before["w00001.mkw"]
     assert after["manifest.json"] == before["manifest.json"]
     assert after["w00000.mkw"] != before["w00000.mkw"]   # that write finished
-    # a manifest that fails to serialize halfway leaves the earlier one
-    with pytest.raises(TypeError):
-        dataset.write_dataset(out, per_source={"a.amc": per_source["a.amc"][:1]},
-                              preprocessing={"fps": object()}, seed=0)
+    # a manifest write that fails halfway leaves the earlier manifest
+    def dump_half(obj, fh, **kwargs):
+        fh.write(json.dumps(obj, **kwargs)[:40])
+        raise OSError("disk full")
+    monkeypatch.setattr(dataset.json, "dump", dump_half)
+    with pytest.raises(OSError, match="disk full"):
+        dataset.write_dataset(out, per_source={"a.amc": per_source["a.amc"][:1]}, seed=0)
     assert (out / "manifest.json").read_bytes() == before["manifest.json"]
     assert sorted(p.name for p in out.iterdir()) == sorted(before)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import synthcorpus
 from mocapkey.asfamc import RawMotion, euler_matrix
-from mocapkey.errors import TooShort
+from mocapkey.errors import MalformedAsf, TooShort
 from mocapkey.motion import (
     CMU_EXCLUDED_JOINTS,
     MotionSequence,
@@ -140,7 +140,7 @@ def test_filter_joints_removes_extremities(skeleton):
 
 
 def test_filter_joints_rejects_orphaning(skeleton):
-    with pytest.raises(ValueError, match="lfoot"):
+    with pytest.raises(MalformedAsf, match="lfoot"):
         filter_joints(skeleton, ("lfoot",))  # ltoes would lose its parent
 
 
