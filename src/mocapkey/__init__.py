@@ -15,12 +15,7 @@ from .asfamc import (Joint, RawMotion, Skeleton, export_amc, parse_amc,
 from .baselines import select_greedy, select_random, select_uniform
 from .dataset import (WindowRecord, load_dataset, load_manifest,
                       manifest_digest, write_dataset)
-from .errors import (CheckpointError, CorruptCheckpoint, DegenerateInterval,
-                     DegenerateSequence, EmptyDataset, InvalidKeyframeSet,
-                     InvalidW, MalformedAmc, MalformedAsf, MalformedConfig,
-                     MalformedDataset, MeridianSingularity, MocapKeyError,
-                     NonFiniteGradient, NoValidAction, NumericError, PoleSingularity,
-                     ShapeMismatch, TooShort, UnreachablePose, VersionMismatch, ZeroVector)
+from .errors import DegenerateSequence, MocapKeyError, NumericError
 from .keyframes import KeyframeSet
 from .metrics import (angle_distance, q_baseline, q_error, root_rmse,
                       section_error_table, section_errors)
@@ -36,22 +31,18 @@ from .spherical import (SphericalSequence, cart_to_sph, sequence_to_spherical,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamState", "CMU_EXCLUDED_JOINTS", "CheckpointError", "CorruptCheckpoint",
-    "DegenerateInterval", "DegenerateSequence", "EmptyDataset",
-    "InvalidKeyframeSet", "InvalidW", "Joint", "KeyframeSet", "MalformedAmc",
-    "MalformedAsf", "MalformedConfig", "MalformedDataset", "MeridianSingularity",
-    "MocapKeyError", "MotionSequence", "NoValidAction", "NonFiniteGradient", "NumericError",
-    "PoleSingularity", "QNetwork", "RawMotion", "ReplayMemory",
-    "ShapeMismatch", "Skeleton", "SphericalSequence", "TooShort",
-    "TrainConfig", "TrainResult", "UnreachablePose", "VersionMismatch",
-    "WindowRecord", "ZeroVector", "angle_distance", "backward_and_step",
-    "cart_to_sph", "checkpoint_load", "checkpoint_save", "export_amc",
-    "filter_joints", "forward", "forward_kinematics", "huber",
-    "infer_keyframes", "init", "load_agent", "load_dataset", "load_manifest",
-    "manifest_digest", "parse_amc", "parse_asf", "preprocess", "q_baseline",
-    "q_error", "reconstruct_full", "root_rmse", "save_agent",
-    "section_error_table", "section_errors", "select_greedy", "select_random",
-    "select_uniform", "sequence_to_spherical", "sph_to_cart",
-    "spherical_to_sequence", "train", "velocity_to_sph",
-    "velocity_to_sph_constrained", "wrap_angle", "write_dataset",
+    "AdamState", "CMU_EXCLUDED_JOINTS", "DegenerateSequence", "Joint",
+    "KeyframeSet", "MocapKeyError", "MotionSequence", "NumericError",
+    "QNetwork", "RawMotion", "ReplayMemory", "Skeleton",
+    "SphericalSequence", "TrainConfig", "TrainResult", "WindowRecord",
+    "angle_distance", "backward_and_step", "cart_to_sph", "checkpoint_load",
+    "checkpoint_save", "export_amc", "filter_joints", "forward",
+    "forward_kinematics", "huber", "infer_keyframes", "init", "load_agent",
+    "load_dataset", "load_manifest", "manifest_digest", "parse_amc",
+    "parse_asf", "preprocess", "q_baseline", "q_error", "reconstruct_full",
+    "root_rmse", "save_agent", "section_error_table", "section_errors",
+    "select_greedy", "select_random", "select_uniform",
+    "sequence_to_spherical", "sph_to_cart", "spherical_to_sequence",
+    "train", "velocity_to_sph", "velocity_to_sph_constrained", "wrap_angle",
+    "write_dataset",
 ]

@@ -18,8 +18,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import neural
-from .errors import (CorruptCheckpoint, DegenerateSequence, EmptyDataset,
-                     MalformedConfig, NoValidAction, ShapeMismatch, checked)
+from .errors import DegenerateSequence, MocapKeyError, NumericError, checked
 from .keyframes import KeyframeSet, check_keyframe_count
 from .metrics import q_baseline, q_error, section_kernel, stacked_angles
 from .spherical import SphericalSequence, wrap_angle
@@ -56,7 +55,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for f in fields(self):    # an int passes where a float is expected
-            checked(getattr(self, f.name), f.name, type(f.default), MalformedConfig,
+            checked(getattr(self, f.name), f.name, type(f.default), MocapKeyError,
                     **_LIMITS.get(f.name, {"low": 1}))
 
     def to_dict(self) -> dict:
@@ -64,20 +63,22 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
-        checked(data, "config", dict, MalformedConfig)
+        checked(data, "config", dict, MocapKeyError)
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
-            raise MalformedConfig(f"unknown config keys: {sorted(unknown)}")
+            raise MocapKeyError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
 
     @classmethod
     def from_file(cls, path) -> "TrainConfig":
-        """The config in the JSON file ``path``; MalformedConfig naming it."""
+        """The config in the JSON file ``path``; MocapKeyError naming it."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 return cls.from_dict(json.load(fh))
-        except (UnicodeDecodeError, json.JSONDecodeError, MalformedConfig) as exc:
-            raise MalformedConfig(f"{path}: {exc}") from None
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise MocapKeyError(f"{path}: {exc}") from None
+        except MocapKeyError as exc:
+            raise type(exc)(f"{path}: {exc}") from None
 
     def digest(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")
@@ -119,7 +120,7 @@ def act(policy: "_CertifiedQ", window: int, mask: np.ndarray, epsilon: float,
     :meth:`_CertifiedQ.best` frame."""
     valid = np.flatnonzero(~mask)
     if valid.size == 0:
-        raise NoValidAction("every frame is already a keyframe")
+        raise NumericError("every frame is already a keyframe")
     if rng.random() < epsilon:
         return int(rng.choice(valid))
     return policy.best(window, mask, valid)
@@ -231,7 +232,7 @@ class ReplayMemory:
         """``batch_size`` rows drawn with replacement, as the arrays
         (states, actions, rewards, terminal)."""
         if not len(self):
-            raise EmptyDataset("replay memory is empty")
+            raise MocapKeyError("replay memory is empty")
         picks = rng.integers(0, len(self), size=batch_size)
         states = self.states[self.window[picks]]
         states.reshape(batch_size, self.mask.shape[1], -1)[..., -1] = self.mask[picks]
@@ -300,7 +301,7 @@ def train(dataset: list[SphericalSequence], cfg: TrainConfig,
     the returned network is the best policy seen, not the last one.
     """
     if not dataset:
-        raise EmptyDataset("no training windows")
+        raise MocapKeyError("no training windows")
     pool = []
     for di, sph in enumerate(dataset):
         try:
@@ -312,12 +313,12 @@ def train(dataset: list[SphericalSequence], cfg: TrainConfig,
         pool.append((sph, q0, di, angle, rate, section_kernel(
             angle, rate, sph.dt, np.array([0]), np.array([sph.frame_count - 1]))))
     if not pool:
-        raise EmptyDataset("every training window is degenerate")
+        raise MocapKeyError("every training window is degenerate")
     n = pool[0][0].frame_count
     m = pool[0][0].joint_count
     for sph, *_ in pool:
         if sph.frame_count != n or sph.joint_count != m:
-            raise ShapeMismatch(
+            raise MocapKeyError(
                 f"window {sph.source or '?'} has shape "
                 f"({sph.frame_count}, {sph.joint_count}), expected ({n}, {m})")
     w = cfg.keyframe_count
@@ -456,9 +457,9 @@ def infer_keyframes(net: neural.QNetwork, sph: SphericalSequence,
 
 
 def _check_fits(net: neural.QNetwork, n: int, m: int) -> None:
-    """Raise ShapeMismatch unless ``net`` takes the state of an (n, m) window."""
+    """Raise MocapKeyError unless ``net`` takes the state of an (n, m) window."""
     if net.output_dim != n or net.input_dim != n * (4 * m + 1):
-        raise ShapeMismatch(f"network {net.shapes} does not fit a ({n}, {m}) window")
+        raise MocapKeyError(f"network {net.shapes} does not fit a ({n}, {m}) window")
 
 
 # ---------------------------------------------------------------------------
@@ -475,13 +476,13 @@ def save_agent(path, result: TrainResult, cfg: TrainConfig) -> None:
 def load_agent(path) -> tuple[TrainResult, TrainConfig]:
     net, adam, extra = neural.checkpoint_load(path)
     at = f"{path}: "
-    extra = checked(extra, at + "extra", dict, CorruptCheckpoint)
-    counters = checked(extra.get("counters", {}), at + "counters", dict, CorruptCheckpoint)
+    extra = checked(extra, at + "extra", dict, MocapKeyError)
+    counters = checked(extra.get("counters", {}), at + "counters", dict, MocapKeyError)
     counts = {name: checked(counters.get(name, 0), f"{at}counters {name}", int,
-                            CorruptCheckpoint, low=0)
+                            MocapKeyError, low=0)
               for name in ("global_step", "episodes_done", "updates")}
     try:
         cfg = TrainConfig.from_dict(extra.get("config", {}))
-    except MalformedConfig as exc:
-        raise MalformedConfig(at + str(exc)) from None
+    except MocapKeyError as exc:
+        raise type(exc)(at + str(exc)) from None
     return TrainResult(net=net, adam=adam, log=[], **counts), cfg

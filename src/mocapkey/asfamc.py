@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MalformedAsf, MalformedAmc, UnreachablePose, checked
+from .errors import MocapKeyError, NumericError, checked
 
 _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 _AXIS_ORDERS = frozenset({"XYZ", "XZY", "YXZ", "YZX", "ZXY", "ZYX"})
@@ -121,16 +121,17 @@ class Skeleton:
 
     def __post_init__(self):
         if not self.joints or self.joints[0].parent is not None:
-            raise MalformedAsf("skeleton must start with a parentless root")
+            raise MocapKeyError("skeleton must start with a parentless root")
         for idx, joint in enumerate(self.joints):
             where = f"joint '{joint.name}'"
             _axis_order(joint.axis_order, where)
             _dof(list(joint.dof), where)
             if idx:     # a bone: its parent comes first (topological order)
-                checked(joint.parent, f"{where} parent", int, MalformedAsf, low=0, high=idx - 1)
-                checked(joint.length, f"{where} length", float, MalformedAsf, above=0)
+                checked(joint.parent, f"{where} parent", int, MocapKeyError,
+                        low=0, high=idx - 1)
+                checked(joint.length, f"{where} length", float, MocapKeyError, above=0)
                 if abs(np.linalg.norm(joint.direction) - 1.0) > 1e-6:
-                    raise MalformedAsf(f"{where} direction is not unit")
+                    raise MocapKeyError(f"{where} direction is not unit")
 
     @property
     def root(self) -> Joint:
@@ -172,14 +173,14 @@ class Skeleton:
     @classmethod
     def from_dict(cls, data: dict) -> "Skeleton":
         """The skeleton that :meth:`to_dict` gave as ``data``; raises
-        MalformedAsf naming the first field that holds anything else
+        MocapKeyError naming the first field that holds anything else
         (:meth:`__post_init__` checks the parents, axis orders and dof)."""
         def get(obj, key, kind, where="", default=None, **limits):  # number lists: arrays
-            value = checked(obj.get(key, default), where + key, kind, MalformedAsf, **limits)
+            value = checked(obj.get(key, default), where + key, kind, MocapKeyError, **limits)
             return np.array(value, dtype=np.float64) if kind == list[float] else value
 
         joints = []
-        for i, j in enumerate(get(checked(data, "skeleton", dict, MalformedAsf), "joints",
+        for i, j in enumerate(get(checked(data, "skeleton", dict, MocapKeyError), "joints",
                                   list[dict])):
             at = f"joints[{i}] "
             joints.append(Joint(
@@ -191,7 +192,7 @@ class Skeleton:
                 axis_order=j.get("axis_order"),
                 dof=tuple(get(j, "dof", list, at)),
                 limits=tuple(tuple(checked(pair, f"{at}limits[{k}]", list[float],
-                                           MalformedAsf, size=2, finite=False))
+                                           MocapKeyError, size=2, finite=False))
                              for k, pair in enumerate(get(j, "limits", list, at))),
             ))
         return cls(
@@ -240,7 +241,7 @@ def parse_asf(source) -> Skeleton:
     """Parse an ASF document into a Skeleton.
 
     Requires the ``:units``, ``:root``, ``:bonedata`` and ``:hierarchy``
-    sections; raises MalformedAsf naming the offending line otherwise.
+    sections; raises MocapKeyError naming the offending line otherwise.
     """
     lines = _read_text(source).splitlines()
     sections: dict[str, list[tuple[int, str]]] = {}
@@ -253,7 +254,7 @@ def parse_asf(source) -> Skeleton:
         if line.startswith(":"):
             parts = line[1:].split(None, 1)
             if not parts:
-                raise MalformedAsf(f"line {no}: ':' without a section name")
+                raise MocapKeyError(f"line {no}: ':' without a section name")
             current = parts[0].lower()
             sections[current] = []
             if current == "name" and len(parts) > 1:
@@ -264,7 +265,7 @@ def parse_asf(source) -> Skeleton:
 
     for required in ("units", "root", "bonedata", "hierarchy"):
         if required not in sections:
-            raise MalformedAsf(f"line {len(lines)}: missing :{required} section")
+            raise MocapKeyError(f"line {len(lines)}: missing :{required} section")
 
     length_scale = 1.0
     degrees = True
@@ -313,13 +314,13 @@ def parse_asf(source) -> Skeleton:
             continue
         if key == "end":
             if bone is None or bone.name is None:
-                raise MalformedAsf(f"line {no}: bone block without a name")
+                raise MocapKeyError(f"line {no}: bone block without a name")
             drafts[bone.name] = bone
             order_of_decl.append(bone.name)
             bone = None
             continue
         if bone is None:
-            raise MalformedAsf(f"line {no}: bone data outside begin/end block")
+            raise MocapKeyError(f"line {no}: bone data outside begin/end block")
         if pending_limits > 0 and line.startswith("("):
             lo, hi = _parse_limit_pair(line, no)
             bone.limits.append((float(to_rad(lo)), float(to_rad(hi))))
@@ -349,7 +350,7 @@ def parse_asf(source) -> Skeleton:
         elif key in ("bodymass", "cofmass"):
             continue
         else:
-            raise MalformedAsf(f"line {no}: unknown bone attribute '{parts[0]}'")
+            raise MocapKeyError(f"line {no}: unknown bone attribute '{parts[0]}'")
 
     # --- :hierarchy ---
     children: dict[str, list[str]] = {"root": []}
@@ -366,23 +367,24 @@ def parse_asf(source) -> Skeleton:
             in_block = False
             continue
         if not in_block:
-            raise MalformedAsf(f"line {no}: hierarchy data outside begin/end")
+            raise MocapKeyError(f"line {no}: hierarchy data outside begin/end")
         parts = line.split()
         parent = parts[0]
         if parent != "root" and parent not in drafts:
-            raise MalformedAsf(f"line {no}: hierarchy references undeclared bone '{parent}'")
+            raise MocapKeyError(f"line {no}: hierarchy references undeclared bone '{parent}'")
         for child in parts[1:]:
             if child not in drafts:
-                raise MalformedAsf(f"line {no}: hierarchy references undeclared bone '{child}'")
+                raise MocapKeyError(
+                    f"line {no}: hierarchy references undeclared bone '{child}'")
             if child in parent_of:
-                raise MalformedAsf(f"line {no}: bone '{child}' has two parents")
+                raise MocapKeyError(f"line {no}: bone '{child}' has two parents")
             parent_of[child] = parent
             children[parent].append(child)
 
     for n in order_of_decl:
         if n not in parent_of:
-            raise MalformedAsf(f"line {drafts[n].line_no}: bone '{n}' is declared "
-                               "but never attached in :hierarchy")
+            raise MocapKeyError(f"line {drafts[n].line_no}: bone '{n}' is declared "
+                                "but never attached in :hierarchy")
 
     # breadth-first order from the root gives the topological joint list
     root_joint = Joint(
@@ -401,14 +403,15 @@ def parse_asf(source) -> Skeleton:
         bone_name = queue.pop(0)
         draft = drafts[bone_name]
         if draft.direction is None or draft.length is None:
-            raise MalformedAsf(
+            raise MocapKeyError(
                 f"line {draft.line_no}: bone '{bone_name}' missing direction or length")
         norm = np.linalg.norm(draft.direction)
         if norm <= 0.0:
-            raise MalformedAsf(f"line {draft.line_no}: bone '{bone_name}' has zero direction")
+            raise MocapKeyError(f"line {draft.line_no}: bone '{bone_name}' has zero direction")
         length = draft.length * length_scale
         if length <= 0.0:
-            raise MalformedAsf(f"line {draft.line_no}: bone '{bone_name}' has non-positive length")
+            raise MocapKeyError(
+                f"line {draft.line_no}: bone '{bone_name}' has non-positive length")
         joints.append(Joint(
             name=bone_name,
             parent=index_of[parent_of[bone_name]],
@@ -424,7 +427,7 @@ def parse_asf(source) -> Skeleton:
 
     if len(joints) != len(order_of_decl) + 1:
         missing = set(order_of_decl) - set(index_of)
-        raise MalformedAsf(f"hierarchy does not reach bones: {sorted(missing)}")
+        raise MocapKeyError(f"hierarchy does not reach bones: {sorted(missing)}")
 
     return Skeleton(
         joints=tuple(joints),
@@ -436,18 +439,18 @@ def parse_asf(source) -> Skeleton:
 
 
 def _axis_order(order: str, where: str) -> str:    # a permutation of XYZ
-    return checked(order, f"{where} axis_order", str, MalformedAsf, among=_AXIS_ORDERS)
+    return checked(order, f"{where} axis_order", str, MocapKeyError, among=_AXIS_ORDERS)
 
 
 def _dof(tokens: list[str], where: str) -> tuple[str, ...]:    # known channels
-    return tuple(checked(tokens, f"{where} dof", list[str], MalformedAsf,
+    return tuple(checked(tokens, f"{where} dof", list[str], MocapKeyError,
                          among=_CHANNEL_COLUMN))
 
 
 def _word(parts: list[str], line_no: int) -> str:
     """The value token after a keyword token."""
     if len(parts) < 2:
-        raise MalformedAsf(f"line {line_no}: '{parts[0]}' without a value")
+        raise MocapKeyError(f"line {line_no}: '{parts[0]}' without a value")
     return parts[1]
 
 
@@ -458,22 +461,22 @@ def _numbers(parts: list[str], count: int, line_no: int) -> list[float]:
     except ValueError:
         values = []
     if len(values) < count or not all(map(math.isfinite, values)):
-        raise MalformedAsf(f"line {line_no}: '{parts[0]}' needs {count} finite "
-                           f"number(s), got '{' '.join(parts[1:])}'")
+        raise MocapKeyError(f"line {line_no}: '{parts[0]}' needs {count} finite "
+                            f"number(s), got '{' '.join(parts[1:])}'")
     return values
 
 
 def _parse_limit_pair(text: str, line_no: int) -> tuple[float, float]:
     body = text.strip()
     if not (body.startswith("(") and body.endswith(")")):
-        raise MalformedAsf(f"line {line_no}: malformed limits '{text}'")
+        raise MocapKeyError(f"line {line_no}: malformed limits '{text}'")
     parts = body[1:-1].split()
     try:
         lo, hi = (float(v) for v in parts)
     except ValueError:
-        raise MalformedAsf(f"line {line_no}: malformed limits '{text}'") from None
+        raise MocapKeyError(f"line {line_no}: malformed limits '{text}'") from None
     if math.isnan(lo) or math.isnan(hi):     # an infinite limit is allowed
-        raise MalformedAsf(f"line {line_no}: NaN in limits '{text}'")
+        raise MocapKeyError(f"line {line_no}: NaN in limits '{text}'")
     return lo, hi
 
 
@@ -484,11 +487,12 @@ def _parse_limit_pair(text: str, line_no: int) -> tuple[float, float]:
 def parse_amc(source, skeleton: Skeleton) -> RawMotion:
     """Parse an AMC document against a skeleton.
 
-    Frames must be numbered 1..N without gaps; every listed joint must
-    exist in the skeleton with a matching channel count. Rotation values
-    are converted to radians when the file is in degrees (the default and
-    the CMU convention; an explicit ``:RADIANS`` header disables it). Each
-    line is checked as it is read, so the first bad line is the one named.
+    Frames must be numbered 1..N without gaps and each must list the joints
+    of frame 1, each once, in any order; every listed joint must exist in
+    the skeleton with a matching channel count. Rotation values are
+    converted to radians when the file is in degrees (the default and the
+    CMU convention; an explicit ``:RADIANS`` header disables it). Each line
+    is checked as it is read, so the first bad line is the one named.
     """
     text = _read_text(source)
     regular = _parse_regular_amc(text, skeleton)
@@ -496,8 +500,9 @@ def parse_amc(source, skeleton: Skeleton) -> RawMotion:
         return regular
     degrees = True
     by_name = {j.name: j for j in skeleton.joints}
-    rows = {j.name: {} for j in skeleton.joints}   # frame index -> values
-    n = 0
+    rows: dict[str, list] = {}    # frame 1's joints -> their values, frame by frame
+    seen: set[str] = set()        # the joints frame n has listed so far
+    n = start = 0                 # frame n starts on line `start`
     for no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -513,29 +518,44 @@ def parse_amc(source, skeleton: Skeleton) -> RawMotion:
                 pass
             else:
                 if frame != n + 1:
-                    raise MalformedAmc(f"line {no}: frame {frame} follows frame {n} "
-                                       "(frames must be contiguous from 1)")
-                n = frame
+                    raise MocapKeyError(f"line {no}: frame {frame} follows frame {n} "
+                                        "(frames must be contiguous from 1)")
+                _check_listed(rows, seen, n, start)
+                n, start, seen = frame, no, set()
                 continue
         if n == 0:
-            raise MalformedAmc(f"line {no}: channel data before the first frame number")
+            raise MocapKeyError(f"line {no}: channel data before the first frame number")
         joint = by_name.get(head)
         if joint is None:
-            raise MalformedAmc(f"line {no}: unknown joint '{head}'")
+            raise MocapKeyError(f"line {no}: unknown joint '{head}'")
+        if head in seen:
+            raise MocapKeyError(f"line {no}: joint '{head}' listed twice in frame {n}")
+        if n > 1 and head not in rows:
+            raise MocapKeyError(f"line {no}: joint '{head}' is not listed in frame 1")
+        seen.add(head)
         try:
             values = [float(v) for v in tokens]
         except ValueError:
-            raise MalformedAmc(f"line {no}: non-numeric channel value") from None
+            raise MocapKeyError(f"line {no}: non-numeric channel value") from None
         if not all(map(math.isfinite, values)):
-            raise MalformedAmc(f"line {no}: non-finite channel value")
+            raise MocapKeyError(f"line {no}: non-finite channel value")
         if len(values) != len(joint.dof):
-            raise MalformedAmc(f"line {no}: joint '{head}' has "
-                               f"{len(values)} values, expected {len(joint.dof)}")
-        rows[head][n - 1] = values     # a joint listed twice a frame: last row wins
+            raise MocapKeyError(f"line {no}: joint '{head}' has "
+                                f"{len(values)} values, expected {len(joint.dof)}")
+        rows.setdefault(head, []).append(values)
     if not n:
-        raise MalformedAmc("no frames found")
-    blocks = {name: (list(got), list(got.values())) for name, got in rows.items() if got}
-    return _raw_motion(skeleton, n, degrees, blocks)
+        raise MocapKeyError("no frames found")
+    _check_listed(rows, seen, n, start)
+    return _raw_motion(skeleton, n, degrees,
+                       {name: np.array(got) for name, got in rows.items()})
+
+
+def _check_listed(rows: dict, seen: set, n: int, line: int) -> None:
+    """Raise naming ``line`` unless frame ``n`` listed every joint of frame 1."""
+    missing = [name for name in rows if name not in seen]
+    if missing:
+        raise MocapKeyError(f"line {line}: frame {n} does not list {missing}, "
+                            "which frame 1 lists")
 
 
 def _parse_regular_amc(text: str, skeleton: Skeleton) -> RawMotion | None:
@@ -584,11 +604,10 @@ def _parse_regular_amc(text: str, skeleton: Skeleton) -> RawMotion | None:
                for j, c in layout}
     del tokens
     try:
-        blocks = {name: (slice(None), np.array(cols, dtype=np.float64).T)
-                  for name, cols in columns.items()}
+        blocks = {name: np.array(cols, dtype=np.float64).T for name, cols in columns.items()}
     except ValueError:
         return None
-    if not all(np.isfinite(block).all() for _, block in blocks.values()):
+    if not all(np.isfinite(block).all() for block in blocks.values()):
         return None
     return _raw_motion(skeleton, n, degrees, blocks)
 
@@ -600,17 +619,15 @@ def _angle_unit(line: str, degrees: bool) -> bool:
 
 
 def _raw_motion(skeleton: Skeleton, n: int, degrees: bool,
-                blocks: dict[str, tuple]) -> RawMotion:
-    """Channels from each listed joint's (frame rows, values) block; a
-    joint listed in no frame is all zeros."""
+                blocks: dict[str, np.ndarray]) -> RawMotion:
+    """Channels from each listed joint's (n, dof) block of values; a joint
+    listed in no frame is all zeros."""
     channels: dict[str, np.ndarray] = {}
     for joint in skeleton.joints:
         if not joint.dof:
             continue
-        data = np.zeros((n, len(joint.dof)))
-        if joint.name in blocks:
-            at, block = blocks[joint.name]
-            data[at] = block
+        data = (np.ascontiguousarray(blocks[joint.name]) if joint.name in blocks
+                else np.zeros((n, len(joint.dof))))
         if degrees:
             for ci, ch in enumerate(joint.dof):
                 if ch in _ROTATION_DOF:
@@ -694,8 +711,8 @@ def export_amc(skeleton: Skeleton, directions: np.ndarray,
     norms = np.linalg.norm(directions, axis=-1, keepdims=True)
     if np.any(norms == 0.0):
         fi, bi = np.argwhere(norms[..., 0] == 0.0)[0]
-        raise UnreachablePose(f"joint '{skeleton.bone_names[bi]}' frame {fi}: "
-                              "zero-length direction")
+        raise NumericError(f"joint '{skeleton.bone_names[bi]}' frame {fi}: "
+                           "zero-length direction")
     directions = directions / norms
 
     # per joint and frame: tx ty tz rx ry rz l, the columns of _CHANNEL_COLUMN

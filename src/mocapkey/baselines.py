@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidW
 from .keyframes import KeyframeSet, check_keyframe_count
 from .metrics import q_baseline, section_error_table
 from .spherical import SphericalSequence
@@ -22,21 +21,10 @@ def select_random(n: int, w: int, seed: int) -> KeyframeSet:
 def select_uniform(n: int, w: int) -> KeyframeSet:
     """Frames round((n-1) * i / (w-1)) for i = 0..w-1.
 
-    Rounding is half-to-even; collisions (possible only in contrived
-    cases) shift to the nearest unused higher index.
+    Rounding is half-to-even.
     """
     check_keyframe_count(n, w)
-    used = set()
-    out = []
-    for i in range(w):
-        idx = int(np.rint((n - 1) * i / (w - 1)))
-        while idx in used:
-            idx += 1
-        if idx > n - 1:
-            raise InvalidW(f"cannot place {w} distinct frames in [0, {n - 1}]")
-        used.add(idx)
-        out.append(idx)
-    return KeyframeSet(tuple(out), n)
+    return KeyframeSet(tuple(int(np.rint((n - 1) * i / (w - 1))) for i in range(w)), n)
 
 
 def select_greedy(sph: SphericalSequence, w: int) -> KeyframeSet:

@@ -28,8 +28,7 @@ import numpy as np
 
 from . import agent, baselines, dataset, neural
 from .asfamc import export_amc, parse_amc, parse_asf
-from .errors import (DegenerateSequence, EmptyDataset, MalformedAsf, MocapKeyError,
-                     NumericError)
+from .errors import DegenerateSequence, MocapKeyError, NumericError
 from .keyframes import KeyframeSet
 from .metrics import REPORT_COLUMNS, q_baseline, q_error, root_rmse
 from .motion import (CMU_EXCLUDED_JOINTS, SOURCE_FPS, STRIDE, WINDOW_LEN,
@@ -178,14 +177,14 @@ def _find_skeleton(amc_path: Path, asf_by_stem: dict[str, Path]) -> Path | None:
 
 def _read_skeleton(asf_path: Path):
     """(skeleton, skeleton without the CMU_EXCLUDED_JOINTS it has) from one
-    ASF file; MalformedAsf when the second has no bone left to track."""
+    ASF file; MocapKeyError when the second has no bone left to track."""
     with open(asf_path, "r", encoding="utf-8", errors="replace") as fh:
         skeleton = parse_asf(fh)
     present = tuple(n for n in CMU_EXCLUDED_JOINTS
                     if n in {j.name for j in skeleton.joints})
     tracked = filter_joints(skeleton, present)
     if not tracked.bone_names:
-        raise MalformedAsf("no tracked joints: the skeleton has no bones to track")
+        raise MocapKeyError("no tracked joints: the skeleton has no bones to track")
     return skeleton, tracked
 
 
@@ -195,7 +194,7 @@ def cmd_prep(args) -> int:
     asf_files = [asf_root] if asf_root.is_file() else sorted(asf_root.rglob("*.asf"))
     amc_files = [amc_root] if amc_root.is_file() else sorted(amc_root.rglob("*.amc"))
     if not asf_files or not amc_files:
-        raise EmptyDataset(f"no ASF/AMC files found under {args.asf} and {args.amc}")
+        raise MocapKeyError(f"no ASF/AMC files found under {args.asf} and {args.amc}")
     asf_by_stem = {p.stem: p for p in asf_files}
 
     skeletons: dict[Path, tuple | None] = {}   # each ASF file read once; None if bad
@@ -231,7 +230,7 @@ def cmd_prep(args) -> int:
                               for i, win in enumerate(windows)]
 
     if not per_source:
-        raise EmptyDataset(f"{args.amc}: no usable takes")
+        raise MocapKeyError(f"{args.amc}: no usable takes")
     manifest = dataset.write_dataset(args.out, per_source, seed=args.seed)
     windows = manifest["windows"]
     n_train = sum(1 for wdw in windows if wdw["split"] == "train")
@@ -263,7 +262,7 @@ def cmd_train(args) -> int:
     manifest = dataset.load_manifest(args.data)
     records = dataset.load_dataset(args.data, split="train", manifest=manifest)
     if not records:
-        raise EmptyDataset(f"{args.data}: no training windows")
+        raise MocapKeyError(f"{args.data}: no training windows")
     windows = [sequence_to_spherical(rec.seq) for rec in records]
 
     started = time.perf_counter()
@@ -326,6 +325,16 @@ def _run_selector(method: str, sph, w: int, net, seed: int):
     return keys, time.perf_counter() - t0
 
 
+def _check_model(net, model, data, windows) -> None:
+    """Raise naming the checkpoint ``model`` and the dataset ``data`` unless
+    ``net`` takes the state of each of ``windows``."""
+    for n, m in sorted({(sph.frame_count, sph.joint_count) for sph in windows}):
+        try:
+            agent._check_fits(net, n, m)
+        except MocapKeyError as exc:
+            raise type(exc)(f"{model}: {exc} of {data}") from None
+
+
 def _eval_window(payload):
     """Rows for one window across all methods and budgets (worker-safe)."""
     window_id, sph, methods, ks, net, seed = payload
@@ -360,12 +369,14 @@ def cmd_eval(args) -> int:
     manifest = dataset.load_manifest(args.data)
     records = dataset.load_dataset(args.data, split=args.split, manifest=manifest)
     if not records:
-        raise EmptyDataset(f"{args.data}: no '{args.split}' windows")
+        raise MocapKeyError(f"{args.data}: no '{args.split}' windows")
     payloads = [
         (rec.window_id, sequence_to_spherical(rec.seq), methods, ks, net,
          args.seed + i)
         for i, rec in enumerate(sorted(records, key=lambda r: r.window_id))
     ]
+    if net is not None:
+        _check_model(net, args.model, args.data, [p[1] for p in payloads])
 
     if args.jobs > 1:
         import concurrent.futures as futures
@@ -445,13 +456,20 @@ def _summarize(rows, methods, ks) -> dict:
 def cmd_reconstruct(args) -> int:
     records = dataset.load_dataset(args.data, window_id=args.seq)
     if not records:
-        raise EmptyDataset(f"{args.data}: window '{args.seq}' not in the dataset")
+        raise MocapKeyError(f"{args.data}: window '{args.seq}' not in the dataset")
     rec = records[0]
     sph = sequence_to_spherical(rec.seq)
     if args.keyframes:
-        keys = KeyframeSet.from_indices(args.keyframes, sph.frame_count)
+        try:
+            keys = KeyframeSet.from_indices(args.keyframes, sph.frame_count)
+        except MocapKeyError as exc:
+            raise type(exc)(f"{args.data}: --keyframes do not fit window "
+                            f"'{rec.window_id}': {exc}") from None
     else:
-        net = agent.load_agent(args.model)[0].net if args.method == "sidql" else None
+        net = None
+        if args.method == "sidql":
+            net = agent.load_agent(args.model)[0].net
+            _check_model(net, args.model, args.data, [sph])
         keys, _ = _run_selector(args.method, sph, args.k, net, args.seed)
 
     recon = reconstruct_full(sph, keys)

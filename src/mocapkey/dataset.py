@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .asfamc import Skeleton
-from .errors import MalformedAsf, MalformedDataset, checked
+from .errors import MocapKeyError, checked
 from .motion import (CMU_EXCLUDED_JOINTS, SOURCE_FPS, TARGET_FPS, WINDOW_LEN,
                      MotionSequence)
 from .neural import atomic_open, read_blocks, read_header, write_blocks
@@ -62,26 +62,26 @@ def write_window(path, skeleton: Skeleton, seq: MotionSequence,
 def read_window(path) -> tuple[Skeleton, MotionSequence, int]:
     with open(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
-            raise MalformedDataset(f"{path}: not a window record")
-        header = read_header(fh, MalformedDataset)
+            raise MocapKeyError(f"{path}: not a window record")
+        header = read_header(fh)
         try:
             skeleton = Skeleton.from_dict(header.get("skeleton"))
-            n = checked(header.get("frame_count"), "frame_count", int, MalformedDataset, low=0)
-            dt = checked(header.get("dt"), "dt", float, MalformedDataset, above=0)
+            n = checked(header.get("frame_count"), "frame_count", int, MocapKeyError, low=0)
+            dt = checked(header.get("dt"), "dt", float, MocapKeyError, above=0)
             start = checked(header.get("start_frame", 0), "start_frame", int,
-                            MalformedDataset, low=0)
-            source = checked(header.get("source", ""), "source", str, MalformedDataset)
-        except (MalformedAsf, MalformedDataset) as exc:
-            raise MalformedDataset(f"{path}: bad window header: {exc}") from None
+                            MocapKeyError, low=0)
+            source = checked(header.get("source", ""), "source", str, MocapKeyError)
+        except MocapKeyError as exc:
+            raise type(exc)(f"{path}: bad window header: {exc}") from None
         m = len(skeleton.bone_names)
-        positions, root_positions = read_blocks(fh, [(n, m, 3), (n, 3)], MalformedDataset)
+        positions, root_positions = read_blocks(fh, [(n, m, 3), (n, 3)])
     try:
         seq = MotionSequence(
             dt=dt, positions=positions, root_positions=root_positions,
             joint_names=skeleton.bone_names, parents=skeleton.bone_parents, source=source,
         )
     except ValueError as exc:
-        raise MalformedDataset(f"{path}: {exc}") from None
+        raise MocapKeyError(f"{path}: {exc}") from None
     return skeleton, seq, start
 
 
@@ -150,20 +150,20 @@ def load_manifest(dataset_dir) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
     except FileNotFoundError:
-        raise MalformedDataset(f"{path}: manifest not found") from None
+        raise MocapKeyError(f"{path}: manifest not found") from None
     except ValueError as exc:     # bad UTF-8 or bad JSON
-        raise MalformedDataset(f"{path}: bad manifest: {exc}") from None
-    checked(manifest, f"{path}: manifest", dict, MalformedDataset)
-    checked(manifest.get("format"), f"{path}: format", int, MalformedDataset,
+        raise MocapKeyError(f"{path}: bad manifest: {exc}") from None
+    checked(manifest, f"{path}: manifest", dict, MocapKeyError)
+    checked(manifest.get("format"), f"{path}: format", int, MocapKeyError,
             among={MANIFEST_FORMAT})
-    rows = checked(manifest.get("windows"), f"{path}: windows", list[dict], MalformedDataset)
+    rows = checked(manifest.get("windows"), f"{path}: windows", list[dict], MocapKeyError)
     for i, row in enumerate(rows):
         at = f"{path}: windows[{i}] "
-        file = checked(row.get("file"), at + "file", str, MalformedDataset)
-        checked(file, at + "file", str, MalformedDataset,      # a bare file name
+        file = checked(row.get("file"), at + "file", str, MocapKeyError)
+        checked(file, at + "file", str, MocapKeyError,      # a bare file name
                 among={Path(file).name} - {"", ".", ".."})
-        checked(row.get("source"), at + "source", str, MalformedDataset)
-        checked(row.get("split"), at + "split", str, MalformedDataset, among={"train", "test"})
+        checked(row.get("source"), at + "source", str, MocapKeyError)
+        checked(row.get("split"), at + "split", str, MocapKeyError, among={"train", "test"})
     return manifest
 
 

@@ -6,13 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidKeyframeSet, InvalidW
+from .errors import MocapKeyError
 
 
 def check_keyframe_count(n: int, w: int) -> None:
-    """Raise InvalidW unless a budget of w keyframes fits n frames."""
+    """Raise MocapKeyError unless a budget of w keyframes fits n frames."""
     if not 2 <= w <= n:
-        raise InvalidW(f"keyframe count must be in [2, {n}], got {w}")
+        raise MocapKeyError(f"keyframe count must be in [2, {n}], got {w}")
 
 
 @dataclass(frozen=True)
@@ -25,16 +25,16 @@ class KeyframeSet:
     def __post_init__(self):
         idx = self.indices
         if self.frame_count < 2:
-            raise InvalidKeyframeSet("frame_count must be at least 2")
+            raise MocapKeyError("frame_count must be at least 2")
         if len(idx) < 2:
-            raise InvalidKeyframeSet("need at least the first and last frame")
+            raise MocapKeyError("need at least the first and last frame")
         if any(int(i) != i for i in idx):
-            raise InvalidKeyframeSet("indices must be integers")
+            raise MocapKeyError("indices must be integers")
         object.__setattr__(self, "indices", tuple(map(int, idx)))   # plain ints
         if any(b <= a for a, b in zip(idx, idx[1:])):
-            raise InvalidKeyframeSet(f"indices must be strictly increasing: {idx}")
+            raise MocapKeyError(f"indices must be strictly increasing: {idx}")
         if idx[0] != 0 or idx[-1] != self.frame_count - 1:
-            raise InvalidKeyframeSet(
+            raise MocapKeyError(
                 f"set must span frames 0..{self.frame_count - 1}, got {idx}")
 
     @classmethod
@@ -53,7 +53,7 @@ class KeyframeSet:
 
     def add(self, frame: int) -> "KeyframeSet":
         if frame in self.indices:
-            raise InvalidKeyframeSet(f"frame {frame} is already a keyframe")
+            raise MocapKeyError(f"frame {frame} is already a keyframe")
         return KeyframeSet.from_indices(self.indices + (frame,), self.frame_count)
 
     @property

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateInterval, DegenerateSequence
+from .errors import DegenerateSequence, NumericError
 from .keyframes import KeyframeSet
 from .reconstruct import _interior_cubics, _sections
 from .spherical import SphericalSequence
@@ -39,7 +39,7 @@ def section_errors(sph: SphericalSequence, a, b) -> np.ndarray:
     b = np.asarray(b, dtype=np.intp)
     if a.shape != b.shape or np.any(a < 0) or np.any(b <= a) \
             or np.any(b >= sph.frame_count):
-        raise DegenerateInterval(f"bad sections for N={sph.frame_count}")
+        raise NumericError(f"bad sections for N={sph.frame_count}")
     return section_kernel(*stacked_angles(sph), sph.dt, a, b)
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .asfamc import Joint, RawMotion, Skeleton, root_track, world_rotations
-from .errors import MalformedAsf, TooShort
+from .errors import MocapKeyError
 
 # The one window shape: CMU capture at 120 Hz, kept every STRIDE-th frame
 # (30 Hz) and cut into WINDOW_LEN-frame windows. The rates are floats
@@ -102,7 +102,7 @@ def filter_joints(skeleton: Skeleton, excluded: tuple[str, ...]) -> Skeleton:
     """Skeleton with the named bones removed.
 
     Every excluded bone must be a leaf of the remaining tree (no retained
-    descendants), otherwise the hierarchy would be broken: MalformedAsf.
+    descendants), otherwise the hierarchy would be broken: MocapKeyError.
     """
     names = {j.name for j in skeleton.joints}
     unknown = [e for e in excluded if e not in names]
@@ -114,7 +114,7 @@ def filter_joints(skeleton: Skeleton, excluded: tuple[str, ...]) -> Skeleton:
         if joint.name in excluded:
             continue
         if joint.parent is not None and joint.parent not in new_index:
-            raise MalformedAsf(
+            raise MocapKeyError(
                 f"cannot exclude '{skeleton.joints[joint.parent].name}': "
                 f"retained joint '{joint.name}' descends from it")
         parent = None if joint.parent is None else new_index[joint.parent]
@@ -128,14 +128,14 @@ def preprocess(seq: MotionSequence) -> list[MotionSequence]:
     windows.
 
     Windows are consecutive and non-overlapping; a trailing remainder
-    shorter than the window length is discarded. Raises TooShort when the
-    clip yields no complete window.
+    shorter than the window length is discarded. Raises MocapKeyError when
+    the clip yields no complete window.
     """
     pos = seq.positions[::STRIDE]
     root = seq.root_positions[::STRIDE]
     n_windows = len(pos) // WINDOW_LEN
     if n_windows == 0:
-        raise TooShort(
+        raise MocapKeyError(
             f"{len(pos)} downsampled frames < window length {WINDOW_LEN}")
     windows = []
     for w in range(n_windows):

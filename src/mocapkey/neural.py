@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (CorruptCheckpoint, NonFiniteGradient, ShapeMismatch, VersionMismatch,
-                     checked)
+from .errors import MocapKeyError, NumericError, checked
 
 CHECKPOINT_VERSION = 1
 HUBER_DELTA = 1.0    # |error| where the loss turns from quadratic to linear
@@ -77,7 +76,7 @@ def init(shapes, seed: int) -> QNetwork:
 def _check_input(net: QNetwork, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] != net.input_dim:
-        raise ShapeMismatch(
+        raise MocapKeyError(
             f"input of shape {x.shape} does not match D_in = {net.input_dim}")
     return x
 
@@ -173,7 +172,7 @@ def gradients(net: QNetwork, xs, actions, targets) -> tuple[list[np.ndarray], fl
     targets = np.asarray(targets, dtype=np.float64)
     batch = xs.shape[0]
     if actions.shape != (batch,) or targets.shape != (batch,):
-        raise ShapeMismatch("actions and targets must be one value per row")
+        raise MocapKeyError("actions and targets must be one value per row")
     out, activations = _forward_cached(net, xs)
     picked = out[np.arange(batch), actions]
     losses, dloss = huber(picked, targets)
@@ -191,7 +190,7 @@ def gradients(net: QNetwork, xs, actions, targets) -> tuple[list[np.ndarray], fl
     grads.reverse()
     for g in grads:
         if not np.all(np.isfinite(g)):
-            raise NonFiniteGradient("non-finite gradient; aborting update")
+            raise NumericError("non-finite gradient; aborting update")
     return grads, float(np.mean(losses))
 
 
@@ -226,29 +225,31 @@ def write_blocks(path, header: bytes, blocks) -> None:
             fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
 
 
-def read_header(fh, error) -> dict:
+def read_header(fh) -> dict:
     """The JSON object on the rest of the current line of the binary file
-    ``fh``; raises ``error`` naming the file when it is not one."""
+    ``fh``; raises MocapKeyError naming the file when it is not one."""
     try:
         header = json.loads(fh.readline())
     except ValueError as exc:     # bad UTF-8 or bad JSON
-        raise error(f"{fh.name}: unreadable header: {exc}") from None
-    return checked(header, f"{fh.name}: header", dict, error)
+        raise MocapKeyError(f"{fh.name}: unreadable header: {exc}") from None
+    return checked(header, f"{fh.name}: header", dict, MocapKeyError)
 
 
-def read_blocks(fh, shapes, error) -> list[np.ndarray]:
+def read_blocks(fh, shapes) -> list[np.ndarray]:
     """The float64 arrays of ``shapes``, in order, from the rest of the
-    binary file ``fh`` past its header line; raises ``error`` naming the file
-    when it holds fewer or more bytes (before any allocation) or a NaN or inf."""
+    binary file ``fh`` past its header line; raises MocapKeyError naming the
+    file when it holds fewer or more bytes (before any allocation) or a NaN
+    or inf."""
     sizes = [8 * math.prod(shape) for shape in shapes]
     left = os.fstat(fh.fileno()).st_size - fh.tell()
     if left != sum(sizes):
-        raise error(f"{fh.name}: " + ("truncated float64 blocks" if left < sum(sizes)
-                                      else "trailing bytes after the last block"))
+        raise MocapKeyError(f"{fh.name}: " + (
+            "truncated float64 blocks" if left < sum(sizes)
+            else "trailing bytes after the last block"))
     blocks = [np.frombuffer(fh.read(size), dtype="<f8").reshape(shape).astype(np.float64)
               for size, shape in zip(sizes, shapes)]
     if not all(np.isfinite(block).all() for block in blocks):
-        raise error(f"{fh.name}: non-finite float64 value")
+        raise MocapKeyError(f"{fh.name}: non-finite float64 value")
     return blocks
 
 
@@ -277,22 +278,22 @@ def checkpoint_save(net: QNetwork, adam: AdamState, path, extra: dict | None = N
 
 def checkpoint_load(path) -> tuple[QNetwork, AdamState, dict]:
     with open(path, "rb") as fh:
-        header = read_header(fh, CorruptCheckpoint)
+        header = read_header(fh)
         checked(header.get("format_version"), f"{path}: format_version", int,
-                VersionMismatch, among={CHECKPOINT_VERSION})
+                MocapKeyError, among={CHECKPOINT_VERSION})
         at = f"{path}: malformed header: "     # what checkpoint_save writes
-        shapes = checked(header.get("shapes"), at + "shapes", list[int], CorruptCheckpoint,
+        shapes = checked(header.get("shapes"), at + "shapes", list[int], MocapKeyError,
                          low=1, size=4)
-        seed = checked(header.get("seed", 0), at + "seed", int, CorruptCheckpoint, low=0)
-        ah = checked(header.get("adam"), at + "adam", dict, CorruptCheckpoint)
+        seed = checked(header.get("seed", 0), at + "seed", int, MocapKeyError, low=0)
+        ah = checked(header.get("adam"), at + "adam", dict, MocapKeyError)
         learning_rate = checked(ah.get("learning_rate"), at + "adam learning_rate", float,
-                                CorruptCheckpoint, above=0)
-        step = checked(ah.get("step"), at + "adam step", int, CorruptCheckpoint, low=0)
+                                MocapKeyError, above=0)
+        step = checked(ah.get("step"), at + "adam step", int, MocapKeyError, low=0)
         for key, fixed in (("beta1", ADAM_BETA1), ("beta2", ADAM_BETA2), ("eps", ADAM_EPS)):
-            checked(ah.get(key), f"{at}adam {key}", float, CorruptCheckpoint, among={fixed})
+            checked(ah.get(key), f"{at}adam {key}", float, MocapKeyError, among={fixed})
         # each layer's weight and bias, for the network, Adam's m and its v
         params = [shape for a, b in zip(shapes, shapes[1:]) for shape in ((a, b), (b,))]
-        blocks = read_blocks(fh, params * 3, CorruptCheckpoint)
+        blocks = read_blocks(fh, params * 3)
     k = len(params)
     net = QNetwork(weights=blocks[0:k:2], biases=blocks[1:k:2], seed=seed)
     adam = AdamState(learning_rate, step, m=blocks[k:2 * k], v=blocks[2 * k:])

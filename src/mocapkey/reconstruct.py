@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import DegenerateInterval
+from .errors import NumericError
 from .keyframes import KeyframeSet
 from .motion import finite_difference
 from .spherical import SphericalSequence
@@ -44,7 +44,7 @@ def _interior_cubics(a, b, dt, values, rates):
 def _sections(sph: SphericalSequence, keys: KeyframeSet):
     """First and last frames of the keyframe sections."""
     if keys.frame_count != sph.frame_count:
-        raise DegenerateInterval(
+        raise NumericError(
             f"keyframe set is over {keys.frame_count} frames, "
             f"sequence has {sph.frame_count}")
     idx = np.asarray(keys.indices, dtype=np.intp)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MeridianSingularity, PoleSingularity, ZeroVector
+from .errors import NumericError
 from .motion import MotionSequence, finite_difference
 
 POLE_EPS = 1e-9
@@ -28,13 +28,13 @@ def cart_to_sph(p):
     """(..., 3) Cartesian -> (r, theta, phi), each (...,).
 
     At the poles (x = y = 0) phi is set to 0 by convention. A zero vector
-    has no direction and raises ZeroVector.
+    has no direction and raises NumericError.
     """
     p = np.asarray(p, dtype=np.float64)
     x, y, z = p[..., 0], p[..., 1], p[..., 2]
     r = np.linalg.norm(p, axis=-1)
     if np.any(r == 0.0):
-        raise ZeroVector("cannot convert a zero vector to spherical coordinates")
+        raise NumericError("cannot convert a zero vector to spherical coordinates")
     theta = np.arccos(np.clip(z / r, -1.0, 1.0))
     phi = np.arctan2(y, x)
     phi = np.where((x == 0.0) & (y == 0.0), 0.0, phi)
@@ -69,11 +69,11 @@ def velocity_to_sph(p, v):
 
     Differentiates the spherical chart along the Cartesian velocity ``v``
     at position ``p``. phi_dot is undefined on the poles; raises
-    PoleSingularity there.
+    NumericError there.
     """
     r, st, ct, sp, cp, v = _chart_terms(p, v)
     if np.any(st < POLE_EPS):
-        raise PoleSingularity("phi rate is undefined on the z axis")
+        raise NumericError("phi rate is undefined on the z axis")
     vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
     r_dot = st * cp * vx + st * sp * vy + ct * vz
     theta_dot = (ct * cp * vx + ct * sp * vy - st * vz) / r
@@ -93,14 +93,14 @@ def velocity_to_sph_constrained(p, v):
                     / (r sin(theta)^2 cos(phi))
 
     Valid only off the poles and off the meridian cos(phi) = 0; raises
-    PoleSingularity or MeridianSingularity there. The general
+    NumericError there. The general
     :func:`velocity_to_sph` agrees with this wherever both are defined.
     """
     r, st, ct, sp, cp, v = _chart_terms(p, v)
     if np.any(st < POLE_EPS):
-        raise PoleSingularity("constrained rates are undefined on the z axis")
+        raise NumericError("constrained rates are undefined on the z axis")
     if np.any(np.abs(cp) < POLE_EPS):
-        raise MeridianSingularity("constrained rates are undefined where cos(phi) = 0")
+        raise NumericError("constrained rates are undefined where cos(phi) = 0")
     vy, vz = v[..., 1], v[..., 2]
     theta_dot = -vz / (r * st)
     phi_dot = (vy * st + vz * ct * sp) / (r * st * st * cp)

@@ -10,8 +10,7 @@ import conftest
 import oracle_reference as ref
 from mocapkey import agent, neural
 from mocapkey.baselines import select_greedy
-from mocapkey.errors import (EmptyDataset, InvalidW, MalformedConfig, NoValidAction,
-                             ShapeMismatch)
+from mocapkey.errors import MocapKeyError, NumericError
 from mocapkey.keyframes import KeyframeSet
 from mocapkey.metrics import q_baseline, q_error
 from mocapkey.spherical import wrap_angle
@@ -55,14 +54,14 @@ def test_train_config_round_trip(tmp_path):
     assert cfg.digest() != tiny_config(learning_rate=0.004).digest()
     # epsilon_start was a setting once; configs that hold it no longer load
     for extra in ({"momentum": 0.9}, {"epsilon_start": 1.0}):
-        with pytest.raises(MalformedConfig, match="unknown config keys"):
+        with pytest.raises(MocapKeyError, match="unknown config keys"):
             agent.TrainConfig.from_dict({**cfg.to_dict(), **extra})
 
 
 def test_train_config_validation():
     for bad in [dict(keyframe_count=1), dict(discount=1.5),
                 dict(learning_rate=0.0), dict(episodes=0)]:
-        with pytest.raises(MalformedConfig):
+        with pytest.raises(MocapKeyError, match=f"^{next(iter(bad))} is "):
             tiny_config(**bad)
 
 
@@ -191,7 +190,7 @@ def test_act_raises_when_no_frame_left():
     sph = conftest.random_spherical(9, 4, 2)
     keys = KeyframeSet.from_indices([0, 1, 2, 3], 4)
     net = neural.init([encoded(sph, keys).size, 8, 8, 4], seed=0)
-    with pytest.raises(NoValidAction):
+    with pytest.raises(NumericError, match="every frame is already a keyframe"):
         agent.act(_certified(net, sph), 0, keys.mask, 0.0, np.random.default_rng(0))
 
 
@@ -274,7 +273,7 @@ def test_replay_memory_ring_eviction():
     assert not terminal.any()
     with pytest.raises(ValueError):
         agent.ReplayMemory(np.zeros((1, 3, 8)), 0)
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(MocapKeyError, match="replay memory is empty"):
         agent.ReplayMemory(np.zeros((1, 3, 8)), 2).sample(
             np.random.default_rng(0), 1)
 
@@ -455,12 +454,12 @@ def test_train_resume_takes_the_config_learning_rate(tmp_path):
 
 
 def test_train_validates_inputs():
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(MocapKeyError, match="^no training windows$"):
         agent.train([], tiny_config())
     windows = tiny_windows(2, n=8, m=2) + tiny_windows(1, n=9, m=2)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(MocapKeyError, match=r"has shape \(9, 2\), expected \(8, 2\)"):
         agent.train(windows, tiny_config())
-    with pytest.raises(InvalidW):
+    with pytest.raises(MocapKeyError, match=r"keyframe count must be in \[2, 3\], got 4"):
         agent.train(tiny_windows(1, n=3, m=2), tiny_config(keyframe_count=4))
 
 
@@ -501,12 +500,12 @@ def test_greedy_rollouts_nest_across_budgets(seed, n, m, hidden, data):
 def test_infer_validates_arguments():
     windows = tiny_windows(1, n=8, m=2)
     net = neural.init([8 * 9, 8, 8, 8], seed=0)
-    with pytest.raises(InvalidW):
+    with pytest.raises(MocapKeyError, match=r"keyframe count must be in \[2, 8\], got 1"):
         agent.infer_keyframes(net, windows[0], 1)
-    with pytest.raises(InvalidW):
+    with pytest.raises(MocapKeyError, match=r"keyframe count must be in \[2, 8\], got 9"):
         agent.infer_keyframes(net, windows[0], 9)
     wrong = neural.init([7 * 9, 8, 8, 7], seed=0)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(MocapKeyError, match=r"does not fit a \(8, 2\) window"):
         agent.infer_keyframes(wrong, windows[0], 4)
 
 

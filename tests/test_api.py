@@ -14,6 +14,10 @@ def test_public_names_resolve_and_are_listed_once():
     names = mocapkey.__all__
     assert len(names) == len(set(names))
     assert [n for n in names if not hasattr(mocapkey, n)] == []
+    # an exception class exists only where some code catches it by name
+    assert {n for n in names if isinstance(getattr(mocapkey, n), type)
+            and issubclass(getattr(mocapkey, n), BaseException)} == {
+        "MocapKeyError", "NumericError", "DegenerateSequence"}
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):

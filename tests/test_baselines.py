@@ -6,7 +6,7 @@ import pytest
 import oracle_reference as oracle
 from conftest import random_spherical
 from mocapkey import baselines, metrics
-from mocapkey.errors import InvalidW
+from mocapkey.errors import MocapKeyError
 from mocapkey.keyframes import KeyframeSet
 
 
@@ -54,16 +54,17 @@ def test_uniform_spacing_is_monotone_and_spans():
 
 @pytest.mark.parametrize("w", [1, 0, -3])
 def test_budget_must_be_at_least_two(w):
-    with pytest.raises(InvalidW):
+    message = rf"^keyframe count must be in \[2, 60\], got {w}$"
+    with pytest.raises(MocapKeyError, match=message):
         baselines.select_uniform(60, w)
-    with pytest.raises(InvalidW):
+    with pytest.raises(MocapKeyError, match=message):
         baselines.select_random(60, w, seed=0)
 
 
 def test_budget_cannot_exceed_frames():
-    with pytest.raises(InvalidW):
+    with pytest.raises(MocapKeyError, match=r"^keyframe count must be in \[2, 10\], got 11$"):
         baselines.select_uniform(10, 11)
-    with pytest.raises(InvalidW):
+    with pytest.raises(MocapKeyError, match=r"^keyframe count must be in \[2, 10\], got 11$"):
         baselines.select_random(10, 11, seed=0)
 
 

@@ -296,7 +296,7 @@ def test_reconstruct_takes_keyframes_or_a_method_not_both(tmp_path, prepped, cap
     assert not (tmp_path / "o.amc").exists()
 
 
-def test_data_errors_exit_two(tmp_path, capsys):
+def test_data_errors_exit_two(tmp_path, prepped, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
     assert cli.main(["prep", "--asf", str(empty), "--amc", str(empty),
@@ -371,6 +371,24 @@ def test_data_errors_exit_two(tmp_path, capsys):
             capsys.readouterr()
             assert cli.main([*argv, "--out", str(tmp_path / "out")]) == cli.EXIT_DATA
             assert str(named) in capsys.readouterr().err, (argv, blob)
+    # a network for other windows names the checkpoint and the dataset
+    small = neural.init([10, 4, 4, 10], seed=0)
+    ckpt = tmp_path / "small.ckpt"
+    neural.checkpoint_save(small, neural.AdamState.for_network(small, learning_rate=0.01),
+                           ckpt, extra={"config": {}})
+    for argv in (["eval", "--methods", "sidql", "--out", str(tmp_path / "r.csv")],
+                 ["reconstruct", "--seq", "w00000", "--method", "sidql", "--k", "5",
+                  "--out", str(tmp_path / "o.amc")]):
+        capsys.readouterr()
+        assert cli.main([*argv, "--data", str(prepped), "--model", str(ckpt)]) == cli.EXIT_DATA
+        assert (f"{ckpt}: network [10, 4, 4, 10] does not fit a (60, 22) window of {prepped}"
+                in capsys.readouterr().err), argv
+    # keyframes past the window's end name the window and --keyframes
+    assert cli.main(["reconstruct", "--data", str(prepped), "--seq", "w00000",
+                     "--keyframes", "0,70", "--out", str(tmp_path / "o.amc")]) == cli.EXIT_DATA
+    assert (f"{prepped}: --keyframes do not fit window 'w00000': set must span frames "
+            "0..59, got (0, 70)") in capsys.readouterr().err
+    assert not (tmp_path / "o.amc").exists()
 
 
 def test_numeric_failure_exits_three(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 import synthcorpus
 from mocapkey import dataset
-from mocapkey.errors import MalformedDataset
+from mocapkey.errors import MocapKeyError
 from mocapkey.motion import MotionSequence
 
 
@@ -65,7 +65,7 @@ def test_read_window_rejects_trailing_bytes(tmp_path, skeleton):
     dataset.write_window(path, skeleton, _random_sequence(3), 0)
     dataset.read_window(path)
     path.write_bytes(path.read_bytes() + b"\0")
-    with pytest.raises(MalformedDataset, match="trailing bytes"):
+    with pytest.raises(MocapKeyError, match="trailing bytes"):
         dataset.read_window(path)
 
 
@@ -75,7 +75,7 @@ def test_read_window_rejects_wrong_magic(tmp_path, skeleton):
     # the first record format, MKWIN1, is no longer read
     for data in (b"NOTMKW {}\n", b"MKWIN1 " + path.read_bytes()[7:]):
         path.write_bytes(data)
-        with pytest.raises(MalformedDataset, match="not a window record"):
+        with pytest.raises(MocapKeyError, match="not a window record"):
             dataset.read_window(path)
 
 
@@ -87,7 +87,7 @@ def test_read_window_rejects_bad_header(tmp_path, skeleton):
     header, _, body = data.partition(b"\n")
     bad = tmp_path / "bad.mkw"
     bad.write_bytes(header.replace(b'"frame_count"', b'"fr_count"') + b"\n" + body)
-    with pytest.raises(MalformedDataset, match="bad window header"):
+    with pytest.raises(MocapKeyError, match="bad window header"):
         dataset.read_window(bad)
 
 
@@ -108,7 +108,7 @@ def test_read_window_rejects_truncation(tmp_path, skeleton):
     dataset.write_window(tmp_path / "w.mkw", skeleton, _random_sequence(2), 0)
     data = (tmp_path / "w.mkw").read_bytes()
     (tmp_path / "short.mkw").write_bytes(data[:-16])
-    with pytest.raises(MalformedDataset, match="truncated"):
+    with pytest.raises(MocapKeyError, match="truncated"):
         dataset.read_window(tmp_path / "short.mkw")
 
 
@@ -183,13 +183,13 @@ def test_load_dataset_reads_records(small_dataset):
 
 
 def test_load_manifest_failures(tmp_path):
-    with pytest.raises(MalformedDataset, match="not found"):
+    with pytest.raises(MocapKeyError, match="not found"):
         dataset.load_manifest(tmp_path)
     (tmp_path / dataset.MANIFEST_NAME).write_text("{not json")
-    with pytest.raises(MalformedDataset, match="bad manifest"):
+    with pytest.raises(MocapKeyError, match="bad manifest"):
         dataset.load_manifest(tmp_path)
     (tmp_path / dataset.MANIFEST_NAME).write_text(json.dumps({"format": 99}))
-    with pytest.raises(MalformedDataset, match="format is 99"):
+    with pytest.raises(MocapKeyError, match="format is 99"):
         dataset.load_manifest(tmp_path)
 
 

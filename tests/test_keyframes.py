@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mocapkey.errors import InvalidKeyframeSet
+from mocapkey.errors import MocapKeyError
 from mocapkey.keyframes import KeyframeSet
 
 
@@ -25,20 +25,21 @@ def test_endpoints():
     [0, -1, 59],         # negative
 ])
 def test_validation_rejects_bad_sets(bad):
-    with pytest.raises(InvalidKeyframeSet):
+    with pytest.raises(MocapKeyError, match=r"^(need at least the first and last frame"
+                                            r"|set must span frames 0\.\.59)"):
         KeyframeSet.from_indices(bad, 60)
 
 
 def test_validation_rejects_non_integer():
-    with pytest.raises(InvalidKeyframeSet):
+    with pytest.raises(MocapKeyError, match="^indices must be integers$"):
         KeyframeSet(indices=(0, 12.5, 59), frame_count=60)
 
 
 def test_builders_reject_non_integers_and_store_plain_ints():
     # from_indices and add apply the constructor's rule, not a truncation
-    with pytest.raises(InvalidKeyframeSet, match="integers"):
+    with pytest.raises(MocapKeyError, match="integers"):
         KeyframeSet.from_indices([0, 2.5, 4], 5)
-    with pytest.raises(InvalidKeyframeSet, match="integers"):
+    with pytest.raises(MocapKeyError, match="integers"):
         KeyframeSet.endpoints(5).add(2.5)
     for keys in (KeyframeSet.from_indices([0, np.int64(2), 4.0], 5),
                  KeyframeSet.endpoints(5).add(np.int64(2)),
@@ -52,7 +53,7 @@ def test_add_returns_new_set_and_rejects_duplicates():
     more = keys.add(4)
     assert keys.indices == (0, 9)
     assert more.indices == (0, 4, 9)
-    with pytest.raises(InvalidKeyframeSet):
+    with pytest.raises(MocapKeyError, match="^frame 4 is already a keyframe$"):
         more.add(4)
 
 

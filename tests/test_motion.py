@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import synthcorpus
 from mocapkey.asfamc import RawMotion, euler_matrix
-from mocapkey.errors import MalformedAsf, TooShort
+from mocapkey.errors import MocapKeyError
 from mocapkey.motion import (
     CMU_EXCLUDED_JOINTS,
     MotionSequence,
@@ -140,7 +140,7 @@ def test_filter_joints_removes_extremities(skeleton):
 
 
 def test_filter_joints_rejects_orphaning(skeleton):
-    with pytest.raises(MalformedAsf, match="lfoot"):
+    with pytest.raises(MocapKeyError, match="cannot exclude 'lfoot'"):
         filter_joints(skeleton, ("lfoot",))  # ltoes would lose its parent
 
 
@@ -228,5 +228,5 @@ def test_preprocess_windows_downsampled_frames(skeleton):
 def test_preprocess_rejects_short_clips(skeleton):
     raw = synthcorpus.make_raw_motion(skeleton, 8, 230)
     seq = forward_kinematics(skeleton, raw, dt=1.0 / 120.0)
-    with pytest.raises(TooShort):
+    with pytest.raises(MocapKeyError, match="^58 downsampled frames < window length 60$"):
         preprocess(seq)

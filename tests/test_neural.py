@@ -5,12 +5,7 @@ import numpy as np
 import pytest
 
 from mocapkey import neural
-from mocapkey.errors import (
-    CorruptCheckpoint,
-    NonFiniteGradient,
-    ShapeMismatch,
-    VersionMismatch,
-)
+from mocapkey.errors import MocapKeyError, NumericError
 
 # ---------------------------------------------------------------------------
 # initialization and forward pass
@@ -51,9 +46,9 @@ def test_forward_matches_manual_computation():
 
 def test_forward_rejects_wrong_width():
     net = neural.init([4, 5, 5, 2], seed=0)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(MocapKeyError, match=r"^input of shape \(5,\) does not match D_in"):
         neural.forward(net, np.zeros(5))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(MocapKeyError, match=r"^input of shape \(3, 3\) does not match D_in"):
         neural.forward(net, np.zeros((3, 3)))
 
 
@@ -131,16 +126,16 @@ def test_gradients_only_touch_chosen_action_outputs():
 
 def test_gradients_validate_batch_shapes():
     net = neural.init([3, 4, 4, 2], seed=0)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(MocapKeyError, match="^actions and targets must be one value per row$"):
         neural.gradients(net, np.zeros((2, 3)), [0], [0.0])
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(MocapKeyError, match="^actions and targets must be one value per row$"):
         neural.gradients(net, np.zeros((2, 3)), [0, 1], [0.0])
 
 
 def test_gradients_reject_non_finite():
     net = neural.init([3, 4, 4, 2], seed=0)
     net.weights[1][0, 0] = np.nan
-    with pytest.raises(NonFiniteGradient):
+    with pytest.raises(NumericError, match="^non-finite gradient; aborting update$"):
         neural.gradients(net, np.ones((1, 3)), [0], [0.0])
 
 
@@ -217,7 +212,7 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
         edited = json.loads(header)
         edited["adam"][key] = value
         path.write_bytes(json.dumps(edited).encode("utf-8") + b"\n" + body)
-        with pytest.raises(CorruptCheckpoint, match=f"adam {key} is {value!r}, fixed at"):
+        with pytest.raises(MocapKeyError, match=f"adam {key} is {value!r}, fixed at"):
             neural.checkpoint_load(path)
 
 
@@ -233,19 +228,19 @@ def test_checkpoint_rejects_version_and_corruption(tmp_path):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(header.replace(b'"format_version": 1', b'"format_version": 9')
                     + b"\n" + body)
-    with pytest.raises(VersionMismatch):
+    with pytest.raises(MocapKeyError, match="format_version is 9, fixed at 1$"):
         neural.checkpoint_load(bad)
 
     bad.write_bytes(b"not json\n" + body)
-    with pytest.raises(CorruptCheckpoint):
+    with pytest.raises(MocapKeyError, match="unreadable header"):
         neural.checkpoint_load(bad)
 
     bad.write_bytes(header + b"\n" + body[:-8])
-    with pytest.raises(CorruptCheckpoint, match="truncated"):
+    with pytest.raises(MocapKeyError, match="truncated"):
         neural.checkpoint_load(bad)
 
     bad.write_bytes(data + b"\x00")
-    with pytest.raises(CorruptCheckpoint, match="trailing"):
+    with pytest.raises(MocapKeyError, match="trailing"):
         neural.checkpoint_load(bad)
 
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import oracle_reference as oracle
 from conftest import random_spherical
 from mocapkey import metrics, reconstruct
-from mocapkey.errors import DegenerateInterval, InvalidKeyframeSet
+from mocapkey.errors import MocapKeyError, NumericError
 from mocapkey.keyframes import KeyframeSet
 from mocapkey.motion import finite_difference
 from mocapkey.spherical import SphericalSequence
@@ -94,14 +94,14 @@ def test_fit_cubic_matches_reference_solver(p0, v0, p1, v1, t0, dur, frac):
 def test_fit_cubic_rejects_empty_interval(small_sph):
     # a repeated or reversed keyframe would make an empty section; neither
     # a keyframe set nor the section kernel accepts one
-    with pytest.raises(InvalidKeyframeSet):
+    with pytest.raises(MocapKeyError, match="^indices must be strictly increasing"):
         KeyframeSet((0, 20, 20, 59), 60)
-    with pytest.raises(InvalidKeyframeSet):
+    with pytest.raises(MocapKeyError, match="^indices must be strictly increasing"):
         KeyframeSet((0, 30, 20, 59), 60)
     sph = small_sph[0]
-    with pytest.raises(DegenerateInterval):
+    with pytest.raises(NumericError, match="^bad sections for N="):
         metrics.section_errors(sph, [20], [20])
-    with pytest.raises(DegenerateInterval):
+    with pytest.raises(NumericError, match="^bad sections for N="):
         metrics.section_errors(sph, [20], [19])
 
 
@@ -122,14 +122,14 @@ def test_reconstruct_section_copies_endpoint_frames(small_sph):
 def test_reconstruct_section_validates_span(small_sph):
     sph = small_sph[0]
     n = sph.frame_count
-    with pytest.raises(DegenerateInterval):
+    with pytest.raises(NumericError, match=f"^bad sections for N={n}$"):
         metrics.section_errors(sph, [12], [12])
-    with pytest.raises(DegenerateInterval):
+    with pytest.raises(NumericError, match=f"^bad sections for N={n}$"):
         metrics.section_errors(sph, [20], [10])
-    with pytest.raises(DegenerateInterval):
+    with pytest.raises(NumericError, match=f"^bad sections for N={n}$"):
         metrics.section_errors(sph, [0], [n])
     # a keyframe set reaching past the last frame
-    with pytest.raises(DegenerateInterval):
+    with pytest.raises(NumericError, match=f"^keyframe set is over {n + 1} frames"):
         reconstruct.reconstruct_full(sph, KeyframeSet.endpoints(n + 1))
 
 
@@ -168,7 +168,7 @@ def test_reconstruct_full_all_frames_is_identity(small_sph):
 def test_reconstruct_full_rejects_mismatched_frame_count(small_sph):
     sph = small_sph[0]
     keys = KeyframeSet.from_indices((0, 30), 31)
-    with pytest.raises(DegenerateInterval):
+    with pytest.raises(NumericError, match="^keyframe set is over 31 frames, sequence has"):
         reconstruct.reconstruct_full(sph, keys)
 
 
