@@ -313,7 +313,7 @@ def train(dataset: list[SphericalSequence], cfg: TrainConfig,
         pool.append((sph, q0, di, angle, rate, section_kernel(
             angle, rate, sph.dt, np.array([0]), np.array([sph.frame_count - 1]))))
     if not pool:
-        raise MocapKeyError("every training window is degenerate")
+        raise DegenerateSequence("every training window is degenerate")
     n = pool[0][0].frame_count
     m = pool[0][0].joint_count
     for sph, *_ in pool:

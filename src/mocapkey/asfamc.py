@@ -39,12 +39,9 @@ _EYE = np.eye(3)
 
 def single_axis_matrix(axis: int, angle):
     """Rotation matrix about a coordinate axis; broadcasts over angle arrays."""
-    if isinstance(angle, float):      # np.float64 too: skips numpy's per-call cost
-        c, s, shape = math.cos(angle), math.sin(angle), ()
-    else:
-        angle = np.asarray(angle, dtype=np.float64)
-        c, s, shape = np.cos(angle), np.sin(angle), angle.shape
-    out = np.zeros(shape + (3, 3))
+    angle = np.asarray(angle, dtype=np.float64)
+    c, s = np.cos(angle), np.sin(angle)
+    out = np.zeros(angle.shape + (3, 3))
     i = axis
     j, k = (i + 1) % 3, (i + 2) % 3
     out[..., i, i] = 1.0
@@ -69,24 +66,22 @@ def euler_matrix(angles, order: str):
     return result
 
 def euler_from_matrix(rot: np.ndarray, order: str) -> np.ndarray:
-    """Invert :func:`euler_matrix` for a proper rotation and 3-axis order."""
+    """Invert :func:`euler_matrix` for proper rotations (..., 3, 3) and a
+    3-axis order: angles (..., 3), first axis first."""
+    rot = np.asarray(rot, dtype=np.float64)
     order = order.lower()
     i, j, k = (_AXIS_INDEX[a] for a in order)
     # parity of the axis permutation flips the sine terms
     eps = 1.0 if (j - i) % 3 == 1 else -1.0
-    sin_b = -eps * rot[k, i]
-    sin_b = min(1.0, max(-1.0, sin_b))
-    beta = math.asin(sin_b)
-    if abs(rot[k, i]) < 1.0 - 1e-12:
-        alpha = math.atan2(eps * rot[k, j], rot[k, k])
-        gamma = math.atan2(eps * rot[j, i], rot[i, i])
-    else:
-        # gimbal lock: fix gamma = 0 and recover alpha from the remainder
-        gamma = 0.0
-        rem = single_axis_matrix(j, beta).T @ rot
-        a2, a3 = (i + 1) % 3, (i + 2) % 3
-        alpha = math.atan2(rem[a3, a2], rem[a2, a2])
-    return np.array([alpha, beta, gamma])
+    beta = np.arcsin(np.clip(-eps * rot[..., k, i], -1.0, 1.0))
+    alpha = np.arctan2(eps * rot[..., k, j], rot[..., k, k])
+    gamma = np.arctan2(eps * rot[..., j, i], rot[..., i, i])
+    # gimbal lock: fix gamma = 0 and recover alpha from the remainder
+    locked = np.abs(rot[..., k, i]) >= 1.0 - 1e-12
+    rem = np.swapaxes(single_axis_matrix(j, beta), -1, -2) @ rot
+    a2, a3 = (i + 1) % 3, (i + 2) % 3
+    alpha = np.where(locked, np.arctan2(rem[..., a3, a2], rem[..., a2, a2]), alpha)
+    return np.stack([alpha, beta, np.where(locked, 0.0, gamma)], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -690,10 +685,12 @@ def export_amc(skeleton: Skeleton, directions: np.ndarray,
     ``directions`` is (N, M, 3): for each frame, the world direction of
     each bone (parent end to bone end) in ``skeleton.bone_names`` order;
     any non-zero length. ``root_positions`` is the (N, 3) root path.
-    Channel angles are recovered top-down: the root rotation from its
-    rigid (dof-less) children when available, otherwise by a best rigid
-    fit over all children; every other joint by solving its dof rotation
-    against its parent-relative direction.
+    Channel angles are recovered top-down, for all N frames at once: the
+    root rotation from its rigid (dof-less) children when available,
+    otherwise by a best rigid fit over all children; every other joint by
+    solving its dof rotation against its parent-relative direction (see
+    :func:`_solve_subtree`). Each frame's channels depend on that frame's
+    directions alone.
 
     Returns the text and ``bend``: for each bone name, the largest angle
     (radians), over the frames, between its target direction and its
@@ -715,37 +712,7 @@ def export_amc(skeleton: Skeleton, directions: np.ndarray,
                            "zero-length direction")
     directions = directions / norms
 
-    # per joint and frame: tx ty tz rx ry rz l, the columns of _CHANNEL_COLUMN
-    pose = np.zeros((m + 1, n, 7))
-    pose[0, :, :3] = (root_positions - skeleton.root_position) / skeleton.length_scale
-    root = skeleton.root
-    root_rot = _solve_root_rotation(skeleton, directions)
-    if root.rotation_dof:
-        c_root = skeleton.axis_matrix(root)
-        for fi in range(n):
-            pose[0, fi, 3:6] = _euler_channels(c_root.T @ root_rot[fi] @ c_root,
-                                               root.axis_order)
-
-    # a 3-dof joint can take any rotation that points its bone, so its
-    # subtree's best fit does not depend on the joints above it: it starts
-    # a solve of its own once its parent is committed
-    nodes = _build_solve_nodes(skeleton)
-    tops = [idx for idx, node in enumerate(nodes)
-            if node.joint.parent == 0 or len(node.ordered) == 3]
-    world = [_EYE] * (m + 1)      # one frame's committed world rotations, by joint
-    for fi in range(n):
-        world[0] = root_rot[fi]
-        for idx in tops:
-            _, commits = _solve_subtree(nodes, idx, world[nodes[idx].joint.parent],
-                                        directions[fi])
-            for ci, rot in commits:
-                node = nodes[ci]
-                world[ci + 1] = world[node.joint.parent] @ node.c @ rot @ node.c.T
-                pose[ci + 1, fi, 3:6] = _scatter_angles(rot, node)
-
-    channel_rows = {
-        joint.name: values[:, [_CHANNEL_COLUMN[ch] for ch in joint.dof]]
-        for joint, values in zip(skeleton.joints, pose) if joint.dof}
+    channel_rows, _ = _pose_channels(skeleton, directions, root_positions)
     # bend is measured on the pose as written: forward kinematics of the rows
     world = world_rotations(skeleton, RawMotion(n, channel_rows))
     written = np.stack([rot @ joint.direction
@@ -754,6 +721,42 @@ def export_amc(skeleton: Skeleton, directions: np.ndarray,
     bend = 2.0 * np.arcsin(np.minimum(1.0, 0.5 * chord))
     return (_format_amc(skeleton, channel_rows, n, comment),
             dict(zip(skeleton.bone_names, bend.tolist())))
+
+
+def _pose_channels(skeleton: Skeleton, directions: np.ndarray,
+                   root_positions: np.ndarray):
+    """Channel rows (N, dof) by joint name for (N, M, 3) unit bone
+    directions, and each bone's picked candidate (N,) by node index."""
+    n, m = directions.shape[:2]
+    # per joint and frame: tx ty tz rx ry rz l, the columns of _CHANNEL_COLUMN
+    pose = np.zeros((m + 1, n, 7))
+    pose[0, :, :3] = (root_positions - skeleton.root_position) / skeleton.length_scale
+    root = skeleton.root
+    world = [_solve_root_rotation(skeleton, directions)] + [_EYE] * m
+    if root.rotation_dof:
+        c_root = skeleton.axis_matrix(root)
+        pose[0, :, 3:6] = _euler_channels(c_root.T @ world[0] @ c_root, root.axis_order)
+
+    # a 3-dof joint can take any rotation that points its bone, so its
+    # subtree's best fit does not depend on the joints above it: it starts
+    # a solve of its own once its parent is committed
+    nodes = _build_solve_nodes(skeleton)
+    picks = {}
+    tops = [idx for idx, node in enumerate(nodes)
+            if node.joint.parent == 0 or len(node.ordered) == 3]
+    for idx in tops:
+        _, commits = _solve_subtree(nodes, idx, world[nodes[idx].joint.parent][:, None],
+                                    directions)
+        for ci, (pick, rot) in commits.items():
+            node, rot = nodes[ci], rot[:, 0]
+            world[ci + 1] = world[node.joint.parent] @ node.c @ rot @ node.c.T
+            pose[ci + 1, :, 3:6] = _scatter_angles(rot, node)
+            picks[ci] = pick[:, 0]
+
+    channel_rows = {
+        joint.name: values[:, [_CHANNEL_COLUMN[ch] for ch in joint.dof]]
+        for joint, values in zip(skeleton.joints, pose) if joint.dof}
+    return channel_rows, picks
 
 
 @dataclass
@@ -807,7 +810,7 @@ def _build_solve_nodes(skeleton: Skeleton) -> list["_SolveNode"]:
             node.twist_free = abs(node.u[first]) > 1.0 - 1e-9
             # R_first sweeps the bone's component along the second axis
             # over [-r, r], the reach of _solve_two_axes
-            r = math.hypot(node.u[second], _cross(_EYE[first], node.u)[second])
+            r = math.hypot(node.u[second], np.cross(_EYE[first], node.u)[second])
             node.band = (second, -r, r)
         else:
             node.bone_fixed = True
@@ -819,56 +822,76 @@ def _build_solve_nodes(skeleton: Skeleton) -> list["_SolveNode"]:
 
 def _solve_subtree(nodes: list["_SolveNode"], idx: int,
                    parent_rot: np.ndarray, seen: np.ndarray):
-    """Recover the dof angles of one subtree for one frame's (M, 3) unit
-    world bone directions ``seen``, below a parent whose world rotation is
-    ``parent_rot``.
+    """Recover the dof rotations of one subtree below Q parent world
+    rotations per frame, ``parent_rot`` of shape (N, Q, 3, 3), for the
+    (N, M, 3) unit world bone directions ``seen``.
 
     Direction-only solving leaves free parameters (the twist of a
-    ``twist_free`` joint, the two-branch ambiguity of a 2-dof joint);
-    candidates are ranked by the summed angular residual of the joint and
-    of its ``children``' subtrees, the joints a candidate can move, so the
-    branch that keeps limited descendants reachable wins.
+    ``twist_free`` joint, the two-branch ambiguity of a 2-dof joint). So
+    each row gets K candidates, an (N, Q, K, 3, 3) stack in a fixed order:
+    the joint's own solution (the minimal rotation, the one-axis angle, or
+    the 1 or 2 ranked branches of :func:`_solve_two_axes`), then each
+    child's twist roots in child order (:func:`_twist_candidates`). A slot
+    a row does not fill has an infinite total. The twist turns the joint
+    about its solved bone direction; each child turns it into candidates
+    in closed form: the one twist that points a ``bone_fixed`` child's
+    bone along its target, or the edges of the twist range over which a
+    ``band`` child lands its target.
 
-    The twist turns the joint about its solved bone direction. Each child
-    turns the twist into candidates in closed form: the one twist that
-    points a ``bone_fixed`` child's bone along its target, or the edges of
-    the twist range over which a ``band`` child lands its target.
-    Returns (total residual, [(node index, dof rotation), ...]) with each
-    node before its children.
+    A candidate's total is its own angular residual plus the totals of its
+    ``children``' subtrees, the joints it can move, each solved for all
+    N * Q * K candidate rotations. Per row the pick is the first candidate
+    whose total is below 1e-12, else the least total, ties to the first,
+    so the branch that keeps limited descendants reachable wins.
+
+    Returns (total (N, Q), {node index: (pick (N, Q), dof rotation
+    (N, Q, 3, 3))}) with each node before its children.
     """
     node = nodes[idx]
-    t = node.c.T @ (parent_rot.T @ seen[idx])
-    candidates = _dof_candidates(node.u, t, node.ordered)
+    n, q = parent_rot.shape[:2]
+    t = _axis_frame_target(node, parent_rot, seen[:, idx])
+    cands, valid = _dof_candidates(node.u, t, node.ordered)
     if node.twist_free and node.children:
-        base = candidates[0]
+        base = cands[:, :, 0]
         spin = _unit(base @ node.u)
+        turns, fills = [cands], [valid]
         for ci in node.children:
-            roots = _twist_candidates(nodes, idx, ci, spin, base, parent_rot, seen)
-            candidates.extend(_rodrigues(spin, psi) @ base for psi in roots)
-
-    best_total = math.inf
-    best_commits = None
-    for m in candidates:
-        total = _angle_between(m @ node.u, t)
-        commits = [(idx, m)]
-        if node.children:
-            rot = parent_rot @ node.c @ m @ node.c.T
+            psi, ok = _twist_candidates(nodes, idx, ci, spin, base, parent_rot, seen)
+            turns.append(_rodrigues(spin[:, :, None], psi) @ base[:, :, None])
+            fills.append(ok)
+        cands, valid = np.concatenate(turns, axis=2), np.concatenate(fills, axis=2)
+    k = cands.shape[2]
+    total = np.where(valid, _angle_between(cands @ node.u, t[:, :, None]), math.inf)
+    below = {}
+    if node.children:
+        rot = (parent_rot[:, :, None] @ node.c @ cands @ node.c.T).reshape(n, q * k, 3, 3)
         for ci in node.children:
-            if total >= best_total:
-                break
             child_total, child_commits = _solve_subtree(nodes, ci, rot, seen)
-            total += child_total
-            commits.extend(child_commits)
-        if total < best_total:
-            best_total = total
-            best_commits = commits
-            if best_total < 1e-12:
-                break
-    return best_total, best_commits
+            total += child_total.reshape(n, q, k)
+            below.update(child_commits)
+    if k == 1:          # nothing to pick: the children's rows are this node's
+        return total[:, :, 0], {idx: (np.zeros((n, q), dtype=int), cands[:, :, 0]), **below}
+    exact = total < 1e-12
+    pick = np.where(exact.any(axis=2), exact.argmax(axis=2), total.argmin(axis=2))
+    # flat row r * K + pick of the (N, Q, K) candidates, and of the
+    # children's (N, Q * K) rows, is row r's picked candidate
+    row = np.arange(n * q).reshape(n, q) * k + pick
+    commits = {idx: (pick, cands.reshape(-1, 3, 3)[row])}
+    for ci, (child_pick, child_rot) in below.items():
+        commits[ci] = (child_pick.reshape(-1)[row], child_rot.reshape(-1, 3, 3)[row])
+    return total.reshape(-1)[row], commits
+
+
+def _axis_frame_target(node: "_SolveNode", parent_rot: np.ndarray,
+                       world_dir: np.ndarray) -> np.ndarray:
+    """``node.c.T @ parent_rot.T @ world_dir`` for (N, Q, 3, 3) parent
+    rotations and (N, 3) world directions: (N, Q, 3)."""
+    return (world_dir[:, None, None, :] @ parent_rot @ node.c)[:, :, 0]
 
 
 def _scatter_angles(m: np.ndarray, node: "_SolveNode") -> np.ndarray:
-    """Angles (indexed x, y, z) whose dof channels recompose m.
+    """Angles (..., 3) (indexed x, y, z) whose dof channels recompose the
+    (..., 3, 3) rotations m.
 
     Generic euler extraction can return the mirror branch (off-dof angles
     of pi) which breaks when non-dof channels are dropped on write, so
@@ -878,39 +901,42 @@ def _scatter_angles(m: np.ndarray, node: "_SolveNode") -> np.ndarray:
     ordered = node.ordered
     if len(ordered) == 3:
         return _euler_channels(m, node.joint.axis_order)
-    out = np.zeros(3)
+    out = np.zeros(m.shape[:-2] + (3,))
     if len(ordered) == 1:
         axis = _AXIS_INDEX[ordered[0]]
-        out[axis] = _axis_angle_of(m, axis)
-        return out
-    if len(ordered) == 2:
+        out[..., axis] = _axis_angle_of(m, axis)
+    elif len(ordered) == 2:
         first, second = _AXIS_INDEX[ordered[0]], _AXIS_INDEX[ordered[1]]
-        e_first = _EYE[first]
-        spun = m @ e_first            # R_first leaves e_first in place
+        spun = m[..., first]          # R_first leaves e_first in place
         i, j = (second + 1) % 3, (second + 2) % 3
-        beta = math.atan2(e_first[i] * spun[j] - e_first[j] * spun[i],
-                          e_first[i] * spun[i] + e_first[j] * spun[j])
+        e_first = _EYE[first]
+        beta = np.arctan2(e_first[i] * spun[..., j] - e_first[j] * spun[..., i],
+                          e_first[i] * spun[..., i] + e_first[j] * spun[..., j])
         residue = single_axis_matrix(second, -beta) @ m
-        out[first] = _axis_angle_of(residue, first)
-        out[second] = beta
+        out[..., first] = _axis_angle_of(residue, first)
+        out[..., second] = beta
     return out
 
 
 def _euler_channels(m: np.ndarray, axis_order: str) -> np.ndarray:
-    """Angles (indexed x, y, z) of the ``axis_order`` Euler triple of m."""
-    out = np.zeros(3)
-    out[[_AXIS_INDEX[a] for a in axis_order.lower()]] = euler_from_matrix(m, axis_order)
+    """Angles (..., 3) (indexed x, y, z) of the ``axis_order`` Euler
+    triples of the (..., 3, 3) rotations m."""
+    out = np.zeros(m.shape[:-2] + (3,))
+    out[..., [_AXIS_INDEX[a] for a in axis_order.lower()]] = euler_from_matrix(m, axis_order)
     return out
 
 
-def _axis_angle_of(m: np.ndarray, axis: int) -> float:
-    """Rotation angle of a (near) single-axis rotation matrix."""
+def _axis_angle_of(m: np.ndarray, axis: int) -> np.ndarray:
+    """Rotation angles of (near) single-axis rotation matrices (..., 3, 3)."""
     i, j = (axis + 1) % 3, (axis + 2) % 3
-    return math.atan2(m[j, i], m[i, i])
+    return np.arctan2(m[..., j, i], m[..., i, i])
 
 
 def _twist_candidates(nodes, idx, child_idx, spin, m0, parent_rot, seen):
-    """Twist angles psi about the unit ``spin`` axis that land a child.
+    """Twist angles psi about the unit ``spin`` axes that land a child:
+    (N, Q, R) angles and the (N, Q, R) mask of those that exist, for
+    (N, Q, 3) axes, (N, Q, 3, 3) untwisted rotations ``m0`` and parent
+    rotations, and (N, M, 3) world directions ``seen``.
 
     With M(psi) = R_spin(psi) @ m0, a vector w fixed in this joint's frame
     turns to M(psi) @ w, whose component along g, the child's target in
@@ -918,28 +944,28 @@ def _twist_candidates(nodes, idx, child_idx, spin, m0, parent_rot, seen):
     ``bone_fixed`` child's bone is such a w and must point along g: the
     maximum, one root. A ``band`` child's axis is such a w, and the child
     lands while the component lies in [lo, hi]: the roots are the edges of
-    that twist range, up to four. An edge out of the component's range
-    clips to its nearest extremum, the best effort when the band is missed.
+    that twist range, base + span before base - span for each distinct
+    edge, up to four. An edge out of the component's range clips to its
+    nearest extremum, the best effort when the band is missed. A row whose
+    component does not turn (R below 1e-12) has no root.
     """
     node = nodes[idx]
     child = nodes[child_idx]
     local = child.u if child.bone_fixed else _EYE[child.band[0]]
-    g = node.c.T @ (parent_rot.T @ seen[child_idx])
+    g = _axis_frame_target(node, parent_rot, seen[:, child_idx])
     w = m0 @ (node.c.T @ (child.c @ local))
-    d = float(spin @ w) * float(spin @ g)
-    a = float(w @ g) - d
-    b = float(spin @ _cross(w, g))
-    r = math.hypot(a, b)
-    if r < 1e-12:
-        return []
-    base = math.atan2(b, a)
+    d = _dot(spin, w) * _dot(spin, g)
+    a = _dot(w, g) - d
+    b = _dot(spin, np.cross(w, g))
+    r = np.hypot(a, b)
+    base = np.arctan2(b, a)[..., None]
     if child.bone_fixed:
-        return [base]
-    roots = []
-    for edge in dict.fromkeys(child.band[1:]):
-        span = math.acos(max(-1.0, min(1.0, (edge - d) / r)))
-        roots += [base + span, base - span]
-    return roots
+        return base, (r >= 1e-12)[..., None]
+    edges = np.array(list(dict.fromkeys(child.band[1:])))
+    ratio = (edges - d[..., None]) / np.where(r < 1e-12, 1.0, r)[..., None]
+    span = np.arccos(np.clip(ratio, -1.0, 1.0))
+    roots = np.stack([base + span, base - span], axis=-1).reshape(r.shape + (-1,))
+    return roots, np.broadcast_to((r >= 1e-12)[..., None], roots.shape)
 
 
 def _solve_root_rotation(skeleton: Skeleton, directions: np.ndarray) -> np.ndarray:
@@ -951,122 +977,129 @@ def _solve_root_rotation(skeleton: Skeleton, directions: np.ndarray) -> np.ndarr
     if not skeleton.root.rotation_dof or not observed:
         return np.broadcast_to(_EYE, (len(directions), 3, 3)).copy()
     rest = np.stack([skeleton.joints[bi + 1].direction for bi in observed])
-    return np.stack([_kabsch(rest, seen) for seen in directions[:, observed]])
+    return _kabsch(rest, directions[:, observed])
 
 
-def _norm(v: np.ndarray) -> float:
-    """``np.linalg.norm`` of a 1-d vector by its own formula, minus the dispatch."""
-    return math.sqrt(v.dot(v))
-
-
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.cross`` of two 3-vectors, term for term."""
-    a0, a1, a2 = a.tolist()
-    b0, b1, b2 = b.tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of (..., 3) vectors."""
+    return np.einsum("...i,...i->...", a, b)
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
-    norm = _norm(v)
-    return v / norm if norm > 0 else v
+    """Vectors (..., 3) scaled to unit length; zero vectors stay zero."""
+    norm = np.sqrt(_dot(v, v))[..., None]
+    return v / np.where(norm > 0, norm, 1.0)
 
 
 def _kabsch(sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Best rotation (least squares) taking each source vector to its target."""
-    h = targets.T @ sources
-    u, _, vt = np.linalg.svd(h)
-    d = np.sign(np.linalg.det(u @ vt))
-    return u @ np.diag([1.0, 1.0, d]) @ vt
+    """Best rotation (least squares) taking each (B, 3) source vector to
+    its target, for each (..., B, 3) stack of targets: (..., 3, 3)."""
+    u, _, vt = np.linalg.svd(np.swapaxes(targets, -1, -2) @ sources)
+    flip = np.ones(u.shape[:-1])
+    flip[..., 2] = np.sign(np.linalg.det(u @ vt))
+    return (u * flip[..., None, :]) @ vt
 
 
-def _dof_candidates(u: np.ndarray, t: np.ndarray,
-                    ordered: tuple[str, ...]) -> list[np.ndarray]:
-    """Rotations about the dof axes taking unit u as close to unit t as
-    possible, best first. One- and zero-dof joints have a unique answer;
-    two-dof joints may have two branches; three-dof joints get the minimal
-    rotation (their twist freedom is resolved by the caller)."""
+def _dof_candidates(u: np.ndarray, t: np.ndarray, ordered: tuple[str, ...]):
+    """Rotations (..., K, 3, 3) about the dof axes taking unit u as close
+    to the unit targets t (..., 3) as possible, best first, and the
+    (..., K) mask of those that exist. One- and zero-dof joints have a
+    unique answer; two-dof joints may have two branches; three-dof joints
+    get the minimal rotation (their twist freedom is resolved by the
+    caller)."""
+    if len(ordered) == 2:
+        return _solve_two_axes(u, t, _AXIS_INDEX[ordered[0]], _AXIS_INDEX[ordered[1]])
     if not ordered:
-        return [_EYE.copy()]
-    if len(ordered) == 3:
-        return [_minimal_rotation(u, t)]
-    if len(ordered) == 1:
-        return [_solve_one_axis(u, t, _AXIS_INDEX[ordered[0]])]
-    first, second = _AXIS_INDEX[ordered[0]], _AXIS_INDEX[ordered[1]]
-    return _solve_two_axes(u, t, first, second)
+        m = np.broadcast_to(_EYE, t.shape[:-1] + (3, 3))
+    elif len(ordered) == 3:
+        m = _minimal_rotation(u, t)
+    else:
+        m = _solve_one_axis(u, t, _AXIS_INDEX[ordered[0]])
+    return m[..., None, :, :], np.ones(t.shape[:-1] + (1,), dtype=bool)
 
 
-def _angle_between(a: np.ndarray, b: np.ndarray) -> float:
+def _angle_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # chord form: full precision near zero where acos(dot) floors at ~1e-8
-    half = 0.5 * _norm(_unit(a) - _unit(b))
-    return 2.0 * math.asin(min(1.0, half))
+    d = _unit(a) - _unit(b)
+    return 2.0 * np.arcsin(np.minimum(1.0, 0.5 * np.sqrt(_dot(d, d))))
 
 
 def _minimal_rotation(u: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Smallest rotation taking unit u to unit t (Rodrigues)."""
-    axis = _cross(u, t)
-    s = _norm(axis)
-    c = min(1.0, max(-1.0, float(u.dot(t))))
-    if s < 1e-12:
-        if c > 0:
-            return _EYE.copy()
-        # antiparallel: rotate pi about any axis orthogonal to u
-        helper = np.array([1.0, 0.0, 0.0])
-        if abs(u[0]) > 0.9:
-            helper = np.array([0.0, 1.0, 0.0])
-        axis = _unit(_cross(u, helper))
-        return _rodrigues(axis, math.pi)
-    return _rodrigues(axis / s, math.atan2(s, c))
+    """Smallest rotations (..., 3, 3) taking unit u to the unit targets t
+    (..., 3) (Rodrigues); an antiparallel target turns pi about an axis
+    orthogonal to u."""
+    axis = np.cross(u, t)
+    s = np.sqrt(_dot(axis, axis))
+    c = np.clip(t @ u, -1.0, 1.0)
+    still = s < 1e-12
+    axis = axis / np.where(still, 1.0, s)[..., None]
+    angle = np.arctan2(s, c)
+    if still.any():
+        helper = _EYE[1] if abs(u[0]) > 0.9 else _EYE[0]
+        axis = np.where(still[..., None], _unit(np.cross(u, helper)), axis)
+        angle = np.where(still, np.where(c > 0, 0.0, math.pi), angle)
+    return _rodrigues(axis, angle)
 
 
-def _rodrigues(axis: np.ndarray, angle: float) -> np.ndarray:
-    x, y, z = axis.tolist()
-    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-    return _EYE + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
+def _rodrigues(axis: np.ndarray, angle: np.ndarray) -> np.ndarray:
+    """Rotations (..., 3, 3) by ``angle`` (...) about unit ``axis`` (..., 3)."""
+    x, y, z = axis[..., 0], axis[..., 1], axis[..., 2]
+    k = np.zeros(np.broadcast_shapes(x.shape, np.shape(angle)) + (3, 3))
+    k[..., 0, 1], k[..., 0, 2], k[..., 1, 2] = -z, y, -x
+    k[..., 1, 0], k[..., 2, 0], k[..., 2, 1] = z, -y, x
+    angle = np.asarray(angle)[..., None, None]
+    return _EYE + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
 
 
 def _solve_one_axis(u: np.ndarray, t: np.ndarray, axis: int) -> np.ndarray:
-    """Best rotation about one coordinate axis taking u toward t."""
+    """Best rotations (..., 3, 3) about one coordinate axis taking u
+    toward t (both (..., 3)); the identity where either has no component
+    off the axis."""
     i, j = (axis + 1) % 3, (axis + 2) % 3
-    up = np.array([u[i], u[j]])
-    tp = np.array([t[i], t[j]])
-    if _norm(up) < 1e-12 or _norm(tp) < 1e-12:
-        return _EYE.copy()
-    angle = math.atan2(tp[1], tp[0]) - math.atan2(up[1], up[0])
+    ui, uj, ti, tj = u[..., i], u[..., j], t[..., i], t[..., j]
+    flat = (np.sqrt(ui * ui + uj * uj) < 1e-12) | (np.sqrt(ti * ti + tj * tj) < 1e-12)
+    angle = np.where(flat, 0.0, np.arctan2(tj, ti) - np.arctan2(uj, ui))
     return single_axis_matrix(axis, angle)
 
 
-def _solve_two_axes(u: np.ndarray, t: np.ndarray, first: int,
-                    second: int) -> list[np.ndarray]:
-    """Rotations R_second(beta) @ R_first(alpha) taking u toward t, ranked
-    by (residual rounded to 1e-12, |alpha|): residuals that differ only by
-    rounding tie, so noise does not swap mirror branches.
+def _solve_two_axes(u: np.ndarray, t: np.ndarray, first: int, second: int):
+    """Rotations R_second(beta) @ R_first(alpha) taking u toward the
+    targets t (..., 3): a (..., K, 3, 3) stack ranked per row by (residual
+    rounded to 1e-12, |alpha|), so that residuals that differ only by
+    rounding tie and noise does not swap mirror branches, and the
+    (..., K) mask of branches that exist. K is 1 when u lies on the first
+    axis, else 2; a row reaches its target on two branches or, where it
+    cannot, on one.
 
     The component of the rotated vector along the second axis depends only
     on alpha, giving A cos(alpha) + B sin(alpha) = t[second]; beta then
     aligns the projections in the plane orthogonal to the second axis.
     """
     a = u[second]
-    b = _cross(_EYE[first], u)[second]
-    d = t[second]
+    b = np.cross(_EYE[first], u)[second]
+    d = t[..., second]
     r = math.hypot(a, b)
     base = math.atan2(b, a)
     if r < 1e-12:
-        alphas = [0.0]
-    elif abs(d) <= r:
-        delta = math.acos(max(-1.0, min(1.0, d / r)))
-        alphas = [base + delta, base - delta]
+        alphas = np.zeros(d.shape + (1,))
+        valid = np.ones(alphas.shape, dtype=bool)
     else:
+        reach = np.abs(d) <= r
+        delta = np.arccos(np.clip(d / r, -1.0, 1.0))
         # unreachable axial component; best effort at the extremum
-        alphas = [base if d > 0 else base + math.pi]
-    ranked = []
-    for alpha in alphas:
-        ra = single_axis_matrix(first, alpha)
-        w = ra @ u
-        rb = _solve_one_axis(w, t, second)
-        m = rb @ ra
-        ranked.append((_angle_between(m @ u, t), abs(alpha), m))
-    ranked.sort(key=lambda item: (round(item[0], 12), item[1]))
-    return [m for _, _, m in ranked]
+        alphas = np.stack([np.where(reach, base + delta,
+                                    np.where(d > 0, base, base + math.pi)),
+                           base - delta], axis=-1)
+        valid = np.stack([np.ones_like(reach), reach], axis=-1)
+    ra = single_axis_matrix(first, alphas)
+    t = t[..., None, :]
+    m = _solve_one_axis(ra @ u, t, second) @ ra
+    if alphas.shape[-1] == 2:
+        key, size = np.round(_angle_between(m @ u, t), 12), np.abs(alphas)
+        swap = valid[..., 1] & ((key[..., 1] < key[..., 0])
+                                | ((key[..., 1] == key[..., 0]) & (size[..., 1] < size[..., 0])))
+        m = np.where(swap[..., None, None, None], m[..., ::-1, :, :], m)
+    return m, valid
 
 
 def _format_amc(skeleton: Skeleton, channel_rows: dict[str, np.ndarray],

@@ -3,14 +3,19 @@
 Everything here is deliberately written the slow, obvious way in pure
 Python (lists, Gaussian elimination, nested loops) and shares no code
 with the package. Tests compare the fast vectorized implementations
-against these. The one exception is :func:`train_reference`, the training
-loop without its shortcuts: it is built from the package's own float
+against these. There are two exceptions. :func:`train_reference`, the
+training loop without its shortcuts, is built from the package's own float
 primitives, so that the fast loop can be required to match it bit for bit.
+:func:`export_amc_reference`, the AMC export one frame at a time, uses
+numpy on single 3-vectors and the package's skeleton constants, forward
+kinematics and text writer around its own pose solve.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 def solve_linear(a, b):
@@ -150,8 +155,6 @@ def train_reference(dataset, cfg, initial=None):
     ``neural.forward`` with a masked argmax, replay rows kept as tuples and
     assembled whole (next states too) when sampled, and Adam written out
     with fresh temporaries. Same random draws, same log rows."""
-    import numpy as np
-
     from mocapkey import agent, neural
     from mocapkey.errors import DegenerateSequence
     from mocapkey.keyframes import KeyframeSet
@@ -269,3 +272,315 @@ def train_reference(dataset, cfg, initial=None):
         episodes_done=episode_base + cfg.episodes, updates=updates,
         best_eval_q=None if best[2] is None else best[0], best_episode=best[1],
         eval_indices=tuple(pool[i][2] for i in eval_pool) if eval_pool else None)
+
+
+# ---------------------------------------------------------------------------
+# AMC export, one frame at a time
+# ---------------------------------------------------------------------------
+#
+# ``asfamc.export_amc`` as it solved poses before it solved every frame of a
+# window at once: one frame, one joint and one candidate at a time, with the
+# early exits that skip candidates which cannot win. It shares the package's
+# skeleton constants (``_build_solve_nodes``), the forward kinematics of
+# ``bend`` and the text writer; the solve itself is its own. Each committed
+# node also reports its candidate's slot in the batched solver's padded
+# candidate layout and its margin: how far the next-best evaluated
+# candidate's total lies above the pick's.
+
+def export_amc_reference(skeleton, directions, root_positions, comment=""):
+    """(text, bend, channel rows by joint name, {node index: (N,) slots},
+    {node index: (N,) margins}) of the per-frame export of unit
+    ``directions``."""
+    from mocapkey.asfamc import (_CHANNEL_COLUMN, RawMotion, _build_solve_nodes,
+                                 _format_amc, world_rotations)
+
+    eye = np.eye(3)
+    n, m = len(root_positions), len(skeleton.joints) - 1
+    pose = np.zeros((m + 1, n, 7))
+    pose[0, :, :3] = (root_positions - skeleton.root_position) / skeleton.length_scale
+    root = skeleton.root
+    root_rot = _solve_root_rotation(skeleton, directions)
+    if root.rotation_dof:
+        c_root = skeleton.axis_matrix(root)
+        for fi in range(n):
+            pose[0, fi, 3:6] = _euler_channels(c_root.T @ root_rot[fi] @ c_root,
+                                               root.axis_order)
+
+    nodes = _build_solve_nodes(skeleton)
+    slots = {idx: np.zeros(n, dtype=int) for idx in range(m)}
+    margins = {idx: np.full(n, math.inf) for idx in range(m)}
+    tops = [idx for idx, node in enumerate(nodes)
+            if node.joint.parent == 0 or len(node.ordered) == 3]
+    world = [eye] * (m + 1)
+    for fi in range(n):
+        world[0] = root_rot[fi]
+        for idx in tops:
+            _, commits = _solve_subtree(nodes, idx, world[nodes[idx].joint.parent],
+                                        directions[fi])
+            for ci, rot, slot, margin in commits:
+                node = nodes[ci]
+                world[ci + 1] = world[node.joint.parent] @ node.c @ rot @ node.c.T
+                pose[ci + 1, fi, 3:6] = _scatter_angles(rot, node)
+                slots[ci][fi], margins[ci][fi] = slot, margin
+
+    channel_rows = {
+        joint.name: values[:, [_CHANNEL_COLUMN[ch] for ch in joint.dof]]
+        for joint, values in zip(skeleton.joints, pose) if joint.dof}
+    world = world_rotations(skeleton, RawMotion(n, channel_rows))
+    written = np.stack([rot @ joint.direction
+                        for rot, joint in zip(world[1:], skeleton.joints[1:])], axis=1)
+    chord = np.linalg.norm(written - directions, axis=-1).max(axis=0, initial=0.0)
+    bend = 2.0 * np.arcsin(np.minimum(1.0, 0.5 * chord))
+    return (_format_amc(skeleton, channel_rows, n, comment),
+            dict(zip(skeleton.bone_names, bend.tolist())), channel_rows, slots, margins)
+
+
+_AXIS = {"x": 0, "y": 1, "z": 2}
+
+
+def _single_axis_matrix(axis, angle):
+    c, s = math.cos(angle), math.sin(angle)
+    out = np.zeros((3, 3))
+    j, k = (axis + 1) % 3, (axis + 2) % 3
+    out[axis, axis] = 1.0
+    out[j, j] = c
+    out[k, k] = c
+    out[k, j] = s
+    out[j, k] = -s
+    return out
+
+
+def _euler_from_matrix(rot, order):
+    order = order.lower()
+    i, j, k = (_AXIS[a] for a in order)
+    eps = 1.0 if (j - i) % 3 == 1 else -1.0
+    sin_b = -eps * rot[k, i]
+    sin_b = min(1.0, max(-1.0, sin_b))
+    beta = math.asin(sin_b)
+    if abs(rot[k, i]) < 1.0 - 1e-12:
+        alpha = math.atan2(eps * rot[k, j], rot[k, k])
+        gamma = math.atan2(eps * rot[j, i], rot[i, i])
+    else:
+        gamma = 0.0
+        rem = _single_axis_matrix(j, beta).T @ rot
+        a2, a3 = (i + 1) % 3, (i + 2) % 3
+        alpha = math.atan2(rem[a3, a2], rem[a2, a2])
+    return np.array([alpha, beta, gamma])
+
+
+def twist_root_slots(nodes, idx):
+    """{child node index: slots of its twist roots} in the batched solver's
+    padded candidate layout of a ``twist_free`` node: the node's own 1 or 2
+    dof slots first, then each child's roots in child order, 1 for a
+    ``bone_fixed`` child and 2 for each distinct edge of a ``band``."""
+    node = nodes[idx]
+    if not (node.twist_free and node.children):
+        return {}
+    first = 2 if len(node.ordered) == 2 and node.band[2] >= 1e-12 else 1
+    out = {}
+    for ci in node.children:
+        child = nodes[ci]
+        count = 1 if child.bone_fixed else 2 * len(set(child.band[1:]))
+        out[ci] = range(first, first + count)
+        first += count
+    return out
+
+
+def _solve_subtree(nodes, idx, parent_rot, seen):
+    """(total residual, [(node index, dof rotation, slot, margin), ...])
+    of one subtree for one frame, each node before its children."""
+    node = nodes[idx]
+    t = node.c.T @ (parent_rot.T @ seen[idx])
+    candidates = _dof_candidates(node.u, t, node.ordered)
+    slots = list(range(len(candidates)))
+    if node.twist_free and node.children:
+        base = candidates[0]
+        spin = _unit(base @ node.u)
+        for ci, span in twist_root_slots(nodes, idx).items():
+            roots = _twist_candidates(nodes, idx, ci, spin, base, parent_rot, seen)
+            candidates.extend(_rodrigues(spin, psi) @ base for psi in roots)
+            slots.extend(span[:len(roots)])
+
+    best_total = math.inf
+    best_commits = None
+    totals = []
+    for m, slot in zip(candidates, slots):
+        total = _angle_between(m @ node.u, t)
+        commits = [(idx, m, slot)]
+        if node.children:
+            rot = parent_rot @ node.c @ m @ node.c.T
+        for ci in node.children:
+            if total >= best_total:
+                break
+            child_total, child_commits = _solve_subtree(nodes, ci, rot, seen)
+            total += child_total
+            commits.extend(child_commits)
+        totals.append(total)
+        if total < best_total:
+            best_total = total
+            best_commits = commits
+            if best_total < 1e-12:
+                break
+    # partial totals of skipped candidates are lower bounds: the margin is too
+    picked = totals.index(best_total)
+    margin = min((v for i, v in enumerate(totals) if i != picked), default=math.inf)
+    head, *rest = best_commits
+    return best_total, [head + (margin - best_total,)] + rest
+
+
+def _scatter_angles(m, node):
+    ordered = node.ordered
+    if len(ordered) == 3:
+        return _euler_channels(m, node.joint.axis_order)
+    out = np.zeros(3)
+    if len(ordered) == 1:
+        axis = _AXIS[ordered[0]]
+        out[axis] = _axis_angle_of(m, axis)
+        return out
+    if len(ordered) == 2:
+        first, second = _AXIS[ordered[0]], _AXIS[ordered[1]]
+        e_first = np.eye(3)[first]
+        spun = m @ e_first
+        i, j = (second + 1) % 3, (second + 2) % 3
+        beta = math.atan2(e_first[i] * spun[j] - e_first[j] * spun[i],
+                          e_first[i] * spun[i] + e_first[j] * spun[j])
+        residue = _single_axis_matrix(second, -beta) @ m
+        out[first] = _axis_angle_of(residue, first)
+        out[second] = beta
+    return out
+
+
+def _euler_channels(m, axis_order):
+    out = np.zeros(3)
+    out[[_AXIS[a] for a in axis_order.lower()]] = _euler_from_matrix(m, axis_order)
+    return out
+
+
+def _axis_angle_of(m, axis):
+    i, j = (axis + 1) % 3, (axis + 2) % 3
+    return math.atan2(m[j, i], m[i, i])
+
+
+def _twist_candidates(nodes, idx, child_idx, spin, m0, parent_rot, seen):
+    node = nodes[idx]
+    child = nodes[child_idx]
+    local = child.u if child.bone_fixed else np.eye(3)[child.band[0]]
+    g = node.c.T @ (parent_rot.T @ seen[child_idx])
+    w = m0 @ (node.c.T @ (child.c @ local))
+    d = float(spin @ w) * float(spin @ g)
+    a = float(w @ g) - d
+    b = float(spin @ _cross(w, g))
+    r = math.hypot(a, b)
+    if r < 1e-12:
+        return []
+    base = math.atan2(b, a)
+    if child.bone_fixed:
+        return [base]
+    roots = []
+    for edge in dict.fromkeys(child.band[1:]):
+        span = math.acos(max(-1.0, min(1.0, (edge - d) / r)))
+        roots += [base + span, base - span]
+    return roots
+
+
+def _solve_root_rotation(skeleton, directions):
+    children = [bi for bi, j in enumerate(skeleton.joints[1:]) if j.parent == 0]
+    rigid = [bi for bi in children if not skeleton.joints[bi + 1].rotation_dof]
+    observed = rigid or children
+    if not skeleton.root.rotation_dof or not observed:
+        return np.broadcast_to(np.eye(3), (len(directions), 3, 3)).copy()
+    rest = np.stack([skeleton.joints[bi + 1].direction for bi in observed])
+    return np.stack([_kabsch(rest, seen) for seen in directions[:, observed]])
+
+
+def _norm(v):
+    return math.sqrt(v.dot(v))
+
+
+def _cross(a, b):
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
+def _unit(v):
+    norm = _norm(v)
+    return v / norm if norm > 0 else v
+
+
+def _kabsch(sources, targets):
+    h = targets.T @ sources
+    u, _, vt = np.linalg.svd(h)
+    d = np.sign(np.linalg.det(u @ vt))
+    return u @ np.diag([1.0, 1.0, d]) @ vt
+
+
+def _dof_candidates(u, t, ordered):
+    if not ordered:
+        return [np.eye(3)]
+    if len(ordered) == 3:
+        return [_minimal_rotation(u, t)]
+    if len(ordered) == 1:
+        return [_solve_one_axis(u, t, _AXIS[ordered[0]])]
+    first, second = _AXIS[ordered[0]], _AXIS[ordered[1]]
+    return _solve_two_axes(u, t, first, second)
+
+
+def _angle_between(a, b):
+    half = 0.5 * _norm(_unit(a) - _unit(b))
+    return 2.0 * math.asin(min(1.0, half))
+
+
+def _minimal_rotation(u, t):
+    axis = _cross(u, t)
+    s = _norm(axis)
+    c = min(1.0, max(-1.0, float(u.dot(t))))
+    if s < 1e-12:
+        if c > 0:
+            return np.eye(3)
+        helper = np.array([1.0, 0.0, 0.0])
+        if abs(u[0]) > 0.9:
+            helper = np.array([0.0, 1.0, 0.0])
+        axis = _unit(_cross(u, helper))
+        return _rodrigues(axis, math.pi)
+    return _rodrigues(axis / s, math.atan2(s, c))
+
+
+def _rodrigues(axis, angle):
+    x, y, z = axis.tolist()
+    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
+
+
+def _solve_one_axis(u, t, axis):
+    i, j = (axis + 1) % 3, (axis + 2) % 3
+    up = np.array([u[i], u[j]])
+    tp = np.array([t[i], t[j]])
+    if _norm(up) < 1e-12 or _norm(tp) < 1e-12:
+        return np.eye(3)
+    angle = math.atan2(tp[1], tp[0]) - math.atan2(up[1], up[0])
+    return _single_axis_matrix(axis, angle)
+
+
+def _solve_two_axes(u, t, first, second):
+    a = u[second]
+    b = _cross(np.eye(3)[first], u)[second]
+    d = t[second]
+    r = math.hypot(a, b)
+    base = math.atan2(b, a)
+    if r < 1e-12:
+        alphas = [0.0]
+    elif abs(d) <= r:
+        delta = math.acos(max(-1.0, min(1.0, d / r)))
+        alphas = [base + delta, base - delta]
+    else:
+        alphas = [base if d > 0 else base + math.pi]
+    ranked = []
+    for alpha in alphas:
+        ra = _single_axis_matrix(first, alpha)
+        w = ra @ u
+        rb = _solve_one_axis(w, t, second)
+        m = rb @ ra
+        ranked.append((_angle_between(m @ u, t), abs(alpha), m))
+    ranked.sort(key=lambda item: (round(item[0], 12), item[1]))
+    return [m for _, _, m in ranked]

@@ -391,27 +391,47 @@ def test_data_errors_exit_two(tmp_path, prepped, capsys):
     assert not (tmp_path / "o.amc").exists()
 
 
-def test_numeric_failure_exits_three(tmp_path, capsys):
-    # a still take: every frame repeats the first, so no window has an
-    # endpoint-only error for greedy to reduce
+def _still_dataset(tmp_path, takes):
+    """A dataset prepped from ``takes`` still takes: every frame repeats
+    the first, so no window has an endpoint-only error to reduce."""
     tree = tmp_path / "still"
     tree.mkdir()
     (tree / "still.asf").write_text(synthcorpus.skeleton_text())
     skel = synthcorpus.skeleton()
-    raw = synthcorpus.make_raw_motion(skel, 1, 500)
-    still = RawMotion(raw.frame_count, {
-        name: np.repeat(values[:1], raw.frame_count, axis=0)
-        for name, values in raw.channels.items()})
-    (tree / "still.amc").write_text(synthcorpus.amc_text(skel, still))
+    for i in range(takes):
+        raw = synthcorpus.make_raw_motion(skel, 1 + i, 500)
+        still = RawMotion(raw.frame_count, {
+            name: np.repeat(values[:1], raw.frame_count, axis=0)
+            for name, values in raw.channels.items()})
+        (tree / f"still_{i}.amc").write_text(synthcorpus.amc_text(skel, still))
     data = tmp_path / "ds"
     assert cli.main(["prep", "--asf", str(tree), "--amc", str(tree),
                      "--out", str(data)]) == cli.EXIT_OK
+    return data
+
+
+def test_numeric_failure_exits_three(tmp_path, capsys):
+    data = _still_dataset(tmp_path, 1)
     capsys.readouterr()
     assert cli.main(["reconstruct", "--data", str(data), "--seq", "w00000",
                      "--method", "greedy", "--k", "3",
                      "--out", str(tmp_path / "o.amc")]) == cli.EXIT_NUMERIC
     err = capsys.readouterr().err
     assert "numeric failure" in err and "Traceback" not in err
+
+
+def test_all_degenerate_windows_exit_three_in_train_and_eval(tmp_path, capsys):
+    # train and eval skip a degenerate window, and fail the same way when
+    # every window is one
+    data = _still_dataset(tmp_path, 3)
+    capsys.readouterr()
+    assert cli.main(["train", "--data", str(data), "--out", str(tmp_path / "a.ckpt"),
+                     "--episodes", "2"]) == cli.EXIT_NUMERIC
+    assert "every training window is degenerate" in capsys.readouterr().err
+    assert not (tmp_path / "a.ckpt").exists()
+    assert cli.main(["eval", "--data", str(data), "--methods", "uc", "--k", "5",
+                     "--out", str(tmp_path / "rows.csv")]) == cli.EXIT_NUMERIC
+    assert "every evaluated window is degenerate" in capsys.readouterr().err
 
 
 def _capped_main(args, limit=2 << 30):
