@@ -27,17 +27,23 @@ def select_uniform(n: int, w: int) -> KeyframeSet:
     return KeyframeSet(tuple(int(np.rint((n - 1) * i / (w - 1))) for i in range(w)), n)
 
 
-def select_greedy(sph: SphericalSequence, w: int) -> KeyframeSet:
+def select_greedy(sph: SphericalSequence, w: int,
+                  table: np.ndarray | None = None) -> KeyframeSet:
     """Grow from the endpoints, always adding the frame that minimizes the
     reconstruction error; ties break toward the smallest frame index.
 
     Candidates are scored from a table of every section's error: adding
     frame f to section [a, b] replaces E[a, b] by E[a, f] + E[f, b].
+    ``table`` is ``section_error_table(sph)``, built here when not given;
+    one table serves every budget of a window.
     """
     n = sph.frame_count
     check_keyframe_count(n, w)
     q_baseline(sph)   # degenerate windows have no meaningful argmin
-    table = section_error_table(sph)
+    if table is None:
+        table = section_error_table(sph)
+    elif table.shape != (n, n):
+        raise ValueError(f"section table of shape {table.shape} for {n} frames")
     mask = KeyframeSet.endpoints(n).mask
     total = table[0, n - 1]
     for _ in range(w - 2):

@@ -29,8 +29,9 @@ import numpy as np
 from . import agent, baselines, dataset, neural
 from .asfamc import export_amc, parse_amc, parse_asf
 from .errors import DegenerateSequence, MocapKeyError, NumericError
-from .keyframes import KeyframeSet
-from .metrics import REPORT_COLUMNS, q_baseline, q_error, root_rmse
+from .keyframes import KeyframeSet, check_keyframe_count
+from .metrics import (REPORT_COLUMNS, q_baseline, q_error, root_rmse,
+                      section_error_table)
 from .motion import (CMU_EXCLUDED_JOINTS, SOURCE_FPS, STRIDE, WINDOW_LEN,
                      filter_joints, forward_kinematics, preprocess)
 from .reconstruct import reconstruct_full
@@ -311,8 +312,9 @@ def cmd_train(args) -> int:
 # eval
 # ---------------------------------------------------------------------------
 
-def _run_selector(method: str, sph, w: int, net, seed: int):
-    """Returns (keyframes, selection seconds) for one window and method."""
+def _run_selector(method: str, sph, w: int, net, seed: int, table=None):
+    """Returns (keyframes, selection seconds) for one window and method;
+    greedy reads ``table`` when given."""
     if method == "sidql":
         return agent.infer_keyframes(net, sph, w)
     t0 = time.perf_counter()
@@ -321,7 +323,7 @@ def _run_selector(method: str, sph, w: int, net, seed: int):
     elif method == "uc":
         keys = baselines.select_uniform(sph.frame_count, w)
     else:      # greedy: the parser's choices allow no other method
-        keys = baselines.select_greedy(sph, w)
+        keys = baselines.select_greedy(sph, w, table)
     return keys, time.perf_counter() - t0
 
 
@@ -342,10 +344,17 @@ def _eval_window(payload):
         q_baseline(sph)
     except DegenerateSequence:
         return window_id, None
+    table, table_s = None, 0.0
+    if "greedy" in methods:
+        t0 = time.perf_counter()
+        table = section_error_table(sph)
+        table_s = time.perf_counter() - t0
     rows = []
     for w in ks:
         for method in methods:
-            keys, seconds = _run_selector(method, sph, w, net, seed)
+            keys, seconds = _run_selector(method, sph, w, net, seed, table)
+            if method == "greedy":
+                seconds += table_s    # every budget counts the whole search
             rows.append({
                 "sequence": window_id,
                 "keyframes": w,
@@ -375,6 +384,12 @@ def cmd_eval(args) -> int:
          args.seed + i)
         for i, rec in enumerate(sorted(records, key=lambda r: r.window_id))
     ]
+    shortest = min(p[1].frame_count for p in payloads)
+    try:
+        check_keyframe_count(shortest, max(ks))
+    except MocapKeyError as exc:
+        raise type(exc)(f"{args.data}: --k does not fit its {shortest}-frame "
+                        f"windows: {exc}") from None
     if net is not None:
         _check_model(net, args.model, args.data, [p[1] for p in payloads])
 
@@ -466,6 +481,11 @@ def cmd_reconstruct(args) -> int:
             raise type(exc)(f"{args.data}: --keyframes do not fit window "
                             f"'{rec.window_id}': {exc}") from None
     else:
+        try:
+            check_keyframe_count(sph.frame_count, args.k)
+        except MocapKeyError as exc:
+            raise type(exc)(f"{args.data}: --k does not fit window "
+                            f"'{rec.window_id}': {exc}") from None
         net = None
         if args.method == "sidql":
             net = agent.load_agent(args.model)[0].net

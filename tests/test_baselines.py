@@ -106,3 +106,24 @@ def test_greedy_with_full_budget_keeps_everything(small_sph):
     n = sph.frame_count
     got = baselines.select_greedy(sph, n)
     assert got.indices == tuple(range(n))
+
+
+def test_greedy_on_a_given_table_equals_greedy_alone(small_sph):
+    # eval builds one table per window and hands it to every budget; every
+    # budget on one window, the eval budgets on the rest
+    cases = [(sph, ws) for sph, ws in
+             zip(small_sph, [range(2, 61)] + [(5, 10, 15)] * (len(small_sph) - 1))]
+    cases += [(random_spherical(seed, n=n, m=m), range(2, n + 1))
+              for seed, n, m in ((0, 3, 1), (1, 9, 2), (2, 16, 3), (3, 24, 2))]
+    for sph, ws in cases:
+        table = metrics.section_error_table(sph)
+        for w in ws:
+            assert baselines.select_greedy(sph, w, table) == baselines.select_greedy(sph, w)
+
+
+def test_greedy_rejects_a_table_of_another_shape(small_sph):
+    sph = small_sph[0]
+    table = metrics.section_error_table(sph)
+    for bad in (table[:-1, :-1], table[:, :-1], table.ravel()):
+        with pytest.raises(ValueError, match=r"^section table of shape .* for 60 frames$"):
+            baselines.select_greedy(sph, 5, bad)

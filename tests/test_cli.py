@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -143,6 +144,50 @@ def test_eval_jobs_match_a_single_process(tmp_path, prepped, trained):
         outputs.append((rows, summary))
     assert len(outputs[0][0]) == 4 * 4 * 2  # train windows x methods x budgets
     assert outputs[0] == outputs[1]
+
+
+def _counted(calls, fn, key):
+    def wrapper(*args, **kwargs):
+        calls.append(key(*args))
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_eval_builds_one_section_table_per_window(tmp_path, prepped, trained,
+                                                  monkeypatch):
+    tables, greedy, agent = [], [], []
+    monkeypatch.setattr(cli, "section_error_table",
+                        _counted(tables, cli.section_error_table, id))
+    monkeypatch.setattr(cli.baselines, "select_greedy",
+                        _counted(greedy, cli.baselines.select_greedy,
+                                 lambda sph, w, table: (id(sph), w)))
+    monkeypatch.setattr(cli.agent, "infer_keyframes",
+                        _counted(agent, cli.agent.infer_keyframes,
+                                 lambda net, sph, w: (id(sph), w)))
+    assert cli.main(["eval", "--data", str(prepped), "--model", str(trained),
+                     "--k", "4,6,8", "--out", str(tmp_path / "r.csv")]) == cli.EXIT_OK
+    assert len(tables) == len(set(tables)) == 2     # the two usable test windows
+    each = sorted((sph, w) for sph in tables for w in (4, 6, 8))
+    assert sorted(greedy) == sorted(agent) == each
+
+
+def test_greedy_decision_time_counts_the_table_at_every_budget(tmp_path, prepped,
+                                                               monkeypatch):
+    build = cli.section_error_table
+
+    def slow_build(sph):
+        time.sleep(0.02)
+        return build(sph)
+
+    monkeypatch.setattr(cli, "section_error_table", slow_build)
+    report = tmp_path / "r.csv"
+    assert cli.main(["eval", "--data", str(prepped), "--methods", "uc,greedy",
+                     "--k", "4,6,8", "--out", str(report)]) == cli.EXIT_OK
+    with open(report, newline="") as fh:
+        times = [float(r["decision_time_s"]) for r in csv.DictReader(fh)
+                 if r["method"] == "greedy"]
+    assert len(times) == 2 * 3
+    assert min(times) >= 0.02
 
 
 def test_eval_without_model_skips_agent(tmp_path, prepped):
@@ -389,6 +434,17 @@ def test_data_errors_exit_two(tmp_path, prepped, capsys):
     assert (f"{prepped}: --keyframes do not fit window 'w00000': set must span frames "
             "0..59, got (0, 70)") in capsys.readouterr().err
     assert not (tmp_path / "o.amc").exists()
+    # a budget past the windows' frame count names the dataset and --k
+    for argv, where in (
+            (["eval", "--methods", "uc,greedy", "--k", "5,61",
+              "--out", str(tmp_path / "r.csv")], "its 60-frame windows"),
+            (["reconstruct", "--seq", "w00000", "--method", "uc", "--k", "61",
+              "--out", str(tmp_path / "o.amc")], "window 'w00000'")):
+        capsys.readouterr()
+        assert cli.main([*argv, "--data", str(prepped)]) == cli.EXIT_DATA
+        assert (f"{prepped}: --k does not fit {where}: keyframe count must be "
+                "in [2, 60], got 61") in capsys.readouterr().err, argv
+    assert not (tmp_path / "r.csv").exists() and not (tmp_path / "o.amc").exists()
 
 
 def _still_dataset(tmp_path, takes):
