@@ -17,7 +17,6 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -869,8 +868,6 @@ def _solve_subtree(nodes: list["_SolveNode"], idx: int,
             child_total, child_commits = _solve_subtree(nodes, ci, rot, seen)
             total += child_total.reshape(n, q, k)
             below.update(child_commits)
-    if k == 1:          # nothing to pick: the children's rows are this node's
-        return total[:, :, 0], {idx: (np.zeros((n, q), dtype=int), cands[:, :, 0]), **below}
     exact = total < 1e-12
     pick = np.where(exact.any(axis=2), exact.argmax(axis=2), total.argmin(axis=2))
     # flat row r * K + pick of the (N, Q, K) candidates, and of the
@@ -1033,11 +1030,9 @@ def _minimal_rotation(u: np.ndarray, t: np.ndarray) -> np.ndarray:
     c = np.clip(t @ u, -1.0, 1.0)
     still = s < 1e-12
     axis = axis / np.where(still, 1.0, s)[..., None]
-    angle = np.arctan2(s, c)
-    if still.any():
-        helper = _EYE[1] if abs(u[0]) > 0.9 else _EYE[0]
-        axis = np.where(still[..., None], _unit(np.cross(u, helper)), axis)
-        angle = np.where(still, np.where(c > 0, 0.0, math.pi), angle)
+    helper = _EYE[1] if abs(u[0]) > 0.9 else _EYE[0]
+    axis = np.where(still[..., None], _unit(np.cross(u, helper)), axis)
+    angle = np.where(still, np.where(c > 0, 0.0, math.pi), np.arctan2(s, c))
     return _rodrigues(axis, angle)
 
 
@@ -1104,21 +1099,15 @@ def _solve_two_axes(u: np.ndarray, t: np.ndarray, first: int, second: int):
 
 def _format_amc(skeleton: Skeleton, channel_rows: dict[str, np.ndarray],
                 n: int, comment: str) -> str:
-    out = io.StringIO()
-    if comment:
-        for line in comment.splitlines():
-            out.write(f"# {line}\n")
-    out.write(":FULLY-SPECIFIED\n")
-    out.write(":DEGREES\n" if skeleton.angle_in_degrees else ":RADIANS\n")
-    lines = []             # (name, rows as lists, degree flag per channel)
-    for joint in (j for j in skeleton.joints if j.dof):
-        lines.append((joint.name, channel_rows[joint.name].tolist(),
-                      [skeleton.angle_in_degrees and ch in _ROTATION_DOF
-                       for ch in joint.dof]))
-    for fi in range(n):
-        out.write(f"{fi + 1}\n")
-        for name, rows, turn in lines:
-            printed = " ".join(f"{math.degrees(v) if deg else v:.10g}"
-                               for v, deg in zip(rows[fi], turn))
-            out.write(f"{name} {printed}\n")
-    return out.getvalue()
+    degrees = skeleton.angle_in_degrees
+    joints = [j for j in skeleton.joints if j.dof]
+    # one % template per frame: its number, then one line per dof joint
+    frame = "%d\n" + "".join(j.name.replace("%", "%%") + " %.10g" * len(j.dof) + "\n"
+                             for j in joints)
+    values = np.hstack([np.zeros((n, 0))] + [
+        np.where([degrees and ch in _ROTATION_DOF for ch in j.dof],
+                 np.degrees(channel_rows[j.name]), channel_rows[j.name])
+        for j in joints])
+    head = "".join(f"# {line}\n" for line in comment.splitlines())
+    head += ":FULLY-SPECIFIED\n" + (":DEGREES\n" if degrees else ":RADIANS\n")
+    return head + "".join(frame % (fi, *row) for fi, row in enumerate(values.tolist(), 1))

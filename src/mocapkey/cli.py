@@ -257,6 +257,17 @@ def _load_config(args, resumed: agent.TrainConfig | None) -> agent.TrainConfig:
         {**cfg, **{k: v for k, v in flags.items() if v is not None}})
 
 
+def _check_budget(data, windows, w: int, what: str) -> None:
+    """Raise MocapKeyError naming the dataset and ``what`` unless a budget
+    of w keyframes fits every window."""
+    shortest = min(sph.frame_count for sph in windows)
+    try:
+        check_keyframe_count(shortest, w)
+    except MocapKeyError as exc:
+        raise type(exc)(f"{data}: {what} does not fit its {shortest}-frame "
+                        f"windows: {exc}") from None
+
+
 def cmd_train(args) -> int:
     initial, resumed = agent.load_agent(args.resume) if args.resume else (None, None)
     cfg = _load_config(args, resumed)
@@ -265,6 +276,7 @@ def cmd_train(args) -> int:
     if not records:
         raise MocapKeyError(f"{args.data}: no training windows")
     windows = [sequence_to_spherical(rec.seq) for rec in records]
+    _check_budget(args.data, windows, cfg.keyframe_count, "keyframe_count")
 
     started = time.perf_counter()
     last_print = [started]
@@ -384,12 +396,7 @@ def cmd_eval(args) -> int:
          args.seed + i)
         for i, rec in enumerate(sorted(records, key=lambda r: r.window_id))
     ]
-    shortest = min(p[1].frame_count for p in payloads)
-    try:
-        check_keyframe_count(shortest, max(ks))
-    except MocapKeyError as exc:
-        raise type(exc)(f"{args.data}: --k does not fit its {shortest}-frame "
-                        f"windows: {exc}") from None
+    _check_budget(args.data, [p[1] for p in payloads], max(ks), "--k")
     if net is not None:
         _check_model(net, args.model, args.data, [p[1] for p in payloads])
 

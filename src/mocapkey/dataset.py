@@ -66,7 +66,7 @@ def read_window(path) -> tuple[Skeleton, MotionSequence, int]:
         header = read_header(fh)
         try:
             skeleton = Skeleton.from_dict(header.get("skeleton"))
-            n = checked(header.get("frame_count"), "frame_count", int, MocapKeyError, low=0)
+            n = checked(header.get("frame_count"), "frame_count", int, MocapKeyError, low=2)
             dt = checked(header.get("dt"), "dt", float, MocapKeyError, above=0)
             start = checked(header.get("start_frame", 0), "start_frame", int,
                             MocapKeyError, low=0)

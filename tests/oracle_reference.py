@@ -8,11 +8,13 @@ training loop without its shortcuts, is built from the package's own float
 primitives, so that the fast loop can be required to match it bit for bit.
 :func:`export_amc_reference`, the AMC export one frame at a time, uses
 numpy on single 3-vectors and the package's skeleton constants, forward
-kinematics and text writer around its own pose solve.
+kinematics around its own pose solve, and writes its text with
+:func:`format_amc_reference`, the AMC writer one value at a time.
 """
 
 from __future__ import annotations
 
+import io
 import math
 
 import numpy as np
@@ -282,7 +284,7 @@ def train_reference(dataset, cfg, initial=None):
 # window at once: one frame, one joint and one candidate at a time, with the
 # early exits that skip candidates which cannot win. It shares the package's
 # skeleton constants (``_build_solve_nodes``), the forward kinematics of
-# ``bend`` and the text writer; the solve itself is its own. Each committed
+# ``bend``; the solve and the text writer are its own. Each committed
 # node also reports its candidate's slot in the batched solver's padded
 # candidate layout and its margin: how far the next-best evaluated
 # candidate's total lies above the pick's.
@@ -292,7 +294,7 @@ def export_amc_reference(skeleton, directions, root_positions, comment=""):
     {node index: (N,) margins}) of the per-frame export of unit
     ``directions``."""
     from mocapkey.asfamc import (_CHANNEL_COLUMN, RawMotion, _build_solve_nodes,
-                                 _format_amc, world_rotations)
+                                 world_rotations)
 
     eye = np.eye(3)
     n, m = len(root_positions), len(skeleton.joints) - 1
@@ -331,8 +333,32 @@ def export_amc_reference(skeleton, directions, root_positions, comment=""):
                         for rot, joint in zip(world[1:], skeleton.joints[1:])], axis=1)
     chord = np.linalg.norm(written - directions, axis=-1).max(axis=0, initial=0.0)
     bend = 2.0 * np.arcsin(np.minimum(1.0, 0.5 * chord))
-    return (_format_amc(skeleton, channel_rows, n, comment),
+    return (format_amc_reference(skeleton, channel_rows, n, comment),
             dict(zip(skeleton.bone_names, bend.tolist())), channel_rows, slots, margins)
+
+
+def format_amc_reference(skeleton, channel_rows, n, comment=""):
+    """AMC text of n frames of channel rows (N, dof) by joint name, one
+    value at a time: each rotation value of a degree skeleton turned with
+    ``math.degrees`` and printed to 10 significant digits."""
+    out = io.StringIO()
+    if comment:
+        for line in comment.splitlines():
+            out.write(f"# {line}\n")
+    out.write(":FULLY-SPECIFIED\n")
+    out.write(":DEGREES\n" if skeleton.angle_in_degrees else ":RADIANS\n")
+    lines = []             # (name, rows as lists, degree flag per channel)
+    for joint in (j for j in skeleton.joints if j.dof):
+        lines.append((joint.name, channel_rows[joint.name].tolist(),
+                      [skeleton.angle_in_degrees and ch in ("rx", "ry", "rz")
+                       for ch in joint.dof]))
+    for fi in range(n):
+        out.write(f"{fi + 1}\n")
+        for name, rows, turn in lines:
+            printed = " ".join(f"{math.degrees(v) if deg else v:.10g}"
+                               for v, deg in zip(rows[fi], turn))
+            out.write(f"{name} {printed}\n")
+    return out.getvalue()
 
 
 _AXIS = {"x": 0, "y": 1, "z": 2}

@@ -683,7 +683,8 @@ def export_differential(skeleton, targets, root):
     of its edge roots sits on the edge of its reach, where the acos of
     its branch angle turns a rounding error e of the target into about
     sqrt(2 e), some 1e-8 rad; at and below it the channels must agree
-    within 1e-6 rad. Every bend must agree within 1e-9.
+    within 1e-6 rad. Every bend must agree within 1e-9. The text must be
+    the reference writer's text of the export's own rows, byte for byte.
     """
     unit = targets / np.linalg.norm(targets, axis=-1, keepdims=True)
     text, bend = asfamc.export_amc(skeleton, targets, root)
@@ -692,6 +693,7 @@ def export_differential(skeleton, targets, root):
         skeleton, unit, root)
     nodes = asfamc._build_solve_nodes(skeleton)
     n = len(root)
+    assert text == oracle_reference.format_amc_reference(skeleton, rows, n)
     same = {0: np.ones(n, dtype=bool)}      # by joint: it and all above agree
     edge = {0: np.zeros(n, dtype=bool)}     # by joint: it or one above sits on an edge
     counts = {"decided": 0, "below_ties": 0, "on_edges": 0}
@@ -814,7 +816,27 @@ def test_export_amc_translation_only_root(skeleton):
     assert np.max(_angles(dirs2, dirs)) < 1e-4 and max(bend.values()) < 1e-4
 
 
-def test_export_amc_comment_written(skeleton):
+@pytest.mark.parametrize("case", ["comment", "no comment", "radians", "percent name"])
+def test_export_amc_writes_the_reference_text(skeleton, case):
+    # the one-template writer against the reference writer, byte for byte:
+    # comment lines, an empty comment (no '#' line), a :RADIANS skeleton
+    # (rotation values written as they are) and a joint name with '%' in it
+    if case == "radians":
+        skeleton = dataclasses.replace(skeleton, angle_in_degrees=False)
+    elif case == "percent name":
+        skeleton = dataclasses.replace(skeleton, joints=tuple(
+            dataclasses.replace(j, name=j.name.replace("femur", "%sfemur%"))
+            for j in skeleton.joints))
+    comment = "window w00001\nuc W=5" if case == "comment" else ""
     dirs, root = _fk(skeleton, synthcorpus.make_raw_motion(skeleton, 24, 2))
-    text, _ = asfamc.export_amc(skeleton, dirs, root, comment="window w00001")
-    assert text.splitlines()[0] == "# window w00001"
+    text, _ = asfamc.export_amc(skeleton, dirs, root, comment=comment)
+    unit = dirs / np.linalg.norm(dirs, axis=-1, keepdims=True)
+    rows, _ = asfamc._pose_channels(skeleton, unit, root)
+    assert text == oracle_reference.format_amc_reference(skeleton, rows, 2, comment)
+    lines = text.splitlines()
+    assert lines[:lines.index(":FULLY-SPECIFIED")] == (
+        ["# window w00001", "# uc W=5"] if comment else [])
+    assert (":RADIANS" in lines) == (case == "radians")
+    back = asfamc.parse_amc(text, skeleton)
+    for name, values in rows.items():
+        assert np.allclose(back.channels[name], values, rtol=1e-9, atol=1e-12), name

@@ -434,17 +434,24 @@ def test_data_errors_exit_two(tmp_path, prepped, capsys):
     assert (f"{prepped}: --keyframes do not fit window 'w00000': set must span frames "
             "0..59, got (0, 70)") in capsys.readouterr().err
     assert not (tmp_path / "o.amc").exists()
-    # a budget past the windows' frame count names the dataset and --k
+    # a budget past the windows' frame count names the dataset and the budget
+    (tmp_path / "k.json").write_text(json.dumps({**TINY_TRAIN_CONFIG, "keyframe_count": 61}))
     for argv, where in (
             (["eval", "--methods", "uc,greedy", "--k", "5,61",
-              "--out", str(tmp_path / "r.csv")], "its 60-frame windows"),
+              "--out", str(tmp_path / "r.csv")], "--k does not fit its 60-frame windows"),
             (["reconstruct", "--seq", "w00000", "--method", "uc", "--k", "61",
-              "--out", str(tmp_path / "o.amc")], "window 'w00000'")):
+              "--out", str(tmp_path / "o.amc")], "--k does not fit window 'w00000'"),
+            (["train", "--keyframes", "61", "--out", str(tmp_path / "t.ckpt")],
+             "keyframe_count does not fit its 60-frame windows"),
+            (["train", "--config", str(tmp_path / "k.json"),
+              "--out", str(tmp_path / "t.ckpt")],
+             "keyframe_count does not fit its 60-frame windows")):
         capsys.readouterr()
         assert cli.main([*argv, "--data", str(prepped)]) == cli.EXIT_DATA
-        assert (f"{prepped}: --k does not fit {where}: keyframe count must be "
+        assert (f"{prepped}: {where}: keyframe count must be "
                 "in [2, 60], got 61") in capsys.readouterr().err, argv
-    assert not (tmp_path / "r.csv").exists() and not (tmp_path / "o.amc").exists()
+    assert not any((tmp_path / name).exists()
+                   for name in ("r.csv", "o.amc", "t.ckpt", "t.ckpt.log.csv"))
 
 
 def _still_dataset(tmp_path, takes):
@@ -580,7 +587,7 @@ def test_bad_stored_values_exit_two_and_name_the_field(tmp_path, prepped, traine
              if j["dof"] and j["limits"])
     joint = ("skeleton", "joints", k)
     record_fields = [
-        (("frame_count",), "int"), (("dt",), "positive"), (("start_frame",), "int"),
+        (("frame_count",), "int", 0, 1), (("dt",), "positive"), (("start_frame",), "int"),
         (("source",), "str"), (("skeleton", "name"), "str"),
         (("skeleton", "length_scale"), "positive"),
         (("skeleton", "angle_in_degrees"), "bool"),
