@@ -19,7 +19,7 @@ from .errors import DegenerateSequence, MocapKeyError, NumericError
 from .keyframes import KeyframeSet
 from .metrics import (angle_distance, q_baseline, q_error, root_rmse,
                       section_error_table, section_errors)
-from .motion import (CMU_EXCLUDED_JOINTS, MotionSequence, filter_joints,
+from .motion import (CMU_EXCLUDED_JOINTS, MotionSequence, downsample, filter_joints,
                      forward_kinematics, preprocess)
 from .neural import (AdamState, QNetwork, backward_and_step, checkpoint_load,
                      checkpoint_save, forward, huber, init)
@@ -36,7 +36,7 @@ __all__ = [
     "QNetwork", "RawMotion", "ReplayMemory", "Skeleton",
     "SphericalSequence", "TrainConfig", "TrainResult", "WindowRecord",
     "angle_distance", "backward_and_step", "cart_to_sph", "checkpoint_load",
-    "checkpoint_save", "export_amc", "filter_joints", "forward",
+    "checkpoint_save", "downsample", "export_amc", "filter_joints", "forward",
     "forward_kinematics", "huber", "infer_keyframes", "init", "load_agent",
     "load_dataset", "load_manifest", "manifest_digest", "parse_amc",
     "parse_asf", "preprocess", "q_baseline", "q_error", "reconstruct_full",

@@ -126,6 +126,21 @@ def act(policy: "_CertifiedQ", window: int, mask: np.ndarray, epsilon: float,
     return policy.best(window, mask, valid)
 
 
+def _certificate(net: neural.QNetwork) -> list[tuple[float, float, float]]:
+    """Per layer of ``net``, the constants of :class:`_CertifiedQ`'s bound:
+    gamma_k, the weight scale and max |b|. Computed once per network and
+    kept in ``net.derived`` until the weights change."""
+    if "certificate" not in net.derived:
+        (w0, w1, w2), biases = net.weights, net.biases
+        ks = (w0.shape[0] + net.output_dim + 1, w1.shape[0] + 1, w2.shape[0] + 1)
+        scales = (math.sqrt(w0.ravel() @ w0.ravel()),
+                  np.abs(w1).sum(axis=0).max(), np.abs(w2).sum(axis=0).max())
+        net.derived["certificate"] = [
+            (k * 2.0 ** -53 / (1.0 - k * 2.0 ** -53), scale, np.abs(b).max())
+            for k, scale, b in zip(ks, scales, biases)]
+    return net.derived["certificate"]
+
+
 class _CertifiedQ:
     """Greedy actions of ``net`` on windows given as (P, D) zero-mask
     states, certified equal to the valid frame of largest ``neural.forward``
@@ -147,8 +162,8 @@ class _CertifiedQ:
         self.refresh()
 
     def refresh(self) -> None:
-        """Forget what was derived from the weights; call after they change."""
-        self._base, self._scales = {}, None
+        """Forget the windows' first layers; call after the weights change."""
+        self._base = {}
 
     def q_bound(self, window: int, mask: np.ndarray) -> tuple[np.ndarray, float]:
         """Running Q values of the window's state with keyframe ``mask``, and
@@ -157,15 +172,9 @@ class _CertifiedQ:
         if window not in self._base:
             x = self.states[window]
             self._base[window] = (x @ w0 + b0, x @ x)
-        if self._scales is None:     # per layer: gamma_k, weight scale, max |b|
-            ks = (w0.shape[0] + mask.size + 1, w1.shape[0] + 1, w2.shape[0] + 1)
-            scales = (math.sqrt(w0.ravel() @ w0.ravel()),
-                      np.abs(w1).sum(axis=0).max(), np.abs(w2).sum(axis=0).max())
-            self._scales = [(k * 2.0 ** -53 / (1.0 - k * 2.0 ** -53), scale, np.abs(b).max())
-                            for k, scale, b in zip(ks, scales, (b0, b1, b2))]
         base, sq = self._base[window]
         h = base + w0[self.stride - 1::self.stride][mask].sum(axis=0)
-        (g, scale, b_max), *deeper = self._scales
+        (g, scale, b_max), *deeper = _certificate(self.net)
         err = 2.0 * g * (math.sqrt(sq + np.count_nonzero(mask)) * scale + b_max)
         for (w, b), (g, scale, b_max) in zip(((w1, b1), (w2, b2)), deeper):
             h = np.maximum(h, 0.0)    # inputs err apart, each sum within g

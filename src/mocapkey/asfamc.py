@@ -1030,8 +1030,9 @@ def _minimal_rotation(u: np.ndarray, t: np.ndarray) -> np.ndarray:
     c = np.clip(t @ u, -1.0, 1.0)
     still = s < 1e-12
     axis = axis / np.where(still, 1.0, s)[..., None]
-    helper = _EYE[1] if abs(u[0]) > 0.9 else _EYE[0]
-    axis = np.where(still[..., None], _unit(np.cross(u, helper)), axis)
+    if still.any():          # a target (anti)parallel to u: any axis orthogonal to u
+        helper = _EYE[1] if abs(u[0]) > 0.9 else _EYE[0]
+        axis = np.where(still[..., None], _unit(np.cross(u, helper)), axis)
     angle = np.where(still, np.where(c > 0, 0.0, math.pi), np.arctan2(s, c))
     return _rodrigues(axis, angle)
 

@@ -32,7 +32,7 @@ from .errors import DegenerateSequence, MocapKeyError, NumericError
 from .keyframes import KeyframeSet, check_keyframe_count
 from .metrics import (REPORT_COLUMNS, q_baseline, q_error, root_rmse,
                       section_error_table)
-from .motion import (CMU_EXCLUDED_JOINTS, SOURCE_FPS, STRIDE, WINDOW_LEN,
+from .motion import (CMU_EXCLUDED_JOINTS, STRIDE, TARGET_FPS, WINDOW_LEN, downsample,
                      filter_joints, forward_kinematics, preprocess)
 from .reconstruct import reconstruct_full
 from .spherical import sequence_to_spherical, sph_to_cart
@@ -220,7 +220,8 @@ def cmd_prep(args) -> int:
         try:
             with open(amc_path, "r", encoding="utf-8", errors="replace") as fh:
                 raw = parse_amc(fh, skeleton)
-            seq = forward_kinematics(tracked, raw, dt=1.0 / SOURCE_FPS, source=source)
+            seq = forward_kinematics(tracked, downsample(raw), dt=1.0 / TARGET_FPS,
+                                     source=source)
             windows = preprocess(seq)
         except (MocapKeyError, OSError) as exc:     # the take, or how it fits its ASF
             print(f"prep: warning: {source} (skeleton {asf_path.name}): {exc}",

@@ -5,10 +5,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import DegenerateSequence, NumericError
 from .keyframes import KeyframeSet
-from .reconstruct import _interior_cubics, _sections
+from .reconstruct import _hermite_u_coeffs, _horner, _interior_cubics, _sections
 from .spherical import SphericalSequence
 
 TWO_PI = 2.0 * math.pi
@@ -20,11 +21,17 @@ REPORT_COLUMNS = ("sequence", "keyframes", "method", "q_error",
 
 def angle_distance(a, b):
     """Wrapped absolute angular distance, elementwise in [0, pi]."""
-    d = np.abs(np.asarray(a, dtype=np.float64) - b)
+    d = np.asarray(np.abs(np.asarray(a, dtype=np.float64) - b))
+    return _wrap(d)[()]      # [()] turns a 0-d result back into a scalar
+
+
+def _wrap(d: np.ndarray) -> np.ndarray:
+    """Each d >= 0 taken in place to its distance from the nearest multiple
+    of 2 pi, in [0, pi]; returns d."""
     wide = d >= TWO_PI    # the mod is the costly step and a no-op below 2 pi
-    if np.any(wide):
-        d = np.where(wide, np.mod(d, TWO_PI), d)
-    return np.minimum(d, TWO_PI - d)
+    if wide.any():
+        np.mod(d, TWO_PI, out=d, where=wide)
+    return np.minimum(d, TWO_PI - d, out=d)
 
 
 def section_errors(sph: SphericalSequence, a, b) -> np.ndarray:
@@ -59,16 +66,35 @@ def section_kernel(angle, rate, dt, a, b) -> np.ndarray:
 
 def section_error_table(sph: SphericalSequence) -> np.ndarray:
     """N x N table E with E[a, b] = ``section_errors`` of section [a, b],
-    zero where b <= a + 1.
+    bit for bit, and zero where b <= a + 1.
 
-    Built one span length at a time: one all-pairs gather would hold
-    every interior frame of every section in memory at once.
+    Built one span length s at a time: the N - s sections of span s take
+    their cubics from contiguous slices and share the grid u = k/s, so
+    their interior frames fill one (s - 1, N - s, 2M) buffer with no
+    gather. The buffer is C-contiguous and every step writes into it: each
+    frame's columns are then summed along the contiguous last axis, as
+    ``section_kernel`` sums them, where another memory order would make
+    numpy sum them in another order. A section's frames are summed in frame
+    order, as ``bincount`` sums them.
     """
     n = sph.frame_count
+    angle, rate = stacked_angles(sph)
+    width = angle.shape[1]
     table = np.zeros((n, n))
-    for span in range(2, n):          # spans of one frame have no interior
-        a = np.arange(n - span)
-        table[a, a + span] = section_errors(sph, a, a + span)
+    step, col = angle.strides
+    for s in range(2, n):             # spans of one frame have no interior
+        c = _hermite_u_coeffs(angle[:n - s], rate[:n - s], angle[s:], rate[s:],
+                              s * sph.dt)
+        u = (np.arange(1, s) / s)[:, None]
+        # one row per grid point, each the (N - s, 2M) plane of all sections
+        recon = _horner(c.reshape(4, -1), u, out=np.empty((s - 1, (n - s) * width)))
+        recon = recon.reshape(s - 1, n - s, width)
+        # frame a + k of section [a, a + s] is recon[k - 1, a]
+        source = as_strided(angle[1:], recon.shape, (step, step, col), writeable=False)
+        np.subtract(recon, source, out=recon)
+        err = _wrap(np.abs(recon, out=recon)).sum(axis=-1)
+        a = np.arange(n - s)
+        table[a, a + s] = np.add.accumulate(err)[-1]
     return table
 
 

@@ -123,25 +123,37 @@ def filter_joints(skeleton: Skeleton, excluded: tuple[str, ...]) -> Skeleton:
     return replace(skeleton, joints=tuple(keep))
 
 
+def downsample(raw: RawMotion) -> RawMotion:
+    """Every STRIDE-th frame of a SOURCE_FPS take: its TARGET_FPS frames.
+
+    Forward kinematics of these frames alone is what :func:`preprocess`
+    cuts into windows; each frame's pose depends on that frame alone.
+    """
+    return RawMotion(len(range(0, raw.frame_count, STRIDE)),
+                     {name: values[::STRIDE] for name, values in raw.channels.items()})
+
+
 def preprocess(seq: MotionSequence) -> list[MotionSequence]:
-    """Downsample a SOURCE_FPS clip to TARGET_FPS and cut WINDOW_LEN-frame
-    windows.
+    """Cut a TARGET_FPS sequence, the forward kinematics of a take's
+    :func:`downsample` frames, into WINDOW_LEN-frame windows.
 
     Windows are consecutive and non-overlapping; a trailing remainder
-    shorter than the window length is discarded. Raises MocapKeyError when
-    the clip yields no complete window.
+    shorter than the window length is discarded. Each window's source
+    names its span in SOURCE_FPS frames of the take. Raises MocapKeyError
+    when the clip yields no complete window.
     """
-    pos = seq.positions[::STRIDE]
-    root = seq.root_positions[::STRIDE]
-    n_windows = len(pos) // WINDOW_LEN
+    if seq.dt != 1.0 / TARGET_FPS:
+        raise ValueError(
+            f"preprocess takes a {TARGET_FPS:g} Hz sequence, got dt={seq.dt!r}")
+    n_windows = seq.frame_count // WINDOW_LEN
     if n_windows == 0:
         raise MocapKeyError(
-            f"{len(pos)} downsampled frames < window length {WINDOW_LEN}")
+            f"{seq.frame_count} downsampled frames < window length {WINDOW_LEN}")
     windows = []
     for w in range(n_windows):
         lo = w * WINDOW_LEN
         hi = lo + WINDOW_LEN
         windows.append(replace(
-            seq, dt=STRIDE * seq.dt, positions=pos[lo:hi], root_positions=root[lo:hi],
+            seq, positions=seq.positions[lo:hi], root_positions=seq.root_positions[lo:hi],
             source=f"{seq.source}[{lo * STRIDE}:{hi * STRIDE}]" if seq.source else ""))
     return windows

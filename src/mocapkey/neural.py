@@ -23,10 +23,16 @@ HUBER_DELTA = 1.0    # |error| where the loss turns from quadratic to linear
 
 @dataclass
 class QNetwork:
-    """Weights stored per layer as (fan_in, fan_out); forward is x @ W + b."""
+    """Weights stored per layer as (fan_in, fan_out); forward is x @ W + b.
+
+    ``derived`` keeps what other modules compute from the weights once per
+    network (``agent``'s certificate constants). Whatever writes the
+    weights clears it, as :func:`adam_step` and :meth:`load_from` do.
+    """
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     seed: int = 0
+    derived: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def shapes(self) -> list[int]:
@@ -54,6 +60,7 @@ class QNetwork:
         )
 
     def load_from(self, other: "QNetwork") -> None:
+        self.derived.clear()
         for dst, src in zip(self.parameters(), other.parameters()):
             np.copyto(dst, src)
 
@@ -144,6 +151,7 @@ class AdamState:
 def adam_step(net: QNetwork, adam: AdamState, grads: list[np.ndarray]) -> None:
     """p -= lr (m / c1) / (sqrt(v / c2) + eps) after m = b1 m + (1 - b1) g and
     v = b2 v + (1 - b2) g g, each step rounded as written, in ``adam.scratch``."""
+    net.derived.clear()
     adam.step += 1
     c1 = 1.0 - ADAM_BETA1 ** adam.step
     c2 = 1.0 - ADAM_BETA2 ** adam.step
@@ -246,8 +254,12 @@ def read_blocks(fh, shapes) -> list[np.ndarray]:
         raise MocapKeyError(f"{fh.name}: " + (
             "truncated float64 blocks" if left < sum(sizes)
             else "trailing bytes after the last block"))
-    blocks = [np.frombuffer(fh.read(size), dtype="<f8").reshape(shape).astype(np.float64)
-              for size, shape in zip(sizes, shapes)]
+    blocks = []
+    for size, shape in zip(sizes, shapes):
+        block = np.empty(shape, dtype="<f8")      # read in place, not via bytes
+        if fh.readinto(block) != size:            # the file shrank since the check
+            raise MocapKeyError(f"{fh.name}: truncated float64 blocks")
+        blocks.append(block.astype(np.float64, copy=False))
     if not all(np.isfinite(block).all() for block in blocks):
         raise MocapKeyError(f"{fh.name}: non-finite float64 value")
     return blocks

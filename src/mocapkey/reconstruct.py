@@ -4,7 +4,8 @@ Between consecutive keyframes every angle channel (and each Cartesian root
 component) is replaced by the unique cubic matching the endpoint values and
 endpoint rates. Keyframe frames themselves are copied from the source
 verbatim. This module is the one place that cubic is defined; the error
-metrics evaluate the same cubics through ``_interior_cubics``.
+metrics evaluate the same cubics through ``_interior_cubics`` and
+``_horner``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,18 @@ def _hermite_u_coeffs(p0, v0, p1, v1, duration):
                      2.0 * (p0 - p1) + duration * (v0 + v1)])
 
 
+def _horner(c, u, out=None):
+    """The cubics of coefficients ``c`` (from :func:`_hermite_u_coeffs`) at
+    u, ((c3 u + c2) u + c1) u + c0, written into ``out`` when given."""
+    out = np.multiply(c[3], u, out=out)
+    out += c[2]
+    out *= u
+    out += c[1]
+    out *= u
+    out += c[0]
+    return out
+
+
 def _interior_cubics(a, b, dt, values, rates):
     """The section, frame index and value of every interior frame of the
     sections ``[a[i], b[i]]``: each section's cubic through the values and
@@ -38,7 +51,7 @@ def _interior_cubics(a, b, dt, values, rates):
     u = (step / span[owner])[:, None]
     c = _hermite_u_coeffs(values[a], rates[a], values[b], rates[b],
                           (span * dt)[:, None])[:, owner]
-    return owner, a[owner] + step, ((c[3] * u + c[2]) * u + c[1]) * u + c[0]
+    return owner, a[owner] + step, _horner(c, u)
 
 
 def _sections(sph: SphericalSequence, keys: KeyframeSet):

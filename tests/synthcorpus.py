@@ -15,8 +15,9 @@ import numpy as np
 
 from mocapkey.asfamc import RawMotion, Skeleton, parse_amc, parse_asf
 from mocapkey.dataset import write_dataset
-from mocapkey.motion import (CMU_EXCLUDED_JOINTS, SOURCE_FPS, STRIDE, WINDOW_LEN,
-                             filter_joints, forward_kinematics, preprocess)
+from mocapkey.motion import (CMU_EXCLUDED_JOINTS, SOURCE_FPS, STRIDE, TARGET_FPS,
+                             WINDOW_LEN, downsample, filter_joints, forward_kinematics,
+                             preprocess)
 
 # name, parent, direction, asf length, axis degrees, dof tokens
 _BONES = (
@@ -200,7 +201,7 @@ def make_windows(skel: Skeleton, raw: RawMotion, source: str):
     """FK on the tracked-joint skeleton plus windowing for one synthetic
     take; returns the triples that dataset.write_dataset expects."""
     sub = filter_joints(skel, CMU_EXCLUDED_JOINTS)
-    seq = forward_kinematics(sub, raw, dt=1.0 / SOURCE_FPS, source=source)
+    seq = forward_kinematics(sub, downsample(raw), dt=1.0 / TARGET_FPS, source=source)
     return [(sub, win, i * WINDOW_LEN * STRIDE)
             for i, win in enumerate(preprocess(seq))]
 

@@ -186,6 +186,27 @@ def test_certified_tie_falls_back_to_the_lower_frame():
     assert spy.call_count == 0         # a clear winner needs no forward
 
 
+def test_certificate_constants_are_kept_until_the_weights_change():
+    sph = conftest.random_spherical(21, 8, 2)
+    net = neural.init([8 * 9, 12, 8, 8], seed=3)
+    agent.infer_keyframes(net, sph, 4)
+    kept = net.derived["certificate"]
+    agent.infer_keyframes(net, sph, 5)
+    assert net.derived["certificate"] is kept       # once per network
+    before = net.copy()
+    assert before.derived == {}
+    adam = neural.AdamState.for_network(net, 0.5)
+    states = np.stack([encoded(sph, KeyframeSet.endpoints(8))] * 4)
+    neural.backward_and_step(net, adam, states, np.array([1, 2, 3, 4]), np.full(4, 9.0))
+    assert net.derived == {}
+    keys = agent.infer_keyframes(net, sph, 5)[0]
+    # the constants of the changed weights, as a fresh network computes them
+    assert net.derived["certificate"] == agent._certificate(net.copy())
+    assert keys == agent.infer_keyframes(net.copy(), sph, 5)[0]
+    net.load_from(before)
+    assert net.derived == {}
+
+
 def test_act_raises_when_no_frame_left():
     sph = conftest.random_spherical(9, 4, 2)
     keys = KeyframeSet.from_indices([0, 1, 2, 3], 4)

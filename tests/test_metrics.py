@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -124,6 +125,39 @@ def test_section_kernel_matches_full_reconstruction(seed, n, m, smooth, data):
     # bitwise: greedy reads this one table in place of building its own
     assert np.array_equal(table[a, b], one_by_one)
     assert not np.any(np.tril(table))
+
+
+def _far_off(seed):
+    # rates 30 times the tracks' own: long sections' cubics miss by over 2 pi
+    sph = random_spherical(seed, n=40, m=5, smooth=False)
+    return replace(sph, theta_dot=30.0 * sph.theta_dot, phi_dot=30.0 * sph.phi_dot)
+
+
+@pytest.mark.parametrize("case", ["60x22 window", "misses by 2 pi", "three frames"])
+def test_section_table_equals_section_errors_bitwise(small_sph, monkeypatch, case):
+    # the table is built span by span from its own buffers; each entry must
+    # still be the single-section kernel's value to the last bit
+    sph = {"60x22 window": lambda: small_sph[0],
+           "misses by 2 pi": lambda: _far_off(5),
+           "three frames": lambda: random_spherical(3, n=3, m=2)}[case]()
+    wide, wrap = [], metrics._wrap
+
+    def spy(d):
+        wide.append(bool(np.any(d >= 2 * math.pi)))
+        return wrap(d)
+
+    monkeypatch.setattr(metrics, "_wrap", spy)
+    table = metrics.section_error_table(sph)
+    monkeypatch.undo()
+    n = sph.frame_count
+    assert table.shape == (n, n) and not np.any(np.tril(table, k=1))
+    a, b = np.triu_indices(n, k=2)
+    one_by_one = [metrics.section_errors(sph, [i], [j])[0] for i, j in zip(a, b)]
+    assert np.array_equal(table[a, b], one_by_one)
+    if case == "60x22 window":
+        assert (n, sph.joint_count) == (60, 22)
+    if case == "misses by 2 pi":
+        assert any(wide)          # the mod branch ran
 
 
 def test_section_errors_rejects_bad_sections(small_sph):

@@ -9,6 +9,7 @@ from mocapkey.errors import MocapKeyError
 from mocapkey.motion import (
     CMU_EXCLUDED_JOINTS,
     MotionSequence,
+    downsample,
     filter_joints,
     finite_difference,
     forward_kinematics,
@@ -210,23 +211,29 @@ def test_motion_sequence_shape_validation():
 def test_preprocess_windows_downsampled_frames(skeleton):
     raw = synthcorpus.make_raw_motion(skeleton, 7, 750)
     sub = filter_joints(skeleton, CMU_EXCLUDED_JOINTS)
-    seq = forward_kinematics(sub, raw, dt=1.0 / 120.0, source="take.amc")
+    full = forward_kinematics(sub, raw, dt=1.0 / 120.0, source="take.amc")
+    kept = downsample(raw)
+    assert kept.frame_count == 188
+    seq = forward_kinematics(sub, kept, dt=1.0 / 30.0, source="take.amc")
     windows = preprocess(seq)
-    # 750 frames / stride 4 = 187 downsampled, 3 full windows, 7 discarded
+    # 750 frames / stride 4 = 188 downsampled, 3 full windows, 8 discarded
     assert len(windows) == 3
     for w, win in enumerate(windows):
         assert win.frame_count == 60
-        assert win.dt == pytest.approx(4.0 / 120.0)
+        assert win.dt == 4.0 / 120.0
         assert win.joint_names == seq.joint_names
         assert win.parents == seq.parents
         lo = w * 60
-        assert np.array_equal(win.positions, seq.positions[::4][lo:lo + 60])
-        assert np.array_equal(win.root_positions, seq.root_positions[::4][lo:lo + 60])
+        # posing the kept frames alone gives the full-rate poses bit for bit
+        assert np.array_equal(win.positions, full.positions[::4][lo:lo + 60])
+        assert np.array_equal(win.root_positions, full.root_positions[::4][lo:lo + 60])
         assert win.source == f"take.amc[{lo * 4}:{(lo + 60) * 4}]"
 
 
 def test_preprocess_rejects_short_clips(skeleton):
     raw = synthcorpus.make_raw_motion(skeleton, 8, 230)
-    seq = forward_kinematics(skeleton, raw, dt=1.0 / 120.0)
+    seq = forward_kinematics(skeleton, downsample(raw), dt=1.0 / 30.0)
     with pytest.raises(MocapKeyError, match="^58 downsampled frames < window length 60$"):
         preprocess(seq)
+    with pytest.raises(ValueError, match="^preprocess takes a 30 Hz sequence"):
+        preprocess(forward_kinematics(skeleton, raw, dt=1.0 / 120.0))
