@@ -57,6 +57,9 @@ class TrainConfig:
         for f in fields(self):    # an int passes where a float is expected
             checked(getattr(self, f.name), f.name, type(f.default), MocapKeyError,
                     **_LIMITS.get(f.name, {"low": 1}))
+        if self.batch_size > self.memory_capacity:    # no update would ever run
+            raise MocapKeyError(f"batch_size is {self.batch_size}, above "
+                                f"memory_capacity {self.memory_capacity}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -391,11 +394,7 @@ def train(dataset: list[SphericalSequence], cfg: TrainConfig,
             q_prev = q_new
             global_step += 1
             if global_step % cfg.train_interval == 0 and len(memory) >= cfg.batch_size:
-                states, actions, rewards, terminals = memory.sample(rng, cfg.batch_size)
-                targets = _batch_targets(states, actions, rewards, terminals,
-                                         target, cfg.discount)
-                _, loss = neural.backward_and_step(net, adam, states,
-                                                   actions, targets)
+                loss = _update(net, adam, target, memory, rng, cfg)
                 certified.refresh()
                 updates += 1
                 log.append(LogRow(global_step, episode, epsilon, loss=loss))
@@ -423,6 +422,17 @@ def train(dataset: list[SphericalSequence], cfg: TrainConfig,
         best_eval_q=None if best_net is None else best_q,
         best_episode=best_episode,
         eval_indices=tuple(pool[i][2] for i in eval_pool) if eval_pool else None)
+
+
+def _update(net: neural.QNetwork, adam: neural.AdamState,
+            target: neural.QNetwork, memory: ReplayMemory,
+            rng: np.random.Generator, cfg: TrainConfig) -> float:
+    """One update of ``net`` on a replay batch; returns the batch's loss.
+    The batch and its targets are freed on return, so the next sample never
+    sits beside them."""
+    states, actions, rewards, terminals = memory.sample(rng, cfg.batch_size)
+    targets = _batch_targets(states, actions, rewards, terminals, target, cfg.discount)
+    return neural.backward_and_step(net, adam, states, actions, targets)[1]
 
 
 def _batch_targets(states: np.ndarray, actions: np.ndarray,

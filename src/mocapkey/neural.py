@@ -126,6 +126,9 @@ def huber(pred, target):
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# elements adam_step works on at a time: two 128 KiB work arrays, not two
+# copies of the largest parameter
+ADAM_BLOCK = 2 ** 14
 
 
 @dataclass
@@ -134,7 +137,7 @@ class AdamState:
     step: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
-    # two work arrays per parameter for adam_step; never saved
+    # adam_step's two work arrays of ADAM_BLOCK elements; never saved
     scratch: list[np.ndarray] = field(default_factory=list, repr=False, compare=False)
 
     @classmethod
@@ -150,23 +153,30 @@ class AdamState:
 
 def adam_step(net: QNetwork, adam: AdamState, grads: list[np.ndarray]) -> None:
     """p -= lr (m / c1) / (sqrt(v / c2) + eps) after m = b1 m + (1 - b1) g and
-    v = b2 v + (1 - b2) g g, each step rounded as written, in ``adam.scratch``."""
+    v = b2 v + (1 - b2) g g, each step rounded as written.
+
+    Each flattened (C-contiguous) parameter is walked in blocks of
+    ADAM_BLOCK elements through the two block-sized arrays of
+    ``adam.scratch``. Every element meets the same operations in the same
+    order, so the result does not depend on the block size."""
     net.derived.clear()
     adam.step += 1
     c1 = 1.0 - ADAM_BETA1 ** adam.step
     c2 = 1.0 - ADAM_BETA2 ** adam.step
-    params = net.parameters()
-    if len(adam.scratch) != 2 * len(params):
-        adam.scratch = [np.empty_like(p) for p in params for _ in range(2)]
-    for p, g, m, v, s, t in zip(params, grads, adam.m, adam.v,
-                                adam.scratch[::2], adam.scratch[1::2]):
-        m *= ADAM_BETA1
-        m += np.multiply(g, 1.0 - ADAM_BETA1, out=s)
-        v *= ADAM_BETA2
-        v += np.multiply(np.multiply(g, 1.0 - ADAM_BETA2, out=s), g, out=s)
-        np.multiply(np.divide(m, c1, out=s), adam.learning_rate, out=s)
-        s /= np.add(np.sqrt(np.divide(v, c2, out=t), out=t), ADAM_EPS, out=t)
-        p -= s
+    if not adam.scratch:
+        adam.scratch = [np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)]
+    for arrays in zip(net.parameters(), grads, adam.m, adam.v):
+        flat = [a.reshape(-1) for a in arrays]
+        for lo in range(0, flat[0].size, ADAM_BLOCK):
+            p, g, m, v = (a[lo:lo + ADAM_BLOCK] for a in flat)
+            s, t = (a[:p.size] for a in adam.scratch)
+            m *= ADAM_BETA1
+            m += np.multiply(g, 1.0 - ADAM_BETA1, out=s)
+            v *= ADAM_BETA2
+            v += np.multiply(np.multiply(g, 1.0 - ADAM_BETA2, out=s), g, out=s)
+            np.multiply(np.divide(m, c1, out=s), adam.learning_rate, out=s)
+            s /= np.add(np.sqrt(np.divide(v, c2, out=t), out=t), ADAM_EPS, out=t)
+            p -= s
 
 
 def gradients(net: QNetwork, xs, actions, targets) -> tuple[list[np.ndarray], float]:
@@ -230,7 +240,7 @@ def write_blocks(path, header: bytes, blocks) -> None:
     with atomic_open(path, "wb") as fh:
         fh.write(header + b"\n")
         for block in blocks:
-            fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(block, dtype="<f8"))   # no bytes copy
 
 
 def read_header(fh) -> dict:

@@ -151,6 +151,22 @@ def td_target_reference(reward, next_state, terminal, weights, biases,
     return reward + discount * max(q[f] for f in valid)
 
 
+def adam_reference(net, adam, grads):
+    """``neural.adam_step`` written out with fresh temporaries, each
+    parameter whole."""
+    from mocapkey import neural
+
+    adam.step += 1
+    c1 = 1.0 - neural.ADAM_BETA1 ** adam.step
+    c2 = 1.0 - neural.ADAM_BETA2 ** adam.step
+    for p, g, m1, v in zip(net.parameters(), grads, adam.m, adam.v):
+        m1 *= neural.ADAM_BETA1
+        m1 += (1.0 - neural.ADAM_BETA1) * g
+        v *= neural.ADAM_BETA2
+        v += (1.0 - neural.ADAM_BETA2) * g * g
+        p -= adam.learning_rate * (m1 / c1) / (np.sqrt(v / c2) + neural.ADAM_EPS)
+
+
 def train_reference(dataset, cfg, initial=None):
     """``agent.train`` the direct way: every step's reward from a full
     ``q_error``, every greedy step and every evaluated policy a full
@@ -195,17 +211,6 @@ def train_reference(dataset, cfg, initial=None):
         masked[~keys.mask] = q[~keys.mask]
         return int(np.argmax(masked))
 
-    def adam_step(grads):
-        adam.step += 1
-        c1 = 1.0 - neural.ADAM_BETA1 ** adam.step
-        c2 = 1.0 - neural.ADAM_BETA2 ** adam.step
-        for p, g, m1, v in zip(net.parameters(), grads, adam.m, adam.v):
-            m1 *= neural.ADAM_BETA1
-            m1 += (1.0 - neural.ADAM_BETA1) * g
-            v *= neural.ADAM_BETA2
-            v += (1.0 - neural.ADAM_BETA2) * g * g
-            p -= adam.learning_rate * (m1 / c1) / (np.sqrt(v / c2) + neural.ADAM_EPS)
-
     for ep in range(cfg.episodes):
         episode = episode_base + ep
         window = rng.integers(len(pool))
@@ -249,7 +254,7 @@ def train_reference(dataset, cfg, initial=None):
                 live = np.isfinite(top)
                 targets[open_rows[live]] += cfg.discount * top[live]
             grads, loss = neural.gradients(net, states, actions, targets)
-            adam_step(grads)
+            adam_reference(net, adam, grads)
             updates += 1
             log.append(agent.LogRow(global_step, episode, epsilon, loss=loss))
             if updates % cfg.target_interval == 0:

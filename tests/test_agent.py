@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -63,6 +64,8 @@ def test_train_config_validation():
                 dict(learning_rate=0.0), dict(episodes=0)]:
         with pytest.raises(MocapKeyError, match=f"^{next(iter(bad))} is "):
             tiny_config(**bad)
+    with pytest.raises(MocapKeyError, match="^batch_size is 300, above memory_capacity 200$"):
+        tiny_config(batch_size=300)
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +421,25 @@ def test_train_resume_continues_counters():
     assert second.episodes_done == 20
     assert second.global_step == 20 * (cfg.keyframe_count - 2)
     assert second.updates >= first.updates
+
+
+def test_train_holds_one_replay_batch_at_a_time():
+    # 1024 rows of 820 floats (6.7 MB) against a network of 1,708 parameters;
+    # three updates, so a later sample could meet an earlier batch
+    windows = tiny_windows(3, n=20, m=10)
+    cfg = tiny_config(episodes=600, batch_size=1024, memory_capacity=1024,
+                      train_interval=64, hidden1=2, hidden2=2, eval_interval=0)
+    batch_bytes = cfg.batch_size * 20 * (4 * 10 + 1) * 8
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = agent.train(windows, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert result.updates == 3
+    # one batch, its open rows' next states and small change
+    assert peak < 2 * batch_bytes
 
 
 def _assert_same_run(got, want):

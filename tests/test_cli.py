@@ -397,13 +397,15 @@ def test_data_errors_exit_two(tmp_path, prepped, capsys):
                          "--out", str(tmp_path / "r.csv")]) == cli.EXIT_DATA
         assert "malformed header" in capsys.readouterr().err, (key, value)
     config = tmp_path / "cfg.json"
-    for bad in ({"episodes": "ten"}, {"epsilon_end": 0.1}):
+    # a batch the replay memory never holds would run no update at all
+    for bad in ({"episodes": "ten"}, {"epsilon_end": 0.1},
+                {"batch_size": 300, "memory_capacity": 200}):
         config.write_text(json.dumps(bad))
         capsys.readouterr()
         assert cli.main(["train", "--data", str(empty), "--config", str(config),
                          "--out", str(tmp_path / "a.ckpt")]) == cli.EXIT_DATA
         err = capsys.readouterr().err
-        assert next(iter(bad)) in err and str(config) in err
+        assert all(key in err for key in bad) and str(config) in err
     # a config or a manifest that is not JSON, or not UTF-8, is named
     data = tmp_path / "undecodable"
     data.mkdir()

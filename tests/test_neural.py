@@ -1,9 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from oracle_reference import adam_reference
 from mocapkey import neural
 from mocapkey.errors import MocapKeyError, NumericError
 
@@ -171,6 +173,46 @@ def test_adam_step_matches_reference_formula():
         assert np.allclose(p, ref, atol=1e-12)
 
 
+def test_blocked_adam_step_equals_the_whole_parameter_reference():
+    # parameters below, at and across the block size, 2-D ones among them
+    block = neural.ADAM_BLOCK
+    rng = np.random.default_rng(3)
+    shapes = [(127, 129), (1,), (1, block), (3 * block + 17,),
+              (3, block + 7), (block,)]
+    params = [rng.uniform(-1.0, 1.0, size=shape) for shape in shapes]
+    net = neural.QNetwork(weights=params[0::2], biases=params[1::2])
+    twin = net.copy()
+    assert [p.size for p in net.parameters()][:4] == [block - 1, 1, block, 3 * block + 17]
+    adam = neural.AdamState.for_network(net, learning_rate=0.01)
+    adam_twin = neural.AdamState.for_network(twin, learning_rate=0.01)
+    for step in range(4):
+        grads = [rng.normal(scale=10.0 ** rng.integers(-4, 3), size=p.shape)
+                 for p in params]
+        neural.adam_step(net, adam, grads)
+        adam_reference(twin, adam_twin, grads)
+        assert adam.step == adam_twin.step == step + 1
+        for a, b in zip(net.parameters() + adam.m + adam.v,
+                        twin.parameters() + adam_twin.m + adam_twin.v):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_adam_step_holds_two_block_sized_work_arrays():
+    # a default-size network: 60-frame, 22-joint windows, 128 and 64 units
+    net = neural.init([60 * 89, 128, 64, 60], seed=0)
+    adam = neural.AdamState.for_network(net, learning_rate=0.01)
+    grads = [np.full_like(p, 0.5) for p in net.parameters()]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        neural.adam_step(net, adam, grads)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert sum(a.size for a in adam.scratch) <= 2 * neural.ADAM_BLOCK
+    # the two work arrays plus small change; a parameter-sized copy is 5.5 MB
+    assert peak < 2 * neural.ADAM_BLOCK * 8 + 65536
+
+
 def test_backward_and_step_reduces_loss():
     rng = np.random.default_rng(5)
     net = neural.init([4, 8, 8, 2], seed=6)
@@ -214,6 +256,24 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
         path.write_bytes(json.dumps(edited).encode("utf-8") + b"\n" + body)
         with pytest.raises(MocapKeyError, match=f"adam {key} is {value!r}, fixed at"):
             neural.checkpoint_load(path)
+
+
+def test_blocks_round_trip_bitwise(tmp_path):
+    rng = np.random.default_rng(2)
+    blocks = [rng.normal(size=(4, 3)),
+              np.asfortranarray(rng.normal(size=(3, 5))),   # written in C order
+              rng.normal(size=6).astype(">f8"),             # written little-endian
+              np.arange(4),                                 # written as float64
+              np.empty((0, 3))]                             # writes no bytes
+    path = tmp_path / "blocks.bin"
+    neural.write_blocks(path, b'{"n": 5}', blocks)
+    assert path.read_bytes() == b'{"n": 5}\n' + b"".join(
+        np.ascontiguousarray(b, dtype="<f8").tobytes() for b in blocks)
+    with open(path, "rb") as fh:
+        assert neural.read_header(fh) == {"n": 5}
+        back = neural.read_blocks(fh, [b.shape for b in blocks])
+    for a, b in zip(back, blocks):
+        assert a.dtype == np.float64 and np.array_equal(a, b)
 
 
 def test_checkpoint_rejects_version_and_corruption(tmp_path):
